@@ -387,6 +387,7 @@ def solve_arpgda(
     ascent-gap inequalities are evaluated with INEQUALITY_SLACK; failures are
     collected on the result (and surfaced as warnings), never silenced.
     """
+    t0 = time.perf_counter()
     sched = make_schedules(params, smoothness_constants(data, int(r)))
     state = initial_state(data, int(r), params.seed)
     radius = params.radius
@@ -401,7 +402,6 @@ def solve_arpgda(
     phi = initial_phi
     E = None
 
-    t0 = time.perf_counter()
     for k in range(1, params.max_iters + 1):
         it0 = time.perf_counter()
         prev = state

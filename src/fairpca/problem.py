@@ -233,23 +233,50 @@ def ky_fan_norm(M: np.ndarray, r: int, *, tol: float = 1e-8) -> float:
 
 def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     """Compute L1 = 2 max_i ||X_i X_i^T||_2 and
-    L2 = 2 sqrt(kyfan_r(sum_i (X_i X_i^T)^2)).
+
+        L2 = 2 sqrt(min(kyfan_r(sum_i C_i^2), max_i <C_i, X X^T>)),
+
+    with C_i = X_i X_i^T, and L2 = 0 for a single group.
 
     L1 bounds the smoothness of f(., y) through the polar retraction for any
-    simplex y; L2 bounds ||grad_U f(U, y) - grad_U f(U, y')|| / ||y - y'||.
+    simplex y; L2 bounds ||grad_U f(U, y) - grad_U f(U, y')|| / ||y - y'||
+    for simplex y, y'.
+
+    Proof sketch for the second term.  With delta = y - y', the gradient
+    difference is P_T(-2 sum_i delta_i C_i U), where P_T, the tangent
+    projection at U, is an orthogonal projection and ||U||_2 = 1, so its norm
+    is at most 2 ||sum_i delta_i C_i||_F = 2 sqrt(delta^T K delta) with the
+    group Gram K_ij = <C_i, C_j> = ||X_i^T X_j||_F^2.  K is entrywise
+    non-negative, so Gershgorin gives lambda_max(K) <= max_i sum_j K_ij =
+    max_i <C_i, X X^T>, which costs O(N d^2) and never forms K.  The Ky Fan
+    term bounds the same norm through (sum_i delta_i C_i)^2 <= ||delta||^2
+    sum_i C_i^2 in the semidefinite order and U^T U = I; the smaller of the
+    two is kept.  With one group the simplex is the single point {1}, so
+    y = y' and L2 = 0 is valid.
     """
     if not isinstance(r, (int, np.integer)) or r < 1 or r > data.d:
         raise DimensionError(f"need 1 <= r <= d={data.d}, got r={r!r}")
-    top = 0.0
-    M = np.zeros((data.d, data.d))
-    for i in range(data.num_groups):
-        Xi = data.group(i)
+    X = data.X
+    if data.num_groups == 1:
+        sigma = float(np.linalg.norm(X, 2))
+        return SmoothnessConstants(L1=2.0 * sigma * sigma, L2=0.0)
+    sizes = data.sizes_array
+    # Singleton groups in one pass: ||x x^T||_2 = ||x||^2 and
+    # (x x^T)^2 = ||x||^2 x x^T.
+    Xs = X[:, np.repeat(sizes == 1, sizes)]
+    sq = np.einsum("ij,ij->j", Xs, Xs)
+    top = float(sq.max(initial=0.0))
+    M = (Xs * sq) @ Xs.T
+    for i in np.flatnonzero(sizes > 1):
+        Xi = data.group(int(i))
         sigma = float(np.linalg.norm(Xi, 2))
         top = max(top, sigma * sigma)
         # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T
         M += Xi @ ((Xi.T @ Xi) @ Xi.T)
-    L2 = 2.0 * float(np.sqrt(max(ky_fan_norm(M, int(r)), 0.0))) if top > 0 else 0.0
-    return SmoothnessConstants(L1=2.0 * top, L2=L2)
+    # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
+    row_sums = np.add.reduceat(np.einsum("ij,ij->j", X, (X @ X.T) @ X), data.starts)
+    bound = min(ky_fan_norm(M, int(r)), float(row_sums.max()))
+    return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
 
 
 def stationarity_measure(

@@ -122,3 +122,47 @@ def two_group_mix_distance(g1, g2, resolution=1e-3):
     for t in np.arange(0.0, 1.0 + resolution / 2, resolution):
         best = min(best, float(np.linalg.norm(t * g1 + (1.0 - t) * g2)))
     return best
+
+
+def _group_blocks(X, group_sizes):
+    blocks = []
+    start = 0
+    for size in group_sizes:
+        blocks.append(X[:, start:start + size])
+        start += size
+    return blocks
+
+
+def smoothness_constants_by_loops(X, group_sizes, r):
+    """L1 = 2 max_i ||X_i||_2^2 and the Ky Fan bound
+    2 sqrt(kyfan_r(sum_i (X_i X_i^T)^2)), one group at a time."""
+    d = X.shape[0]
+    top = 0.0
+    M = np.zeros((d, d))
+    for block in _group_blocks(X, group_sizes):
+        sigma = np.linalg.svd(block, compute_uv=False)[0]
+        top = max(top, float(sigma) ** 2)
+        C = block @ block.T
+        M += C @ C
+    return 2.0 * top, 2.0 * math.sqrt(ky_fan_via_svd(M, r))
+
+
+def group_gram_dense(X, group_sizes):
+    """n x n Gram of the group covariances, K_ij = ||X_i^T X_j||_F^2."""
+    blocks = _group_blocks(X, group_sizes)
+    n = len(blocks)
+    K = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            K[i, j] = float(np.sum((blocks[i].T @ blocks[j]) ** 2))
+    return K
+
+
+def weight_lipschitz_bound(X, group_sizes, r):
+    """min(Ky Fan bound, 2 sqrt(max row sum of the dense K)); 0 for one
+    group, whose simplex is a single point."""
+    if len(group_sizes) == 1:
+        return 0.0
+    _, kyfan = smoothness_constants_by_loops(X, group_sizes, r)
+    K = group_gram_dense(X, group_sizes)
+    return min(kyfan, 2.0 * math.sqrt(float(K.sum(axis=1).max())))

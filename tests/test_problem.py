@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fairpca import (
@@ -24,6 +26,17 @@ from fairpca import (
     tangency_error,
     y_gradient,
 )
+
+
+@st.composite
+def lipschitz_cases(draw):
+    """(d, group sizes, r, i, j, seed) with groups of 1-4 samples."""
+    d = draw(st.integers(1, 8))
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    r = draw(st.integers(1, d))
+    i = draw(st.integers(0, len(sizes) - 1))
+    j = draw(st.integers(0, len(sizes) - 1))
+    return d, sizes, r, i, j, draw(st.integers(0, 2**31 - 1))
 
 
 def random_dataset(seed, d=None, sizes=None):
@@ -106,7 +119,9 @@ class TestObjectives:
         assert min_objective(data, U) == pytest.approx(1.0)
         consts = smoothness_constants(data, 1)
         assert consts.L1 == pytest.approx(2.0)
-        assert consts.L2 == pytest.approx(2.0)
+        # one group: the simplex is the single point {1}, so y = y' always
+        # and the weight-Lipschitz constant is 0
+        assert consts.L2 == 0.0
         np.testing.assert_allclose(
             riemannian_gradient_U(data, U, np.array([1.0])),
             np.zeros((3, 1)), atol=1e-15)
@@ -201,12 +216,15 @@ class TestKyFan:
 
 class TestSmoothnessConstants:
     def test_orthonormal_singleton_groups(self):
-        # three orthonormal samples, one per group: L1 = 2, L2 = 2 sqrt(r)
+        # three orthonormal samples, one per group: L1 = 2.  C_i = e_i e_i^T,
+        # so the Ky Fan bound is 2 sqrt(kyfan_2(diag(1, 1, 1, 0, 0, 0))) =
+        # 2 sqrt(2), while K_ij = <C_i, C_j> = delta_ij gives K = I, whose
+        # largest row sum 1 makes the Gershgorin bound 2; L2 is the smaller.
         X = np.eye(6)[:, :3]
         data = GroupedDataset(X=X, group_sizes=(1, 1, 1))
         consts = smoothness_constants(data, 2)
         assert consts.L1 == pytest.approx(2.0)
-        assert consts.L2 == pytest.approx(2.0 * np.sqrt(2.0))
+        assert consts.L2 == pytest.approx(2.0)
 
     def test_descent_inequality_holds(self):
         # f(R_U(D), y) <= f(U, y) + <grad, D> + L1/2 ||D||^2
@@ -237,6 +255,46 @@ class TestSmoothnessConstants:
             diff = np.linalg.norm(riemannian_gradient_U(data, U, y1)
                                   - riemannian_gradient_U(data, U, y2))
             assert diff <= consts.L2 * np.linalg.norm(y1 - y2) + 1e-9
+
+    @pytest.mark.parametrize("sizes, shared, l2_is_kyfan", [
+        ((1,) * 12, 0.0, False),                # Gaussian singletons
+        ((1,) * 12, 5.0, True),                 # singletons along one direction
+        ((40, 35, 50), 0.0, True),              # large blocks
+        ((1, 3, 1, 1, 7, 2, 1, 1), 0.0, False),  # a mix takes both code paths
+        ((9,), 0.0, False),                     # one group: L2 = 0
+    ])
+    def test_matches_loop_and_dense_gram_oracles(self, sizes, shared, l2_is_kyfan):
+        # the cases cover both sides of the min at r = d
+        rng = np.random.default_rng(len(sizes))
+        d, N = 6, sum(sizes)
+        X = (rng.standard_normal((d, N)) * rng.uniform(0.5, 3.0, N)
+             + shared * np.outer(rng.standard_normal(d), rng.uniform(0.2, 2.0, N)))
+        data = GroupedDataset(X=X, group_sizes=sizes)
+        for r in range(1, d + 1):
+            consts = smoothness_constants(data, r)
+            L1, kyfan = oracles.smoothness_constants_by_loops(X, sizes, r)
+            assert consts.L1 == pytest.approx(L1, rel=1e-12)
+            assert consts.L2 == pytest.approx(
+                oracles.weight_lipschitz_bound(X, sizes, r), rel=1e-12)
+            assert consts.L2 <= kyfan * (1 + 1e-12)
+            if r == d:
+                assert (consts.L2 == pytest.approx(kyfan, rel=1e-12)) == l2_is_kyfan
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lipschitz_cases())
+    @example(case=(5, (7,), 2, 0, 0, 0))
+    def test_gradient_weight_lipschitz_at_simplex_vertices(self, case):
+        # ||grad(U, e_i) - grad(U, e_j)|| <= L2 ||e_i - e_j||, single groups
+        # included (there i = j and L2 = 0)
+        d, sizes, r, i, j, seed = case
+        rng = np.random.default_rng(seed)
+        data = GroupedDataset(X=rng.standard_normal((d, sum(sizes))), group_sizes=sizes)
+        consts = smoothness_constants(data, r)
+        U = random_stiefel(d, r, seed=seed)
+        yi, yj = np.eye(len(sizes))[i], np.eye(len(sizes))[j]
+        diff = np.linalg.norm(riemannian_gradient_U(data, U, yi)
+                              - riemannian_gradient_U(data, U, yj))
+        assert diff <= consts.L2 * np.linalg.norm(yi - yj) + 1e-9
 
     def test_rejects_bad_rank(self):
         data = random_dataset(0, d=4)
