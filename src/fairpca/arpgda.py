@@ -8,9 +8,9 @@ regularized function f_k(U, y) = f(U, y) - (lambda_k / 2) ||y||^2:
     y_{k+1} = P(y_k + (grad_y f(U_{k+1}, y_k) - lambda_k y_k) / (lambda_k + beta_k))
 
 with R the polar retraction and P the simplex projection.  The driving
-parameters keep lambda_k = epsilon / (8 R^2) constant, decay
-beta_k = mu k^{-rho} with rho > 1, and couple the U-stepsize to both
-smoothness constants:
+parameters keep lambda_k = epsilon / (8 R^2) = epsilon / 8 constant (R =
+max ||y|| is 1 on the simplex), decay beta_k = mu k^{-rho} with rho > 1,
+and couple the U-stepsize to both smoothness constants:
 
     zeta_k = theta / (L1 + L2^2 / (lambda_k + beta_k + beta_{k+1})),  theta in (0, 2).
 
@@ -24,7 +24,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .stiefel import orthonormality_error, polar_retract, project_to_tangent, ra
 
 # Numerical slack granted when asserting the per-iteration inequalities.
 INEQUALITY_SLACK = 1e-8
+
+# R = max ||y|| over the probability simplex, attained at its vertices.
+DUAL_RADIUS = 1.0
 
 # JSON schema for run reports produced by SolveResult.to_report (both solvers).
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
@@ -110,14 +113,13 @@ REPORT_SCHEMA: dict[str, Any] = {
 
 @dataclass(frozen=True)
 class ARPGDAParams:
-    """Driving parameters.  radius is R = max ||y|| over the dual feasible
-    set, which is 1 on the probability simplex."""
+    """Driving parameters.  The regularization lambda = epsilon / 8 follows
+    from epsilon; the dual set is the probability simplex."""
 
     epsilon: float
     mu: float
     rho: float = 1.1
     theta: float = 1.5
-    radius: float = 1.0
     max_iters: int = 100_000
     seed: int = 0
     check_inequalities: bool = True
@@ -133,8 +135,6 @@ class ARPGDAParams:
             raise ValueError(f"rho must exceed 1, got {self.rho!r}")
         if not 0 < self.theta < 2:
             raise ValueError(f"theta must lie in (0, 2), got {self.theta!r}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         if self.trace_stride < 1:
@@ -164,7 +164,7 @@ def make_schedules(params: ARPGDAParams, constants: SmoothnessConstants) -> Sche
         raise DegenerateProblemError(
             "all groups have zero variance; the objective is constant"
         )
-    lam = params.epsilon / (8.0 * params.radius**2)
+    lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
     return Schedules(
         lam=lam,
         mu=params.mu,
@@ -212,17 +212,10 @@ def initial_state(data: GroupedDataset, r: int, seed: int) -> SolverState:
 
 
 def arpgda_step(
-    state: SolverState,
-    schedules: Schedules,
-    data: GroupedDataset,
-    *,
-    project_y: Callable[[np.ndarray], np.ndarray] = project_to_simplex,
+    state: SolverState, schedules: Schedules, data: GroupedDataset
 ) -> SolverState:
-    """Advance (U_k, y_k) to (U_{k+1}, y_{k+1}).
-
-    project_y is the projection onto the dual feasible set; only the
-    probability simplex ships, but the hook keeps the update generic.
-    """
+    """Advance (U_k, y_k) to (U_{k+1}, y_{k+1}): a retracted descent step in
+    U, then a projected ascent step in y onto the probability simplex."""
     k = state.k
     if not np.all(np.isfinite(state.grad)):
         raise NumericalError(f"non-finite gradient entering iteration {k}")
@@ -234,7 +227,7 @@ def arpgda_step(
     P = projections(data, U_next)
     values = group_objectives(data, U_next, proj=P)
     # grad_y f(U_{k+1}, y_k) = -values, independent of y
-    y_next = project_y(state.y + (-values - lam * state.y) / (lam + beta_k))
+    y_next = project_to_simplex(state.y + (-values - lam * state.y) / (lam + beta_k))
     grad = project_to_tangent(
         U_next, euclidean_gradient_U(data, U_next, y_next, proj=P)
     )
@@ -371,13 +364,7 @@ def _regularized_value(values: np.ndarray, y: np.ndarray, lam: float) -> float:
     return float(-(y @ values) - 0.5 * lam * float(y @ y))
 
 
-def solve_arpgda(
-    data: GroupedDataset,
-    r: int,
-    params: ARPGDAParams,
-    *,
-    project_y: Callable[[np.ndarray], np.ndarray] = project_to_simplex,
-) -> SolveResult:
+def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveResult:
     """Run ARPGDA from a seeded random start until E(U, y) <= epsilon or the
     iteration cap.
 
@@ -390,7 +377,6 @@ def solve_arpgda(
     t0 = time.perf_counter()
     sched = make_schedules(params, smoothness_constants(data, int(r)))
     state = initial_state(data, int(r), params.seed)
-    radius = params.radius
     theta = params.theta
 
     trace: list[IterationRecord] = []
@@ -405,7 +391,7 @@ def solve_arpgda(
     for k in range(1, params.max_iters + 1):
         it0 = time.perf_counter()
         prev = state
-        state = arpgda_step(prev, sched, data, project_y=project_y)
+        state = arpgda_step(prev, sched, data)
 
         if not np.all(np.isfinite(state.values)):
             raise NumericalError(f"non-finite group objectives at iteration {k}")
@@ -431,7 +417,7 @@ def solve_arpgda(
             )
             rhs = (
                 -((2.0 - theta) / (2.0 * theta)) * zeta_k * prev.grad_norm**2
-                + 0.5 * (4.0 * beta_k) * radius
+                + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
                 - 0.5
                 * (
                     beta_k * float(np.sum((prev.y - prev.y_prev) ** 2))
@@ -442,7 +428,7 @@ def solve_arpgda(
                 violations.append(InequalityViolation(k, "sufficient_decrease", lhs, rhs))
             # ascent gap at the new iterate, bounded by the parameters of the
             # step that produced its weights
-            bound = 4.0 * radius**2 * (lam + beta_k)
+            bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
             if gap > bound + INEQUALITY_SLACK:
                 violations.append(InequalityViolation(k + 1, "ascent_gap", gap, bound))
 

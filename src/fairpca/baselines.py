@@ -34,14 +34,7 @@ from .stiefel import orthonormality_error, polar_retract, random_stiefel
 REFERENCE_SLACK = 1e-4
 
 
-def rsg_step(
-    U: np.ndarray,
-    data: GroupedDataset,
-    c: float,
-    k: int,
-    *,
-    proj: np.ndarray | None = None,
-) -> np.ndarray:
+def rsg_step(U: np.ndarray, data: GroupedDataset, c: float, k: int) -> np.ndarray:
     """One ascent step along the worst group's Riemannian gradient.
 
     Ties in the worst group are broken toward the lowest index.
@@ -50,8 +43,14 @@ def rsg_step(
         raise ValueError(f"c must be positive, got {c!r}")
     if not k >= 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
-    P = projections(data, U) if proj is None else proj
-    values = group_objectives(data, U, proj=P)
+    P = projections(data, U)
+    return _ascend(U, data, P, group_objectives(data, U, proj=P), c, k)
+
+
+def _ascend(
+    U: np.ndarray, data: GroupedDataset, P: np.ndarray, values: np.ndarray, c: float, k: int
+) -> np.ndarray:
+    """rsg_step from the iterate's projections P = X^T U and values f_i(U)."""
     i_star = int(np.argmin(values))
     g = group_riemannian_gradient(data, i_star, U, proj=P)
     if not np.all(np.isfinite(g)):
@@ -135,7 +134,7 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
             break
         if steps >= params.max_iters:
             break
-        U = rsg_step(U, data, params.c, steps + 1, proj=P)
+        U = _ascend(U, data, P, values, params.c, steps + 1)
         steps += 1
         P = projections(data, U)
         values = group_objectives(data, U, proj=P)

@@ -368,20 +368,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_compare_cell(payload: dict[str, Any]) -> dict[str, Any]:
+def _run_compare_cell(dataset: GroupedDataset, spec: dict[str, Any]) -> dict[str, Any]:
     """One (r, seed) cell: ARPGDA first, then the best-c RSG run referenced
-    to ARPGDA's final value.  Top-level so process pools can pickle it."""
-    dataset = GroupedDataset(
-        payload["X"], tuple(payload["group_sizes"]), name=payload["name"]
-    )
-    r = payload["r"]
-    seed = payload["seed"]
-    algs = payload["algs"]
+    to ARPGDA's final value."""
+    r = spec["r"]
+    seed = spec["seed"]
+    algs = spec["algs"]
     cell: dict[str, Any] = {"r": r, "seed": seed}
 
     arpgda_result = None
     if "arpgda" in algs:
-        params = arpgda_mod.ARPGDAParams(**payload["arpgda_params"], seed=seed)
+        params = arpgda_mod.ARPGDAParams(**spec["arpgda_params"], seed=seed)
         arpgda_result = arpgda_mod.solve_arpgda(dataset, r, params)
         cell["arpgda"] = {
             "phi": arpgda_result.phi,
@@ -395,16 +392,16 @@ def _run_compare_cell(payload: dict[str, Any]) -> dict[str, Any]:
         reference = arpgda_result.phi if arpgda_result is not None else None
         best = None
         best_c = None
-        for c in payload["c_grid"]:
+        for c in spec["c_grid"]:
             run = solve_rsg(
                 dataset,
                 r,
                 RSGParams(
                     c=c,
-                    max_iters=payload["rsg_max_iters"],
+                    max_iters=spec["rsg_max_iters"],
                     seed=seed,
                     reference_phi=reference,
-                    trace_stride=payload["rsg_max_iters"] or 1,
+                    trace_stride=spec["rsg_max_iters"] or 1,
                 ),
             )
             if best is None or run.phi > best.phi:
@@ -426,6 +423,20 @@ def _run_compare_cell(payload: dict[str, Any]) -> dict[str, Any]:
             cell["arpgda_iters_to_rsg_phi"] = reached
             cell["arpgda_dominates"] = reached is not None and reached < best.iterations
     return cell
+
+
+# The dataset of a compare worker process, set once by _init_compare_worker
+# so that X is sent to each worker once rather than with every cell.
+_worker_dataset: GroupedDataset
+
+
+def _init_compare_worker(dataset: GroupedDataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_worker_cell(spec: dict[str, Any]) -> dict[str, Any]:
+    return _run_compare_cell(_worker_dataset, spec)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -450,18 +461,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     jobs = int(_pick(args.jobs, cfg, "jobs", 1))
     max_iters = int(_pick(args.max_iters, cfg, "max_iters", 100_000))
 
-    payloads = []
+    specs = []
     for r in r_list:
         base = _arpgda_params(dataset, r, 0, args, cfg)
         arpgda_params = asdict(base)
         arpgda_params.pop("seed")
         arpgda_params["max_iters"] = max_iters
         for seed in range(n_seeds):
-            payloads.append(
+            specs.append(
                 {
-                    "X": dataset.X,
-                    "group_sizes": dataset.group_sizes,
-                    "name": dataset.name,
                     "r": r,
                     "seed": seed,
                     "algs": algs,
@@ -472,10 +480,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_compare_cell, payloads))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_compare_worker, initargs=(dataset,)
+        ) as pool:
+            cells = list(pool.map(_run_worker_cell, specs))
     else:
-        cells = [_run_compare_cell(p) for p in payloads]
+        cells = [_run_compare_cell(dataset, spec) for spec in specs]
 
     out_dir = Path(args.out if args.out is not None else ".")
     cells_dir = out_dir / "cells"
@@ -647,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--algs", default=None, help="comma list from {arpgda, rsg}")
     p_cmp.add_argument("--c-grid", default=None, help="rsg stepsize sweep, comma list")
     p_cmp.add_argument("--jobs", type=int, default=None, help="parallel cell workers")
-    p_cmp.add_argument("--record-dist", action="store_true", help=argparse.SUPPRESS)
     p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -43,8 +43,6 @@ class TestParams:
         with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, theta=2.0)
         with pytest.raises(ValueError):
-            ARPGDAParams(epsilon=0.1, mu=1.0, radius=0.0)
-        with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=0)
         with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, trace_stride=0)
@@ -82,12 +80,6 @@ class TestSchedules:
         assert sched.beta(2) == pytest.approx(3.265615470378826, rel=1e-13)
         assert sched.zeta(1) == pytest.approx(0.5214439028516656, rel=1e-13)
         assert sched.zeta(2) == pytest.approx(0.40761016678740986, rel=1e-13)
-
-    def test_radius_enters_lambda(self):
-        sched = make_schedules(
-            ARPGDAParams(epsilon=0.008, mu=7.0, radius=2.0),
-            SmoothnessConstants(L1=2.0, L2=3.0))
-        assert sched.lam == pytest.approx(0.008 / 32.0)
 
     def test_monotonicity(self):
         sched = make_schedules(
@@ -233,12 +225,13 @@ class TestSolve:
         row = res.violations[0].to_row()
         assert row["lhs"] > row["rhs"]
 
-    def test_numerical_error_on_broken_projection(self):
+    def test_numerical_error_on_broken_projection(self, monkeypatch):
+        monkeypatch.setattr(arpgda_module, "project_to_simplex",
+                            lambda z: np.full_like(z, np.nan))
         data = small_dataset(seed=9)
         params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
         with pytest.raises(NumericalError):
-            solve_arpgda(data, 2, params,
-                         project_y=lambda z: np.full_like(z, np.nan))
+            solve_arpgda(data, 2, params)
 
     def test_cap_reached_reports_not_converged(self):
         data = small_dataset(seed=10)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from fairpca import (
     GroupedDataset,
+    group_objectives,
     ky_fan_norm,
     min_objective,
     random_stiefel,
@@ -15,6 +16,7 @@ from fairpca import (
     rsg_step,
     solve_rsg,
 )
+from fairpca import baselines as baselines_module
 
 
 def two_group_dataset(seed=0, d=6, sizes=(8, 8)):
@@ -125,6 +127,19 @@ class TestSolve:
         assert all(t.dist_subgrad is not None for t in res.trace)
         assert all(t.dist_subgrad >= 0.0 for t in res.trace)
         assert all("dist_subgrad" in t.to_row() for t in res.trace)
+
+    def test_evaluates_each_iterate_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return group_objectives(*args, **kwargs)
+
+        monkeypatch.setattr(baselines_module, "group_objectives", counted)
+        data = two_group_dataset(seed=9)
+        res = solve_rsg(data, 2, RSGParams(c=0.1, max_iters=25, seed=0))
+        assert res.iterations == 25
+        assert len(calls) == res.iterations + 1
 
     def test_report_validates_against_schema(self):
         data = two_group_dataset(seed=8)

@@ -198,17 +198,18 @@ class TestMetrics:
 
 
 class TestCompare:
-    def run_compare(self, tmp_path, name):
+    def run_compare(self, tmp_path, name, jobs=1):
         out = tmp_path / name
         code = run(["compare", "--gen", "gaussian:d=8,n=8,seed=5",
                     "--r", "1,2", "--seeds", 2, "--c-grid", "0.1,1.0",
-                    "--max-iters", 400, "--trace-stride", 20, "--out", out])
+                    "--max-iters", 400, "--trace-stride", 20, "--jobs", jobs,
+                    "--out", out])
         assert code == 0
         return out
 
     def test_outputs_and_reproducibility(self, tmp_path, capsys):
         out1 = self.run_compare(tmp_path, "cmp1")
-        out2 = self.run_compare(tmp_path, "cmp2")
+        out2 = self.run_compare(tmp_path, "cmp2", jobs=2)
         capsys.readouterr()
 
         rows1 = read_csv_rows(out1 / "compare.csv")
