@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -170,3 +171,32 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
             "reference_slack": REFERENCE_SLACK,
         },
     )
+
+
+def rsg_sweep(
+    data: GroupedDataset,
+    r: int,
+    c_grid: Sequence[float],
+    *,
+    seed: int,
+    max_iters: int,
+    reference_phi: float | None,
+) -> list[SolveResult]:
+    """One solve_rsg run per stepsize scale c, in grid order, all from the
+    same seeded start; each trace keeps only the first and final iterates.
+    The best run is max(runs, key=lambda run: run.phi), the first with the
+    largest Phi; its scale is best.info["c"]."""
+    return [
+        solve_rsg(data, r, RSGParams(c=c, max_iters=max_iters, seed=seed,
+                                     reference_phi=reference_phi, trace_stride=max_iters or 1))
+        for c in c_grid
+    ]
+
+
+def iterations_to_reach(trace: Sequence[IterationRecord], phi: float) -> int | None:
+    """The first recorded k with Phi >= (1 - REFERENCE_SLACK) * phi, or None.
+
+    A run dominates a baseline run when it reaches the baseline's final Phi
+    in fewer iterations than the baseline took."""
+    target = (1.0 - REFERENCE_SLACK) * phi
+    return next((rec.k for rec in trace if rec.phi >= target), None)

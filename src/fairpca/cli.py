@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import arpgda as arpgda_mod
 from . import data as data_mod
-from .baselines import RSGParams, solve_rsg
+from .baselines import RSGParams, iterations_to_reach, rsg_sweep, solve_rsg
 from .exceptions import (
     DataError,
     DegenerateProblemError,
@@ -44,7 +44,7 @@ from .problem import (
     group_objectives,
     min_objective,
 )
-from .stiefel import load_point, orthonormality_error, save_point, validate_stiefel
+from .stiefel import TOL_ORTH, load_point, orthonormality_error, save_point, validate_stiefel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -251,17 +251,17 @@ def _arpgda_params(
     cfg: dict[str, Any],
 ) -> arpgda_mod.ARPGDAParams:
     base = arpgda_mod.recommended_params(data, r)
-    check = _pick(args.check_inequalities, cfg, "check_inequalities", True)
+    check = _pick(args.check_inequalities, cfg, "check_inequalities", base.check_inequalities)
     return arpgda_mod.ARPGDAParams(
         epsilon=float(_pick(args.eps, cfg, "eps", base.epsilon)),
         mu=float(_pick(args.mu, cfg, "mu", base.mu)),
         rho=float(_pick(args.rho, cfg, "rho", base.rho)),
         theta=float(_pick(args.theta, cfg, "theta", base.theta)),
-        max_iters=int(_pick(args.max_iters, cfg, "max_iters", 100_000)),
+        max_iters=int(_pick(args.max_iters, cfg, "max_iters", base.max_iters)),
         seed=seed,
         check_inequalities=bool(check),
-        trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", 1)),
-        tol_orth=float(_pick(args.tol_orth, cfg, "tol_orth", 1e-8)),
+        trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", base.trace_stride)),
+        tol_orth=float(_pick(args.tol_orth, cfg, "tol_orth", base.tol_orth)),
     )
 
 
@@ -277,12 +277,12 @@ def _rsg_params(
         raise _UsageError("rsg needs --c (or 'c' in the config file)")
     return RSGParams(
         c=float(c),
-        max_iters=int(_pick(args.max_iters, cfg, "max_iters", 100_000)),
+        max_iters=int(_pick(args.max_iters, cfg, "max_iters", RSGParams.max_iters)),
         seed=seed,
         reference_phi=reference_phi,
-        trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", 100)),
+        trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", RSGParams.trace_stride)),
         record_dist=bool(args.record_dist),
-        tol_orth=float(_pick(args.tol_orth, cfg, "tol_orth", 1e-8)),
+        tol_orth=float(_pick(args.tol_orth, cfg, "tol_orth", RSGParams.tol_orth)),
     )
 
 
@@ -342,12 +342,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.algorithm == "arpgda":
             params = _arpgda_params(dataset, r, seed, args, cfg)
             result = arpgda_mod.solve_arpgda(dataset, r, params)
-            params_dict = asdict(params)
         else:
             params = _rsg_params(seed, args, cfg, reference_phi=args.ref_phi)
             result = solve_rsg(dataset, r, params)
-            params_dict = asdict(params)
-        report = result.to_report(params_dict, meta.to_dict())
+        report = result.to_report(asdict(params), meta.to_dict())
         path = _report_path(args.out, args.algorithm, r, seed, len(seeds))
         _atomic_write_json(path, report)
         if args.save_u is not None:
@@ -369,16 +367,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _run_compare_cell(dataset: GroupedDataset, spec: dict[str, Any]) -> dict[str, Any]:
-    """One (r, seed) cell: ARPGDA first, then the best-c RSG run referenced
-    to ARPGDA's final value."""
+    """One (r, seed) cell: ARPGDA first (unless its params are None), then
+    the RSG sweep (unless its c_grid is None) referenced to ARPGDA's final
+    value, reported by its best run."""
     r = spec["r"]
     seed = spec["seed"]
-    algs = spec["algs"]
     cell: dict[str, Any] = {"r": r, "seed": seed}
 
     arpgda_result = None
-    if "arpgda" in algs:
-        params = arpgda_mod.ARPGDAParams(**spec["arpgda_params"], seed=seed)
+    if spec["arpgda_params"] is not None:
+        params = replace(spec["arpgda_params"], seed=seed)
         arpgda_result = arpgda_mod.solve_arpgda(dataset, r, params)
         cell["arpgda"] = {
             "phi": arpgda_result.phi,
@@ -388,38 +386,25 @@ def _run_compare_cell(dataset: GroupedDataset, spec: dict[str, Any]) -> dict[str
             "stationarity": arpgda_result.stationarity,
             "violations": len(arpgda_result.violations),
         }
-    if "rsg" in algs:
-        reference = arpgda_result.phi if arpgda_result is not None else None
-        best = None
-        best_c = None
-        for c in spec["c_grid"]:
-            run = solve_rsg(
-                dataset,
-                r,
-                RSGParams(
-                    c=c,
-                    max_iters=spec["rsg_max_iters"],
-                    seed=seed,
-                    reference_phi=reference,
-                    trace_stride=spec["rsg_max_iters"] or 1,
-                ),
-            )
-            if best is None or run.phi > best.phi:
-                best, best_c = run, c
+    if spec["c_grid"] is not None:
+        runs = rsg_sweep(
+            dataset,
+            r,
+            spec["c_grid"],
+            seed=seed,
+            max_iters=spec["rsg_max_iters"],
+            reference_phi=arpgda_result.phi if arpgda_result is not None else None,
+        )
+        best = max(runs, key=lambda run: run.phi)
         cell["rsg"] = {
             "phi": best.phi,
             "iterations": best.iterations,
             "converged": best.converged,
             "time_ms": best.time_ms,
-            "c": best_c,
+            "c": best.info["c"],
         }
         if arpgda_result is not None:
-            target = (1.0 - 1e-4) * best.phi
-            reached = None
-            for rec in arpgda_result.trace:
-                if rec.phi >= target:
-                    reached = rec.k
-                    break
+            reached = iterations_to_reach(arpgda_result.trace, best.phi)
             cell["arpgda_iters_to_rsg_phi"] = reached
             cell["arpgda_dominates"] = reached is not None and reached < best.iterations
     return cell
@@ -443,6 +428,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     dataset, meta = _resolve_dataset(args)
     r_list = _parse_int_list(str(_pick(args.r, cfg, "r", "1,2,5,10")), "--r")
+    if not r_list:
+        raise _UsageError("--r must name at least one value")
     for r in r_list:
         if not 1 <= r <= dataset.d:
             raise _UsageError(f"--r values must lie in [1, {dataset.d}], got {r}")
@@ -453,28 +440,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for alg in algs:
         if alg not in ("arpgda", "rsg"):
             raise _UsageError(f"unknown algorithm {alg!r} (use arpgda and/or rsg)")
-    c_grid = (
-        _parse_float_list(str(_pick(args.c_grid, cfg, "c_grid", None)), "--c-grid")
-        if _pick(args.c_grid, cfg, "c_grid", None) is not None
-        else list(DEFAULT_C_GRID)
-    )
+    if not algs:
+        raise _UsageError("--algs must name at least one algorithm")
+    c_grid_text = _pick(args.c_grid, cfg, "c_grid", None)
+    c_grid = list(DEFAULT_C_GRID) if c_grid_text is None else _parse_float_list(str(c_grid_text), "--c-grid")
+    if "rsg" in algs and not c_grid:
+        raise _UsageError("--c-grid must name at least one stepsize scale")
     jobs = int(_pick(args.jobs, cfg, "jobs", 1))
-    max_iters = int(_pick(args.max_iters, cfg, "max_iters", 100_000))
+    max_iters = int(_pick(args.max_iters, cfg, "max_iters", RSGParams.max_iters))
 
     specs = []
     for r in r_list:
-        base = _arpgda_params(dataset, r, 0, args, cfg)
-        arpgda_params = asdict(base)
-        arpgda_params.pop("seed")
-        arpgda_params["max_iters"] = max_iters
+        params = _arpgda_params(dataset, r, 0, args, cfg)
         for seed in range(n_seeds):
             specs.append(
                 {
                     "r": r,
                     "seed": seed,
-                    "algs": algs,
-                    "arpgda_params": arpgda_params,
-                    "c_grid": c_grid,
+                    "arpgda_params": params if "arpgda" in algs else None,
+                    "c_grid": c_grid if "rsg" in algs else None,
                     "rsg_max_iters": max_iters,
                 }
             )
@@ -499,52 +483,29 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for alg in algs:
             entry = cell[alg]
             ratio = entry["phi"] / best_phi if best_phi > 0 else math.nan
-            rows.append(
-                {
-                    "algorithm": alg,
-                    "r": cell["r"],
-                    "seed": cell["seed"],
-                    "phi": entry["phi"],
-                    "phi_ratio": ratio,
-                    "time_ms": entry["time_ms"],
-                    "iterations": entry["iterations"],
-                }
-            )
-    rows.sort(key=lambda row: (row["algorithm"], row["r"], row["seed"]))
+            floats = [repr(float(v)) for v in (entry["phi"], ratio, entry["time_ms"])]
+            rows.append([alg, cell["r"], cell["seed"], *floats, entry["iterations"]])
+    rows.sort(key=lambda row: row[:3])
 
     table_path = out_dir / "compare.csv"
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["algorithm", "r", "seed", "phi", "phi_ratio", "time_ms", "iterations"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["algorithm"],
-                row["r"],
-                row["seed"],
-                repr(float(row["phi"])),
-                repr(float(row["phi_ratio"])),
-                repr(float(row["time_ms"])),
-                row["iterations"],
-            ]
-        )
+    writer.writerows(rows)
     _atomic_write_text(table_path, buffer.getvalue())
 
     aggregates: dict[str, dict[str, Any]] = {}
     for alg in algs:
         for r in r_list:
-            phis = [c[alg]["phi"] for c in cells if c["r"] == r]
-            times = [c[alg]["time_ms"] for c in cells if c["r"] == r]
-            iters = [c[alg]["iterations"] for c in cells if c["r"] == r]
-            converged = sum(bool(c[alg]["converged"]) for c in cells if c["r"] == r)
+            entries = [c[alg] for c in cells if c["r"] == r]
             aggregates[f"{alg}_r{r}"] = {
                 "algorithm": alg,
                 "r": r,
-                "mean_phi": float(np.mean(phis)),
-                "mean_time_ms": float(np.mean(times)),
-                "mean_iterations": float(np.mean(iters)),
-                "n_converged": int(converged),
-                "n_cells": len(phis),
+                "mean_phi": float(np.mean([e["phi"] for e in entries])),
+                "mean_time_ms": float(np.mean([e["time_ms"] for e in entries])),
+                "mean_iterations": float(np.mean([e["iterations"] for e in entries])),
+                "n_converged": sum(bool(e["converged"]) for e in entries),
+                "n_cells": len(entries),
             }
     summary = {
         "dataset_meta": meta.to_dict(),
@@ -578,7 +539,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         raise DataError(
             f"checkpoint has {U.shape[0]} rows but the dataset has d={dataset.d}"
         )
-    tol = args.tol_orth if args.tol_orth is not None else 1e-8
+    tol = args.tol_orth if args.tol_orth is not None else TOL_ORTH
     validate_stiefel(U, tol)
     values = group_objectives(dataset, U)
     out: dict[str, Any] = {

@@ -7,7 +7,7 @@ Each check prints one always-visible line of the form
 so the verdicts are readable straight from the pytest output.  The heavy
 fixtures (forty solver cells at d = n = 200 plus the best-stepsize baseline
 sweep over them) are module-scoped and shared by checks 2, 3, 4, and 8; the
-full module takes on the order of fifteen minutes on one CPU.
+full module takes about nine minutes on one CPU.
 
 Checks 5, 6, and 7 certify the mathematics against independent oracles.
 Checks 1, 2, and 9 exercise the solver's convergence contract on three
@@ -23,11 +23,11 @@ import oracles
 from fairpca import (
     ARPGDAParams,
     GroupedDataset,
-    RSGParams,
     arpgda_step,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
     initial_state,
+    iterations_to_reach,
     ky_fan_norm,
     make_schedules,
     minimax_objective,
@@ -38,9 +38,9 @@ from fairpca import (
     recommended_params,
     riemannian_gradient_U,
     rsg_step,
+    rsg_sweep,
     smoothness_constants,
     solve_arpgda,
-    solve_rsg,
 )
 
 R_GRID = (1, 2, 5, 10)
@@ -85,15 +85,10 @@ def rsg_best(gaussian_cells):
     max_orth = 0.0
     for (r, seed), a in gaussian_cells.items():
         data = gen_synthetic_gaussian(200, 200, seed)
-        top, top_c = None, None
-        for c in C_GRID:
-            run = solve_rsg(data, r, RSGParams(
-                c=c, max_iters=RSG_CAP, seed=seed,
-                reference_phi=a.phi, trace_stride=RSG_CAP))
-            max_orth = max(max_orth, run.max_orth_error)
-            if top is None or run.phi > top.phi:
-                top, top_c = run, c
-        best[r, seed] = (top, top_c)
+        runs = rsg_sweep(data, r, C_GRID, seed=seed, max_iters=RSG_CAP,
+                         reference_phi=a.phi)
+        max_orth = max(max_orth, *(run.max_orth_error for run in runs))
+        best[r, seed] = max(runs, key=lambda run: run.phi)
     return best, max_orth
 
 
@@ -160,15 +155,12 @@ def test_criterion_3_baseline_dominance(gaussian_cells, rsg_best, capsys):
     for r in R_GRID:
         mean_a = float(np.mean([gaussian_cells[r, s].phi
                                 for s in range(N_SEEDS)]))
-        mean_b = float(np.mean([best[r, s][0].phi for s in range(N_SEEDS)]))
+        mean_b = float(np.mean([best[r, s].phi for s in range(N_SEEDS)]))
         means_ok = means_ok and mean_a >= mean_b
         mean_rows.append(f"r={r}: {mean_a:.3f} vs {mean_b:.3f}")
     dominant = 0
-    for (r, seed), (run, _c) in best.items():
-        target = (1.0 - 1e-4) * run.phi
-        reached = next(
-            (rec.k for rec in gaussian_cells[r, seed].trace
-             if rec.phi >= target), None)
+    for (r, seed), run in best.items():
+        reached = iterations_to_reach(gaussian_cells[r, seed].trace, run.phi)
         if reached is not None and reached < run.iterations:
             dominant += 1
     needed = int(np.ceil(0.75 * len(best)))
@@ -347,13 +339,9 @@ def test_criterion_9_block_group_regime(capsys):
             params = recommended_params(data, r, seed=seed, trace_stride=100)
             a = solve_arpgda(data, r, params)
             counts[r] += a.converged
-            top = None
-            for c in C_GRID:
-                run = solve_rsg(data, r, RSGParams(
-                    c=c, max_iters=20_000, seed=seed,
-                    reference_phi=a.phi, trace_stride=20_000))
-                if top is None or run.phi > top.phi:
-                    top = run
+            runs = rsg_sweep(data, r, C_GRID, seed=seed, max_iters=20_000,
+                             reference_phi=a.phi)
+            top = max(runs, key=lambda run: run.phi)
             cells += 1
             phi_wins += a.phi >= (1.0 - 1e-4) * top.phi
     needed = int(np.ceil(0.75 * cells))

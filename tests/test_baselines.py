@@ -7,13 +7,16 @@ import pytest
 import oracles
 from fairpca import (
     GroupedDataset,
+    IterationRecord,
     group_objectives,
+    iterations_to_reach,
     ky_fan_norm,
     min_objective,
     random_stiefel,
     REPORT_SCHEMA,
     RSGParams,
     rsg_step,
+    rsg_sweep,
     solve_rsg,
 )
 from fairpca import baselines as baselines_module
@@ -147,3 +150,60 @@ class TestSolve:
                                            trace_stride=10))
         report = res.to_report(params={"c": 0.1}, dataset_meta={})
         jsonschema.validate(report, REPORT_SCHEMA)
+
+
+class TestSweep:
+    def test_one_run_per_scale_in_grid_order(self):
+        data = two_group_dataset(seed=10)
+        grid = (1.0, 0.01, 0.1)
+        runs = rsg_sweep(data, 2, grid, seed=3, max_iters=80,
+                         reference_phi=None)
+        assert [run.info["c"] for run in runs] == list(grid)
+        for c, run in zip(grid, runs):
+            direct = solve_rsg(data, 2, RSGParams(c=c, max_iters=80, seed=3,
+                                                  trace_stride=80))
+            assert np.array_equal(run.U, direct.U)
+            assert np.array_equal(run.phi, direct.phi)
+            assert np.array_equal(run.iterations, direct.iterations)
+            assert [t.k for t in run.trace] == [0, 80]
+
+    def test_reference_reaches_every_run(self):
+        data = two_group_dataset(seed=11)
+        start_phi = min_objective(data, random_stiefel(6, 2, seed=5))
+        runs = rsg_sweep(data, 2, (0.1, 1.0), seed=5, max_iters=50,
+                         reference_phi=start_phi)
+        assert all(run.converged and run.iterations == 0 for run in runs)
+        assert all(run.info["reference_phi"] == start_phi for run in runs)
+
+    def test_zero_cap_keeps_stride_valid(self):
+        data = two_group_dataset(seed=12)
+        (run,) = rsg_sweep(data, 2, (0.1,), seed=0, max_iters=0,
+                           reference_phi=None)
+        assert run.iterations == 0
+        assert [t.k for t in run.trace] == [0]
+
+
+def record(k, phi):
+    return IterationRecord(k=k, phi=phi, stationarity=None, grad_norm=None,
+                           gap=None, lam=None, beta=None, zeta=None, ms=0.0)
+
+
+class TestIterationsToReach:
+    TRACE = [record(0, 1.0), record(10, 2.0), record(20, 3.0), record(30, 3.5)]
+
+    def test_first_qualifying_record(self):
+        assert iterations_to_reach(self.TRACE, 2.5) == 20
+        assert iterations_to_reach(self.TRACE, 3.5) == 30
+        assert iterations_to_reach(self.TRACE, 1.5) == 10
+        assert iterations_to_reach(self.TRACE, 0.5) == 0
+
+    def test_none_when_no_record_qualifies(self):
+        assert iterations_to_reach(self.TRACE, 4.0) is None
+        assert iterations_to_reach([], 1.0) is None
+
+    def test_slack_boundary_counts(self):
+        target = 4.0
+        trace = [record(0, 1.0), record(7, (1.0 - 1e-4) * target)]
+        assert iterations_to_reach(trace, target) == 7
+        trace = [record(0, 1.0), record(7, np.nextafter((1.0 - 1e-4) * target, 0.0))]
+        assert iterations_to_reach(trace, target) is None

@@ -232,17 +232,37 @@ class TestCompare:
                     f"cell_r{cell['r']}_seed{cell['seed']}.json").exists()
             assert "arpgda_dominates" in cell
 
-    def test_single_algorithm(self, tmp_path):
+    @pytest.mark.parametrize("alg", ["arpgda", "rsg"])
+    def test_single_algorithm(self, tmp_path, alg):
         out = tmp_path / "solo"
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
-                    "--r", "1", "--seeds", 1, "--algs", "arpgda",
-                    "--max-iters", 200, "--out", out]) == 0
+                    "--r", "1", "--seeds", 1, "--algs", alg,
+                    "--c-grid", "0.1,1.0", "--max-iters", 200,
+                    "--out", out]) == 0
         rows = read_csv_rows(out / "compare.csv")
-        assert {row[0] for row in rows[1:]} == {"arpgda"}
+        assert {row[0] for row in rows[1:]} == {alg}
+        cell = json.loads((out / "cells" / "cell_r1_seed0.json").read_text())
+        assert set(cell) == {"r", "seed", alg}
+        if alg == "rsg":
+            # no reference: every run of the sweep takes the full cap
+            assert cell["rsg"]["iterations"] == 200
+            assert cell["rsg"]["c"] in (0.1, 1.0)
 
     def test_rejects_unknown_algorithm(self, tmp_path):
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
                     "--r", "1", "--algs", "sgd", "--out", tmp_path]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c-grid", ","), ("--algs", ","), ("--r", ""),
+    ])
+    def test_rejects_empty_list(self, tmp_path, capsys, flag, value):
+        argv = {"--r": "1", "--algs": "arpgda,rsg", "--c-grid": "0.1"}
+        argv[flag] = value
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path,
+                    *[item for pair in argv.items() for item in pair]]) == 1
+        assert f"error: {flag} must name at least one" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
 
 
 class TestTopLevel:
