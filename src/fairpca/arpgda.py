@@ -32,9 +32,7 @@ from .exceptions import DegenerateProblemError, NumericalError
 from .problem import (
     GroupedDataset,
     SmoothnessConstants,
-    euclidean_gradient_U,
-    group_objectives,
-    projections,
+    evaluate,
     smoothness_constants,
 )
 from .simplex import project_to_simplex, simplex_violation, uniform_weights
@@ -197,15 +195,14 @@ def initial_state(data: GroupedDataset, r: int, seed: int) -> SolverState:
     """Random Stiefel point with uniform weights, caches filled in."""
     U = random_stiefel(data.d, int(r), seed)
     y = uniform_weights(data.num_groups)
-    P = projections(data, U)
-    values = group_objectives(data, U, proj=P)
-    grad = project_to_tangent(U, euclidean_gradient_U(data, U, y, proj=P))
+    ev = evaluate(data, U)
+    grad = project_to_tangent(U, ev.gradient(y))
     return SolverState(
         k=1,
         U=U,
         y=y,
         y_prev=y,
-        values=values,
+        values=ev.values,
         grad=grad,
         grad_norm=float(np.linalg.norm(grad)),
     )
@@ -224,13 +221,11 @@ def arpgda_step(
     zeta_k = schedules.zeta(k)
 
     U_next = polar_retract(state.U, -zeta_k * state.grad)
-    P = projections(data, U_next)
-    values = group_objectives(data, U_next, proj=P)
+    ev = evaluate(data, U_next)
+    values = ev.values
     # grad_y f(U_{k+1}, y_k) = -values, independent of y
     y_next = project_to_simplex(state.y + (-values - lam * state.y) / (lam + beta_k))
-    grad = project_to_tangent(
-        U_next, euclidean_gradient_U(data, U_next, y_next, proj=P)
-    )
+    grad = project_to_tangent(U_next, ev.gradient(y_next))
     return SolverState(
         k=k + 1,
         U=U_next,
@@ -476,5 +471,6 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
             "lambda": sched.lam,
             "initial_phi": initial_phi,
             "max_simplex_error": max_simplex,
+            "evaluation": data.evaluation_form,
         },
     )

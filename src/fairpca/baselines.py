@@ -22,14 +22,8 @@ import numpy as np
 
 from .arpgda import IterationRecord, SolveResult
 from .exceptions import DiagnosticUnavailableError, NumericalError
-from .problem import (
-    GroupedDataset,
-    dist_to_subgradient,
-    group_objectives,
-    group_riemannian_gradient,
-    projections,
-)
-from .stiefel import orthonormality_error, polar_retract, random_stiefel
+from .problem import Evaluation, GroupedDataset, dist_to_subgradient, evaluate
+from .stiefel import orthonormality_error, polar_retract, project_to_tangent, random_stiefel
 
 # Relative slack of the reference stopping rule.
 REFERENCE_SLACK = 1e-4
@@ -44,19 +38,16 @@ def rsg_step(U: np.ndarray, data: GroupedDataset, c: float, k: int) -> np.ndarra
         raise ValueError(f"c must be positive, got {c!r}")
     if not k >= 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
-    P = projections(data, U)
-    return _ascend(U, data, P, group_objectives(data, U, proj=P), c, k)
+    return _ascend(evaluate(data, U), c, k)
 
 
-def _ascend(
-    U: np.ndarray, data: GroupedDataset, P: np.ndarray, values: np.ndarray, c: float, k: int
-) -> np.ndarray:
-    """rsg_step from the iterate's projections P = X^T U and values f_i(U)."""
-    i_star = int(np.argmin(values))
-    g = group_riemannian_gradient(data, i_star, U, proj=P)
+def _ascend(ev: Evaluation, c: float, k: int) -> np.ndarray:
+    """rsg_step from the evaluation of its iterate."""
+    i_star = int(np.argmin(ev.values))
+    g = project_to_tangent(ev.U, ev.group_gradient(i_star))
     if not np.all(np.isfinite(g)):
         raise NumericalError(f"non-finite subgradient at iteration {k}")
-    return polar_retract(U, (c / math.sqrt(k)) * g)
+    return polar_retract(ev.U, (c / math.sqrt(k)) * g)
 
 
 @dataclass(frozen=True)
@@ -100,9 +91,8 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
 
     t0 = time.perf_counter()
     U = random_stiefel(data.d, int(r), params.seed)
-    P = projections(data, U)
-    values = group_objectives(data, U, proj=P)
-    phi = float(values.min())
+    ev = evaluate(data, U)
+    phi = float(ev.values.min())
     max_orth = orthonormality_error(U)
     trace: list[IterationRecord] = []
     last = time.perf_counter()
@@ -135,13 +125,12 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
             break
         if steps >= params.max_iters:
             break
-        U = _ascend(U, data, P, values, params.c, steps + 1)
+        U = _ascend(ev, params.c, steps + 1)
         steps += 1
-        P = projections(data, U)
-        values = group_objectives(data, U, proj=P)
-        if not np.all(np.isfinite(values)):
+        ev = evaluate(data, U)
+        if not np.all(np.isfinite(ev.values)):
             raise NumericalError(f"non-finite group objectives at step {steps}")
-        phi = float(values.min())
+        phi = float(ev.values.min())
         orth = orthonormality_error(U)
         max_orth = max(max_orth, orth)
         if orth > params.tol_orth:
@@ -169,6 +158,7 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
             "c": params.c,
             "reference_phi": params.reference_phi,
             "reference_slack": REFERENCE_SLACK,
+            "evaluation": data.evaluation_form,
         },
     )
 

@@ -106,6 +106,17 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise _UsageError(f"cannot parse {what} list {text!r}") from None
 
 
+def _list_text(value: Any) -> str:
+    """A list option's value in its flag's comma form; a config file may
+    give it as a JSON list instead."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _unique(values: list[Any]) -> list[Any]:
+    """values without repeats, in first-seen order."""
+    return list(dict.fromkeys(values))
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
     """'750x4' means four groups of 750; '10|20|30' lists sizes explicitly."""
     try:
@@ -427,7 +438,7 @@ def _run_worker_cell(spec: dict[str, Any]) -> dict[str, Any]:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     dataset, meta = _resolve_dataset(args)
-    r_list = _parse_int_list(str(_pick(args.r, cfg, "r", "1,2,5,10")), "--r")
+    r_list = _unique(_parse_int_list(_list_text(_pick(args.r, cfg, "r", "1,2,5,10")), "--r"))
     if not r_list:
         raise _UsageError("--r must name at least one value")
     for r in r_list:
@@ -436,14 +447,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     n_seeds = int(_pick(args.seeds, cfg, "seeds", 10))
     if n_seeds < 1:
         raise _UsageError("--seeds must be at least 1")
-    algs = [a.strip() for a in str(_pick(args.algs, cfg, "algs", "arpgda,rsg")).split(",") if a.strip()]
+    algs_text = _list_text(_pick(args.algs, cfg, "algs", "arpgda,rsg"))
+    algs = _unique([a.strip() for a in algs_text.split(",") if a.strip()])
     for alg in algs:
         if alg not in ("arpgda", "rsg"):
             raise _UsageError(f"unknown algorithm {alg!r} (use arpgda and/or rsg)")
     if not algs:
         raise _UsageError("--algs must name at least one algorithm")
     c_grid_text = _pick(args.c_grid, cfg, "c_grid", None)
-    c_grid = list(DEFAULT_C_GRID) if c_grid_text is None else _parse_float_list(str(c_grid_text), "--c-grid")
+    c_grid = (list(DEFAULT_C_GRID) if c_grid_text is None
+              else _unique(_parse_float_list(_list_text(c_grid_text), "--c-grid")))
     if "rsg" in algs and not c_grid:
         raise _UsageError("--c-grid must name at least one stepsize scale")
     jobs = int(_pick(args.jobs, cfg, "jobs", 1))

@@ -9,6 +9,10 @@ minimax objective
     f(U, y) = sum_i y_i (-f_i(U)),    U on St(d, r),  y on the simplex,
 
 which is linear in y; its y-gradient is the vector (-f_1(U), ..., -f_n(U)).
+
+Solvers evaluate each iterate once through evaluate(data, U), in sample form
+(X^T U, for singleton groups) or covariance form (C_i U, for block groups
+with n d < N), as GroupedDataset.evaluation_form decides.
 """
 
 from __future__ import annotations
@@ -97,6 +101,28 @@ class GroupedDataset:
         """Read-only view of group i's columns."""
         return self.X[:, self.group_slice(i)]
 
+    @cached_property
+    def evaluation_form(self) -> str:
+        """Which form evaluates the group variances and gradients, by cost.
+
+        "covariance" exactly when n d < N, else "sample".  The covariance
+        form costs O(n d^2 r) per evaluation against O(N d r), and its stack
+        of n d x d covariances then holds fewer numbers than X itself.
+        Singleton groups (n = N) stay in sample form.  The inequality is
+        strict: at n d = N the flop counts tie, and on the single-group
+        d = N = 50 instance, where numpy dispatch rather than arithmetic sets
+        the cost, the covariance form ran slower.
+        """
+        return "covariance" if self.num_groups * self.d < self.num_samples else "sample"
+
+    @cached_property
+    def covariances(self) -> np.ndarray:
+        """Per-group covariances C_i = X_i X_i^T, shape (n, d, d), built on
+        first use."""
+        C = np.stack([Xi @ Xi.T for Xi in map(self.group, range(self.num_groups))])
+        C.setflags(write=False)
+        return C
+
     def sample_norms(self) -> np.ndarray:
         return np.linalg.norm(self.X, axis=0)
 
@@ -130,23 +156,77 @@ def _check_weights_shape(data: GroupedDataset, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def projections(data: GroupedDataset, U: np.ndarray) -> np.ndarray:
-    """Per-sample projections X^T U, shape (N, r).
+class SampleEvaluation:
+    """Group variances and gradients at one iterate U, in sample form.
 
-    One evaluation feeds both the group objectives and the U-gradient, so
-    solvers compute it once per iterate and pass it down.
+    Caches the projections P = X^T U, shape (N, r); the values and each
+    gradient then cost O(N d r).  It suits singleton groups and any data with
+    n d >= N (see GroupedDataset.evaluation_form).
     """
+
+    __slots__ = ("data", "U", "P", "values")
+
+    def __init__(self, data: GroupedDataset, U: np.ndarray) -> None:
+        self.data = data
+        self.U = U
+        self.P = P = data.X.T @ U
+        self.values = np.add.reduceat(np.einsum("ij,ij->i", P, P), data.starts)
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """Ambient gradient of f(., y): -2 sum_i y_i X_i X_i^T U."""
+        w = np.repeat(y, self.data.sizes_array)
+        return -2.0 * (self.data.X @ (w[:, None] * self.P))
+
+    def group_gradient(self, i: int) -> np.ndarray:
+        """Ambient gradient of f_i: 2 X_i X_i^T U."""
+        sl = self.data.group_slice(i)
+        return 2.0 * (self.data.X[:, sl] @ self.P[sl])
+
+
+class CovarianceEvaluation:
+    """Group variances and gradients at one iterate U, in covariance form.
+
+    Caches the stack C U, shape (n, d, r), from the per-group covariances
+    C_i = X_i X_i^T; the values and each gradient then cost O(n d^2 r)
+    instead of O(N d r).  It suits block groups with n d < N.
+    """
+
+    __slots__ = ("data", "U", "CU", "values")
+
+    def __init__(self, data: GroupedDataset, U: np.ndarray) -> None:
+        self.data = data
+        self.U = U
+        self.CU = CU = data.covariances @ U
+        # f_i(U) = <C_i U, U>; a sum of products beats einsum at these shapes
+        self.values = (CU * U).sum(axis=(1, 2))
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """Ambient gradient of f(., y): -2 sum_i y_i C_i U."""
+        CU = self.CU
+        return -2.0 * (y @ CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
+
+    def group_gradient(self, i: int) -> np.ndarray:
+        """Ambient gradient of f_i: 2 C_i U."""
+        return 2.0 * self.CU[i]
+
+
+Evaluation = SampleEvaluation | CovarianceEvaluation
+
+
+def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:
+    """Evaluate the group variances at U, in the form data.evaluation_form
+    names.  The result carries values (f_1(U), ..., f_n(U)), gradient(y) and
+    group_gradient(i), so one evaluation feeds every quantity a solver needs
+    at an iterate."""
     U = _check_point(data, U)
-    return data.X.T @ U
+    if data.evaluation_form == "covariance":
+        return CovarianceEvaluation(data, U)
+    return SampleEvaluation(data, U)
 
 
-def group_objectives(
-    data: GroupedDataset, U: np.ndarray, *, proj: np.ndarray | None = None
-) -> np.ndarray:
+def group_objectives(data: GroupedDataset, U: np.ndarray) -> np.ndarray:
     """Vector of group variances f_i(U) = ||X_i^T U||_F^2, shape (n,)."""
-    P = projections(data, U) if proj is None else proj
-    colsq = np.einsum("ij,ij->i", P, P)
-    return np.add.reduceat(colsq, data.starts)
+    return evaluate(data, U).values
 
 
 def min_objective(data: GroupedDataset, U: np.ndarray) -> float:
@@ -160,54 +240,29 @@ def minimax_objective(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> flo
     return float(-(y @ group_objectives(data, U)))
 
 
-def y_gradient(
-    data: GroupedDataset, U: np.ndarray, *, proj: np.ndarray | None = None
-) -> np.ndarray:
+def y_gradient(data: GroupedDataset, U: np.ndarray) -> np.ndarray:
     """Gradient of f(U, .), the constant vector (-f_1(U), ..., -f_n(U))."""
-    return -group_objectives(data, U, proj=proj)
+    return -group_objectives(data, U)
 
 
-def euclidean_gradient_U(
-    data: GroupedDataset,
-    U: np.ndarray,
-    y: np.ndarray,
-    *,
-    proj: np.ndarray | None = None,
-) -> np.ndarray:
+def euclidean_gradient_U(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ambient gradient of f(., y): -2 sum_i y_i X_i X_i^T U."""
-    U = _check_point(data, U)
     y = _check_weights_shape(data, y)
-    P = projections(data, U) if proj is None else proj
-    w = np.repeat(y, data.sizes_array)
-    return -2.0 * (data.X @ (w[:, None] * P))
+    return evaluate(data, U).gradient(y)
 
 
-def riemannian_gradient_U(
-    data: GroupedDataset,
-    U: np.ndarray,
-    y: np.ndarray,
-    *,
-    proj: np.ndarray | None = None,
-) -> np.ndarray:
+def riemannian_gradient_U(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Riemannian gradient of f(., y) at U: the tangent component of the
     ambient gradient under the embedded metric."""
-    return project_to_tangent(U, euclidean_gradient_U(data, U, y, proj=proj))
+    return project_to_tangent(U, euclidean_gradient_U(data, U, y))
 
 
-def group_riemannian_gradient(
-    data: GroupedDataset,
-    i: int,
-    U: np.ndarray,
-    *,
-    proj: np.ndarray | None = None,
-) -> np.ndarray:
+def group_riemannian_gradient(data: GroupedDataset, i: int, U: np.ndarray) -> np.ndarray:
     """Riemannian gradient of the single group variance f_i at U."""
-    U = _check_point(data, U)
+    ev = evaluate(data, U)
     if not 0 <= i < data.num_groups:
         raise DimensionError(f"group index {i} out of range [0, {data.num_groups})")
-    sl = data.group_slice(i)
-    Pi = projections(data, U)[sl] if proj is None else proj[sl]
-    return project_to_tangent(U, 2.0 * (data.X[:, sl] @ Pi))
+    return project_to_tangent(ev.U, ev.group_gradient(i))
 
 
 def ky_fan_norm(M: np.ndarray, r: int, *, tol: float = 1e-8) -> float:
@@ -295,9 +350,9 @@ def stationarity_measure(
     """
     U = validate_stiefel(_check_point(data, U), tol_orth)
     y = validate_weights(_check_weights_shape(data, y))
-    P = projections(data, U)
-    f_vals = group_objectives(data, U, proj=P)
-    grad = riemannian_gradient_U(data, U, y, proj=P)
+    ev = evaluate(data, U)
+    f_vals = ev.values
+    grad = project_to_tangent(U, ev.gradient(y))
     gap = max(float(y @ f_vals - f_vals.min()), 0.0)
     return max(float(np.linalg.norm(grad)), gap)
 
@@ -322,8 +377,8 @@ def dist_to_subgradient(
     update moves less than tol or max_iters inner steps.
     """
     U = validate_stiefel(_check_point(data, U))
-    P = projections(data, U)
-    f_vals = group_objectives(data, U, proj=P)
+    ev = evaluate(data, U)
+    f_vals = ev.values
     f_min = float(f_vals.min())
     if f_min <= 0.0:
         raise DiagnosticUnavailableError(
@@ -331,7 +386,7 @@ def dist_to_subgradient(
         )
     active = np.nonzero(f_vals - f_min <= rel_threshold * f_min)[0]
     grads = np.stack(
-        [group_riemannian_gradient(data, int(i), U, proj=P).ravel() for i in active]
+        [project_to_tangent(U, ev.group_gradient(int(i))).ravel() for i in active]
     )
     if len(active) == 1:
         return float(np.linalg.norm(grads[0]))

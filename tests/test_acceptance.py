@@ -43,6 +43,8 @@ from fairpca import (
     solve_arpgda,
 )
 
+pytestmark = pytest.mark.acceptance
+
 R_GRID = (1, 2, 5, 10)
 N_SEEDS = 10
 C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1)

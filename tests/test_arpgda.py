@@ -113,6 +113,22 @@ class TestStep:
         np.testing.assert_allclose(nxt.y, y_hand, atol=1e-12)
         np.testing.assert_allclose(nxt.y_prev, state.y, atol=0)
 
+    def test_block_groups_match_hand_transcription(self):
+        # n d = 6 < N = 8: the steps evaluate in covariance form
+        data = small_dataset(seed=2, d=3, sizes=(4, 4))
+        assert data.evaluation_form == "covariance"
+        params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
+        sched = make_schedules(params, smoothness_constants(data, 2))
+        state = initial_state(data, 2, params.seed)
+        U, y = state.U, state.y
+        for k in (1, 2):
+            state = arpgda_step(state, sched, data)
+            U, y = oracles.arpgda_step_by_hand(
+                data.X, data.group_sizes, U, y,
+                lam=sched.lam, beta_k=sched.beta(k), zeta_k=sched.zeta(k))
+            np.testing.assert_allclose(state.U, U, atol=1e-12)
+            np.testing.assert_allclose(state.y, y, atol=1e-12)
+
     def test_two_steps_match_hand_transcription(self):
         data = small_dataset(seed=1, d=5, sizes=(2, 2, 1))
         params = ARPGDAParams(epsilon=0.05, mu=2.0, seed=4)
@@ -191,6 +207,7 @@ class TestSolve:
         if res.converged:
             assert res.stationarity <= params.epsilon
         assert res.info["L1"] > 0
+        assert res.info["evaluation"] == "sample"
         assert set(res.trace[0].to_row()) == {
             "k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
 

@@ -8,7 +8,7 @@ import oracles
 from fairpca import (
     GroupedDataset,
     IterationRecord,
-    group_objectives,
+    evaluate,
     iterations_to_reach,
     ky_fan_norm,
     min_objective,
@@ -34,6 +34,18 @@ class TestStep:
             X=np.array([[1.1, -0.2], [0.3, 0.8], [-0.5, 0.6]]),
             group_sizes=(1, 1))
         U = random_stiefel(3, 1, seed=13)
+        for k in (1, 2, 7):
+            np.testing.assert_allclose(
+                rsg_step(U, data, c=0.3, k=k),
+                oracles.rsg_step_by_hand(data.X, data.group_sizes, U, 0.3, k),
+                atol=1e-12)
+
+    def test_block_groups_match_hand_transcription(self):
+        # n d = 6 < N = 8: the step evaluates in covariance form
+        rng = np.random.default_rng(14)
+        data = GroupedDataset(X=rng.standard_normal((3, 8)), group_sizes=(4, 4))
+        assert data.evaluation_form == "covariance"
+        U = random_stiefel(3, 2, seed=13)
         for k in (1, 2, 7):
             np.testing.assert_allclose(
                 rsg_step(U, data, c=0.3, k=k),
@@ -108,6 +120,7 @@ class TestSolve:
         assert res.trace[0].zeta is None
         assert res.trace[1].zeta == pytest.approx(0.1 / np.sqrt(50))
         assert res.algorithm == "rsg"
+        assert res.info["evaluation"] == "covariance"
         assert res.y is None
         assert res.max_orth_error <= 1e-10
 
@@ -136,9 +149,9 @@ class TestSolve:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return group_objectives(*args, **kwargs)
+            return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(baselines_module, "group_objectives", counted)
+        monkeypatch.setattr(baselines_module, "evaluate", counted)
         data = two_group_dataset(seed=9)
         res = solve_rsg(data, 2, RSGParams(c=0.1, max_iters=25, seed=0))
         assert res.iterations == 25

@@ -264,6 +264,33 @@ class TestCompare:
         assert f"error: {flag} must name at least one" in capsys.readouterr().err
         assert not (tmp_path / "compare.csv").exists()
 
+    @pytest.mark.parametrize("key, value, field, expected", [
+        ("r", [2, 1], "r_values", [2, 1]),
+        ("algs", ["rsg", "arpgda"], "algorithms", ["rsg", "arpgda"]),
+        ("c_grid", [1.0, 0.1], "c_grid", [1.0, 0.1]),
+    ], ids=["r", "algs", "c_grid"])
+    def test_config_takes_json_lists(self, tmp_path, key, value, field, expected):
+        config = {"r": "1", "algs": "arpgda,rsg", "c_grid": "0.1", key: value}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path,
+                    "--config", tmp_path / "cfg.json"]) == 0
+        summary = json.loads((tmp_path / "compare_summary.json").read_text())
+        assert summary[field] == expected
+
+    def test_repeated_values_run_once(self, tmp_path):
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
+                    "--r", "2,1,2", "--algs", "arpgda,rsg,arpgda",
+                    "--c-grid", "1.0,0.1,1", "--seeds", 1, "--max-iters", 20,
+                    "--out", tmp_path]) == 0
+        summary = json.loads((tmp_path / "compare_summary.json").read_text())
+        assert summary["r_values"] == [2, 1]
+        assert summary["algorithms"] == ["arpgda", "rsg"]
+        assert summary["c_grid"] == [1.0, 0.1]
+        assert len(summary["cells"]) == 2
+        assert len(read_csv_rows(tmp_path / "compare.csv")) == 1 + 2 * 2
+        assert all(agg["n_cells"] == 1 for agg in summary["aggregates"].values())
+
 
 class TestTopLevel:
     def test_no_command_prints_usage(self, capsys):

@@ -12,12 +12,14 @@ from fairpca import (
     GroupedDataset,
     dist_to_subgradient,
     euclidean_gradient_U,
+    evaluate,
+    gen_synthetic_blocks,
+    gen_synthetic_gaussian,
     group_objectives,
     group_riemannian_gradient,
     ky_fan_norm,
     min_objective,
     minimax_objective,
-    projections,
     random_stiefel,
     random_tangent,
     riemannian_gradient_U,
@@ -26,6 +28,7 @@ from fairpca import (
     tangency_error,
     y_gradient,
 )
+from fairpca.problem import CovarianceEvaluation, SampleEvaluation
 
 
 @st.composite
@@ -102,14 +105,6 @@ class TestObjectives:
         assert minimax_objective(data, U, y) == pytest.approx(-(y @ f_vals))
         np.testing.assert_allclose(y_gradient(data, U), -f_vals)
 
-    def test_precomputed_projections_agree(self):
-        data = random_dataset(4)
-        U = random_stiefel(data.d, 2, seed=4)
-        P = projections(data, U)
-        assert P.shape == (data.num_samples, 2)
-        np.testing.assert_array_equal(group_objectives(data, U, proj=P),
-                                      group_objectives(data, U))
-
     def test_unit_sample_fixed_values(self):
         # one sample e_1, basis e_1: full variance retained
         X = np.zeros((3, 1))
@@ -125,6 +120,54 @@ class TestObjectives:
         np.testing.assert_allclose(
             riemannian_gradient_U(data, U, np.array([1.0])),
             np.zeros((3, 1)), atol=1e-15)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(d, group sizes, r, seed) with 1-5 groups of 1-6 samples."""
+    d = draw(st.integers(1, 8))
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+    return d, sizes, draw(st.integers(1, d)), draw(st.integers(0, 2**31 - 1))
+
+
+class TestEvaluationForms:
+    # The forms sum the same products in different orders, so they agree to
+    # rounding: within 1e-12 of ||X||_F^2, the scale of every f_i and, up to
+    # a factor 2, of every gradient entry (||U||_2 = 1 and simplex y).
+    @settings(max_examples=200, deadline=None)
+    @given(evaluation_cases())
+    def test_forms_agree(self, case):
+        d, sizes, r, seed = case
+        rng = np.random.default_rng(seed)
+        data = GroupedDataset(X=rng.standard_normal((d, sum(sizes))), group_sizes=sizes)
+        U = random_stiefel(d, r, seed=seed)
+        y = rng.dirichlet(np.ones(len(sizes)))
+        sample, cov = SampleEvaluation(data, U), CovarianceEvaluation(data, U)
+        atol = 1e-12 * float(np.sum(data.X**2))
+        np.testing.assert_allclose(cov.values, sample.values, rtol=0, atol=atol)
+        np.testing.assert_allclose(cov.gradient(y), sample.gradient(y), rtol=0, atol=atol)
+        for i in range(len(sizes)):
+            np.testing.assert_allclose(cov.group_gradient(i), sample.group_gradient(i),
+                                       rtol=0, atol=atol)
+
+    def test_cost_rule_picks_the_form(self):
+        singletons = gen_synthetic_gaussian(200, 200, 0)
+        spectrum = GroupedDataset(np.random.default_rng(0).standard_normal((50, 50)), (50,))
+        blocks = gen_synthetic_blocks(23, (750, 750, 750, 750), 0)
+        for data, form, cls in ((singletons, "sample", SampleEvaluation),
+                                (spectrum, "sample", SampleEvaluation),
+                                (blocks, "covariance", CovarianceEvaluation)):
+            assert data.evaluation_form == form
+            assert type(evaluate(data, random_stiefel(data.d, 2, seed=0))) is cls
+
+    def test_covariances_stack_each_group(self):
+        data = random_dataset(4)
+        C = data.covariances
+        assert C.shape == (data.num_groups, data.d, data.d)
+        assert not C.flags.writeable
+        for i in range(data.num_groups):
+            np.testing.assert_allclose(C[i], data.group(i) @ data.group(i).T,
+                                       rtol=1e-14, atol=1e-14)
 
 
 class TestGradients:
