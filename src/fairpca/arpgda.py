@@ -30,6 +30,7 @@ import numpy as np
 
 from .exceptions import DegenerateProblemError, NumericalError
 from .problem import (
+    Evaluation,
     GroupedDataset,
     SmoothnessConstants,
     evaluate,
@@ -177,18 +178,33 @@ def make_schedules(params: ARPGDAParams, constants: SmoothnessConstants) -> Sche
 class SolverState:
     """One iterate with the evaluations shared between consecutive steps.
 
-    values caches f_i(U); grad caches the Riemannian gradient of f(., y)
-    at U, which serves first as the stationarity certificate of (U, y) and
-    then as the next descent direction.
+    evaluation is the evaluation at U, whose class, picked once by evaluate
+    in initial_state, evaluates every later iterate of the solve; grad caches
+    the Riemannian gradient of f(., y) at U, which serves first as the
+    stationarity certificate of (U, y) and then as the next descent
+    direction.  beta and zeta are the schedule values beta_{k-1} and
+    zeta_{k-1} of the step that produced this state (None for the start).
     """
 
     k: int
     U: np.ndarray
     y: np.ndarray
     y_prev: np.ndarray
-    values: np.ndarray
+    evaluation: Evaluation
     grad: np.ndarray
     grad_norm: float
+    beta: float | None = None
+    zeta: float | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The group variances f_i(U)."""
+        return self.evaluation.values
+
+
+def _norm(G: np.ndarray) -> float:
+    # the dot product numpy's Frobenius norm takes, without its dispatch
+    return math.sqrt(np.vdot(G, G))
 
 
 def initial_state(data: GroupedDataset, r: int, seed: int) -> SolverState:
@@ -197,15 +213,7 @@ def initial_state(data: GroupedDataset, r: int, seed: int) -> SolverState:
     y = uniform_weights(data.num_groups)
     ev = evaluate(data, U)
     grad = project_to_tangent(U, ev.gradient(y))
-    return SolverState(
-        k=1,
-        U=U,
-        y=y,
-        y_prev=y,
-        values=ev.values,
-        grad=grad,
-        grad_norm=float(np.linalg.norm(grad)),
-    )
+    return SolverState(k=1, U=U, y=y, y_prev=y, evaluation=ev, grad=grad, grad_norm=_norm(grad))
 
 
 def arpgda_step(
@@ -214,26 +222,27 @@ def arpgda_step(
     """Advance (U_k, y_k) to (U_{k+1}, y_{k+1}): a retracted descent step in
     U, then a projected ascent step in y onto the probability simplex."""
     k = state.k
-    if not np.all(np.isfinite(state.grad)):
+    if not np.isfinite(state.grad).all():
         raise NumericalError(f"non-finite gradient entering iteration {k}")
     lam = schedules.lam
     beta_k = schedules.beta(k)
     zeta_k = schedules.zeta(k)
 
     U_next = polar_retract(state.U, -zeta_k * state.grad)
-    ev = evaluate(data, U_next)
-    values = ev.values
+    ev = type(state.evaluation)(data, U_next)
     # grad_y f(U_{k+1}, y_k) = -values, independent of y
-    y_next = project_to_simplex(state.y + (-values - lam * state.y) / (lam + beta_k))
+    y_next = project_to_simplex(state.y + (-ev.values - lam * state.y) / (lam + beta_k))
     grad = project_to_tangent(U_next, ev.gradient(y_next))
     return SolverState(
         k=k + 1,
         U=U_next,
         y=y_next,
         y_prev=state.y,
-        values=values,
+        evaluation=ev,
         grad=grad,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=_norm(grad),
+        beta=beta_k,
+        zeta=zeta_k,
     )
 
 
@@ -372,13 +381,15 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     t0 = time.perf_counter()
     sched = make_schedules(params, smoothness_constants(data, int(r)))
     state = initial_state(data, int(r), params.seed)
-    theta = params.theta
+    lam = sched.lam
+    decrease = (2.0 - params.theta) / (2.0 * params.theta)
 
     trace: list[IterationRecord] = []
     violations: list[InequalityViolation] = []
     max_orth = orthonormality_error(state.U)
     max_simplex = max(simplex_violation(state.y))
     initial_phi = float(state.values.min())
+    value = _regularized_value(state.values, state.y, lam)
     converged = False
     phi = initial_phi
     E = None
@@ -387,8 +398,9 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         it0 = time.perf_counter()
         prev = state
         state = arpgda_step(prev, sched, data)
+        values, y = state.values, state.y
 
-        if not np.all(np.isfinite(state.values)):
+        if not np.isfinite(values).all():
             raise NumericalError(f"non-finite group objectives at iteration {k}")
         orth = orthonormality_error(state.U)
         max_orth = max(max_orth, orth)
@@ -396,27 +408,26 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
             raise NumericalError(
                 f"iterate left the manifold at iteration {k}: residual {orth:.3e}"
             )
-        max_simplex = max(max_simplex, *simplex_violation(state.y))
+        max_simplex = max(max_simplex, *simplex_violation(y))
 
-        phi = float(state.values.min())
-        gap = max(float(state.y @ state.values) - phi, 0.0)
+        phi = float(values.min())
+        gap = max(float(y @ values) - phi, 0.0)
         E = max(state.grad_norm, gap)
-        lam = sched.lam
-        beta_k = sched.beta(k)
-        zeta_k = sched.zeta(k)
+        beta_k, zeta_k = state.beta, state.zeta
 
         if params.check_inequalities:
             # sufficient decrease of the regularized value, lambda constant
-            lhs = _regularized_value(state.values, state.y, lam) - _regularized_value(
-                prev.values, prev.y, lam
-            )
+            prev_value, value = value, _regularized_value(values, y, lam)
+            lhs = value - prev_value
+            step_prev = prev.y - prev.y_prev
+            step = y - prev.y
             rhs = (
-                -((2.0 - theta) / (2.0 * theta)) * zeta_k * prev.grad_norm**2
+                -decrease * zeta_k * prev.grad_norm**2
                 + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
                 - 0.5
                 * (
-                    beta_k * float(np.sum((prev.y - prev.y_prev) ** 2))
-                    - sched.beta(k + 1) * float(np.sum((state.y - prev.y) ** 2))
+                    beta_k * float(step_prev @ step_prev)
+                    - sched.beta(k + 1) * float(step @ step)
                 )
             )
             if lhs > rhs + INEQUALITY_SLACK:

@@ -43,9 +43,9 @@ def rsg_step(U: np.ndarray, data: GroupedDataset, c: float, k: int) -> np.ndarra
 
 def _ascend(ev: Evaluation, c: float, k: int) -> np.ndarray:
     """rsg_step from the evaluation of its iterate."""
-    i_star = int(np.argmin(ev.values))
+    i_star = int(ev.values.argmin())
     g = project_to_tangent(ev.U, ev.group_gradient(i_star))
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError(f"non-finite subgradient at iteration {k}")
     return polar_retract(ev.U, (c / math.sqrt(k)) * g)
 
@@ -92,7 +92,13 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     t0 = time.perf_counter()
     U = random_stiefel(data.d, int(r), params.seed)
     ev = evaluate(data, U)
+    Evaluation = type(ev)
     phi = float(ev.values.min())
+    target = (
+        math.inf
+        if params.reference_phi is None
+        else (1.0 - REFERENCE_SLACK) * params.reference_phi
+    )
     max_orth = orthonormality_error(U)
     trace: list[IterationRecord] = []
     last = time.perf_counter()
@@ -120,15 +126,15 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     steps = 0
     converged = False
     while True:
-        if params.reference_phi is not None and phi >= (1.0 - REFERENCE_SLACK) * params.reference_phi:
+        if phi >= target:
             converged = True
             break
         if steps >= params.max_iters:
             break
         U = _ascend(ev, params.c, steps + 1)
         steps += 1
-        ev = evaluate(data, U)
-        if not np.all(np.isfinite(ev.values)):
+        ev = Evaluation(data, U)
+        if not np.isfinite(ev.values).all():
             raise NumericalError(f"non-finite group objectives at step {steps}")
         phi = float(ev.values.min())
         orth = orthonormality_error(U)

@@ -27,13 +27,14 @@ from .simplex import project_to_simplex, uniform_weights, validate_weights
 from .stiefel import TOL_ORTH, project_to_tangent, validate_stiefel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedDataset:
     """Samples arranged column-wise with one contiguous block per group.
 
     X has shape (d, N); group i owns group_sizes[i] consecutive columns.  The
     array is copied and frozen at construction, so datasets can be shared
-    between concurrent solver runs without locking.
+    between concurrent solver runs without locking.  Equality and hashing go
+    by identity: a dataset can key a dict, and == never compares arrays.
     """
 
     X: np.ndarray
@@ -303,33 +304,50 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     is at most 2 ||sum_i delta_i C_i||_F = 2 sqrt(delta^T K delta) with the
     group Gram K_ij = <C_i, C_j> = ||X_i^T X_j||_F^2.  K is entrywise
     non-negative, so Gershgorin gives lambda_max(K) <= max_i sum_j K_ij =
-    max_i <C_i, X X^T>, which costs O(N d^2) and never forms K.  The Ky Fan
-    term bounds the same norm through (sum_i delta_i C_i)^2 <= ||delta||^2
-    sum_i C_i^2 in the semidefinite order and U^T U = I; the smaller of the
-    two is kept.  With one group the simplex is the single point {1}, so
-    y = y' and L2 = 0 is valid.
+    max_i <C_i, X X^T>, which never forms K.  The Ky Fan term bounds the same
+    norm through (sum_i delta_i C_i)^2 <= ||delta||^2 sum_i C_i^2 in the
+    semidefinite order and U^T U = I; the smaller of the two is kept.  With
+    one group the simplex is the single point {1}, so y = y' and L2 = 0 is
+    valid.
+
+    The quantities follow data.evaluation_form.  In covariance form (block
+    groups, n d < N) they come from the cached stack of C_i in O(n d^3):
+    ||C_i||_2 from a stacked eigvalsh, sum_i C_i^2, and <C_i, sum_j C_j>.
+    In sample form (singleton groups, or n d >= N) they come from X in
+    O(N d^2): singleton groups in one pass, any larger group through its
+    Gram X_i^T X_i and an SVD.
     """
     if not isinstance(r, (int, np.integer)) or r < 1 or r > data.d:
         raise DimensionError(f"need 1 <= r <= d={data.d}, got r={r!r}")
-    X = data.X
-    if data.num_groups == 1:
-        sigma = float(np.linalg.norm(X, 2))
-        return SmoothnessConstants(L1=2.0 * sigma * sigma, L2=0.0)
-    sizes = data.sizes_array
-    # Singleton groups in one pass: ||x x^T||_2 = ||x||^2 and
-    # (x x^T)^2 = ||x||^2 x x^T.
-    Xs = X[:, np.repeat(sizes == 1, sizes)]
-    sq = np.einsum("ij,ij->j", Xs, Xs)
-    top = float(sq.max(initial=0.0))
-    M = (Xs * sq) @ Xs.T
-    for i in np.flatnonzero(sizes > 1):
-        Xi = data.group(int(i))
-        sigma = float(np.linalg.norm(Xi, 2))
-        top = max(top, sigma * sigma)
-        # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T
-        M += Xi @ ((Xi.T @ Xi) @ Xi.T)
-    # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
-    row_sums = np.add.reduceat(np.einsum("ij,ij->j", X, (X @ X.T) @ X), data.starts)
+    if data.evaluation_form == "covariance":
+        C = data.covariances
+        n, d, _ = C.shape
+        top = float(np.linalg.eigvalsh(C)[:, -1].max())
+        if n == 1:
+            return SmoothnessConstants(L1=2.0 * top, L2=0.0)
+        # sum_i C_i C_i as one (d, n d) @ (n d, d) product
+        M = C.transpose(1, 0, 2).reshape(d, n * d) @ C.reshape(n * d, d)
+        row_sums = C.reshape(n, d * d) @ C.sum(axis=0).ravel()
+    else:
+        X = data.X
+        if data.num_groups == 1:
+            sigma = float(np.linalg.norm(X, 2))
+            return SmoothnessConstants(L1=2.0 * sigma * sigma, L2=0.0)
+        sizes = data.sizes_array
+        # Singleton groups in one pass: ||x x^T||_2 = ||x||^2 and
+        # (x x^T)^2 = ||x||^2 x x^T.
+        Xs = X[:, np.repeat(sizes == 1, sizes)]
+        sq = np.einsum("ij,ij->j", Xs, Xs)
+        top = float(sq.max(initial=0.0))
+        M = (Xs * sq) @ Xs.T
+        for i in np.flatnonzero(sizes > 1):
+            Xi = data.group(int(i))
+            sigma = float(np.linalg.norm(Xi, 2))
+            top = max(top, sigma * sigma)
+            # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T
+            M += Xi @ ((Xi.T @ Xi) @ Xi.T)
+        # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
+        row_sums = np.add.reduceat(np.einsum("ij,ij->j", X, (X @ X.T) @ X), data.starts)
     bound = min(ky_fan_norm(M, int(r)), float(row_sums.max()))
     return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
 

@@ -34,17 +34,16 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     support once, so the result sums to 1 exactly up to a final rounding.
     """
     z = _as_vector(z)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("projection input must be finite")
     s = np.sort(z)[::-1]
-    shifted = np.cumsum(s) - 1.0
-    m = np.arange(1, z.size + 1)
+    shifted = s.cumsum() - 1.0
     # index 0 always qualifies: z_(1) - (z_(1) - 1) = 1 > 0
-    last = np.nonzero(s - shifted / m > 0)[0][-1]
-    tau = shifted[last] / (last + 1.0)
-    y = np.maximum(z - tau, 0.0)
+    last = np.flatnonzero(s - shifted / np.arange(1, z.size + 1) > 0)[-1]
+    y = z - shifted[last] / (last + 1.0)
+    np.maximum(y, 0.0, out=y)
     support = y > 0
-    y[support] -= (y.sum() - 1.0) / support.sum()
+    y[support] -= (y.sum() - 1.0) / np.count_nonzero(support)
     # the correction can graze a tiny support entry below zero
     np.maximum(y, 0.0, out=y)
     return y
@@ -60,7 +59,7 @@ def uniform_weights(n: int) -> np.ndarray:
 def simplex_violation(y: np.ndarray) -> tuple[float, float]:
     """Return (most negative entry clipped to >= 0, |sum(y) - 1|)."""
     y = _as_vector(y, "y")
-    return float(max(0.0, -y.min())), float(abs(y.sum() - 1.0))
+    return max(0.0, -float(y.min())), abs(float(y.sum()) - 1.0)
 
 
 def validate_weights(y: np.ndarray, tol_sum: float = TOL_SUM) -> np.ndarray:

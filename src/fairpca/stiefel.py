@@ -8,6 +8,8 @@ norms below are Frobenius.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import DimensionError
@@ -105,8 +107,10 @@ def random_tangent(U: np.ndarray, seed: int | np.random.Generator | None = 0) ->
 def orthonormality_error(U: np.ndarray) -> float:
     """Frobenius feasibility residual ||U^T U - I_r||_F."""
     U = _as_matrix(U, "U")
-    r = U.shape[1]
-    return float(np.linalg.norm(U.T @ U - np.eye(r)))
+    G = U.T @ U
+    G.flat[:: G.shape[0] + 1] -= 1.0
+    # the dot product numpy's Frobenius norm takes, without its dispatch
+    return math.sqrt(np.vdot(G, G))
 
 
 def tangency_error(U: np.ndarray, D: np.ndarray) -> float:

@@ -250,6 +250,18 @@ class TestSolve:
         with pytest.raises(NumericalError):
             solve_arpgda(data, 2, params)
 
+    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
+    def test_trace_schedules_are_the_schedules(self, sizes, form):
+        data = small_dataset(seed=3, d=5, sizes=sizes)
+        assert data.evaluation_form == form
+        params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=40, seed=1)
+        res = solve_arpgda(data, 2, params)
+        sched = make_schedules(params, smoothness_constants(data, 2))
+        assert [rec.k for rec in res.trace] == list(range(1, 41))
+        for rec in res.trace:
+            assert rec.beta == sched.beta(rec.k)
+            assert rec.zeta == sched.zeta(rec.k)
+
     def test_cap_reached_reports_not_converged(self):
         data = small_dataset(seed=10)
         params = ARPGDAParams(epsilon=1e-12, mu=10.0, max_iters=25, seed=0)

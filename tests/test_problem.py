@@ -42,6 +42,15 @@ def lipschitz_cases(draw):
     return d, sizes, r, i, j, draw(st.integers(0, 2**31 - 1))
 
 
+@st.composite
+def constants_cases(draw):
+    """(d, group sizes, r, seed) on both sides of the rule n d < N."""
+    d = draw(st.integers(1, 6))
+    sizes = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=5)))
+    r = draw(st.integers(1, d))
+    return d, sizes, r, draw(st.integers(0, 2**31 - 1))
+
+
 def random_dataset(seed, d=None, sizes=None):
     rng = np.random.default_rng(seed)
     if d is None:
@@ -84,6 +93,20 @@ class TestGroupedDataset:
             GroupedDataset(X=np.ones((2, 3)), group_sizes=(3,), labels=("a", "b"))
         with pytest.raises(ValueError):
             GroupedDataset(X=np.array([[np.nan, 0.0]]), group_sizes=(2,))
+
+    def test_equality_is_identity(self):
+        a = GroupedDataset(X=np.ones((2, 3)), group_sizes=(1, 2))
+        b = GroupedDataset(X=np.ones((2, 3)), group_sizes=(1, 2))
+        assert a == a
+        assert a != b
+
+    def test_hashable_with_cached_properties(self):
+        a = GroupedDataset(X=np.ones((2, 3)), group_sizes=(1, 2))
+        b = GroupedDataset(X=np.ones((2, 3)), group_sizes=(1, 2))
+        cache = {a: "a", b: "b"}
+        assert (cache[a], cache[b]) == ("a", "b")
+        assert a.covariances is a.covariances
+        np.testing.assert_array_equal(a.covariances[1], 2.0 * np.ones((2, 2)))
 
 
 class TestObjectives:
@@ -338,6 +361,23 @@ class TestSmoothnessConstants:
         diff = np.linalg.norm(riemannian_gradient_U(data, U, yi)
                               - riemannian_gradient_U(data, U, yj))
         assert diff <= consts.L2 * np.linalg.norm(yi - yj) + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=constants_cases())
+    @example(case=(4, (30,), 2, 0))        # one group, covariance form
+    @example(case=(3, (10, 12, 9), 2, 1))  # block groups, covariance form
+    @example(case=(5, (1, 1, 3), 2, 2))    # sample form
+    @example(case=(2, (1,), 1, 3))         # one group, sample form
+    def test_both_forms_match_loop_and_dense_gram_oracles(self, case):
+        d, sizes, r, seed = case
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, sum(sizes))) * rng.uniform(0.5, 3.0, sum(sizes))
+        data = GroupedDataset(X=X, group_sizes=sizes)
+        consts = smoothness_constants(data, r)
+        L1, _ = oracles.smoothness_constants_by_loops(X, sizes, r)
+        assert consts.L1 == pytest.approx(L1, rel=1e-12)
+        assert consts.L2 == pytest.approx(
+            oracles.weight_lipschitz_bound(X, sizes, r), rel=1e-12)
 
     def test_rejects_bad_rank(self):
         data = random_dataset(0, d=4)

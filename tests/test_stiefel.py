@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fairpca import (
@@ -123,6 +125,19 @@ def test_random_tangent_is_tangent_and_deterministic():
 
 def test_orthonormality_error_fixed_value():
     assert orthonormality_error(np.array([[2.0], [0.0]])) == pytest.approx(3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 12), draw=st.data())
+def test_orthonormality_error_matches_dense_norm(d, draw):
+    r = draw.draw(st.integers(1, d))
+    seed = draw.draw(st.integers(0, 2**31 - 1))
+    scale = draw.draw(st.sampled_from([1e-10, 1e-4, 1.0, 1e3]))
+    rng = np.random.default_rng(seed)
+    # near the manifold and far from it
+    U = random_stiefel(d, r, seed=rng) + scale * rng.standard_normal((d, r))
+    expected = np.linalg.norm(U.T @ U - np.eye(r))
+    assert orthonormality_error(U) == pytest.approx(expected, rel=1e-12)
 
 
 def test_validate_stiefel_rejects_bad_inputs():
