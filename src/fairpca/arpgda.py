@@ -37,7 +37,13 @@ from .problem import (
     smoothness_constants,
 )
 from .simplex import project_to_simplex, simplex_violation, uniform_weights
-from .stiefel import orthonormality_error, polar_retract, project_to_tangent, random_stiefel
+from .stiefel import (
+    TOL_ORTH,
+    orthonormality_error,
+    polar_retract,
+    project_to_tangent,
+    random_stiefel,
+)
 
 # Numerical slack granted when asserting the per-iteration inequalities.
 INEQUALITY_SLACK = 1e-8
@@ -97,7 +103,6 @@ REPORT_SCHEMA: dict[str, Any] = {
                     "beta": _NULLABLE_NUMBER,
                     "zeta": _NULLABLE_NUMBER,
                     "ms": {"type": "number"},
-                    "dist_subgrad": _NULLABLE_NUMBER,
                 },
                 "additionalProperties": True,
             },
@@ -121,9 +126,7 @@ class ARPGDAParams:
     theta: float = 1.5
     max_iters: int = 100_000
     seed: int = 0
-    check_inequalities: bool = True
     trace_stride: int = 1
-    tol_orth: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -182,8 +185,10 @@ class SolverState:
     in initial_state, evaluates every later iterate of the solve; grad caches
     the Riemannian gradient of f(., y) at U, which serves first as the
     stationarity certificate of (U, y) and then as the next descent
-    direction.  beta and zeta are the schedule values beta_{k-1} and
-    zeta_{k-1} of the step that produced this state (None for the start).
+    direction.  max_orth_error is the largest orthonormality error of this
+    and every earlier iterate.  beta and zeta are the schedule values
+    beta_{k-1} and zeta_{k-1} of the step that produced this state (None for
+    the start).
     """
 
     k: int
@@ -193,6 +198,7 @@ class SolverState:
     evaluation: Evaluation
     grad: np.ndarray
     grad_norm: float
+    max_orth_error: float
     beta: float | None = None
     zeta: float | None = None
 
@@ -207,20 +213,35 @@ def _norm(G: np.ndarray) -> float:
     return math.sqrt(np.vdot(G, G))
 
 
+def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
+    """Guard every iterate of both solvers, the start included: raise
+    NumericalError, naming the iterate by its step count k, when a group value
+    is not finite or U is off the manifold by more than TOL_ORTH; else return
+    max(max_orth_error, orthonormality_error(U))."""
+    if not np.isfinite(ev.values).all():
+        raise NumericalError(f"non-finite group objectives at iteration {k}")
+    orth = orthonormality_error(ev.U)
+    if orth > TOL_ORTH:
+        raise NumericalError(f"iterate left the manifold at iteration {k}: residual {orth:.3e}")
+    return max(max_orth_error, orth)
+
+
 def initial_state(data: GroupedDataset, r: int, seed: int) -> SolverState:
     """Random Stiefel point with uniform weights, caches filled in."""
     U = random_stiefel(data.d, int(r), seed)
     y = uniform_weights(data.num_groups)
     ev = evaluate(data, U)
     grad = project_to_tangent(U, ev.gradient(y))
-    return SolverState(k=1, U=U, y=y, y_prev=y, evaluation=ev, grad=grad, grad_norm=_norm(grad))
+    return SolverState(k=1, U=U, y=y, y_prev=y, evaluation=ev, grad=grad,
+                       grad_norm=_norm(grad), max_orth_error=check_iterate(ev, 0))
 
 
 def arpgda_step(
     state: SolverState, schedules: Schedules, data: GroupedDataset
 ) -> SolverState:
     """Advance (U_k, y_k) to (U_{k+1}, y_{k+1}): a retracted descent step in
-    U, then a projected ascent step in y onto the probability simplex."""
+    U, then a projected ascent step in y onto the probability simplex.
+    U_{k+1} passes check_iterate before the ascent step reads its values."""
     k = state.k
     if not np.isfinite(state.grad).all():
         raise NumericalError(f"non-finite gradient entering iteration {k}")
@@ -230,6 +251,7 @@ def arpgda_step(
 
     U_next = polar_retract(state.U, -zeta_k * state.grad)
     ev = type(state.evaluation)(data, U_next)
+    max_orth = check_iterate(ev, k, state.max_orth_error)
     # grad_y f(U_{k+1}, y_k) = -values, independent of y
     y_next = project_to_simplex(state.y + (-ev.values - lam * state.y) / (lam + beta_k))
     grad = project_to_tangent(U_next, ev.gradient(y_next))
@@ -241,6 +263,7 @@ def arpgda_step(
         evaluation=ev,
         grad=grad,
         grad_norm=_norm(grad),
+        max_orth_error=max_orth,
         beta=beta_k,
         zeta=zeta_k,
     )
@@ -260,10 +283,9 @@ class IterationRecord:
     beta: float | None
     zeta: float | None
     ms: float
-    dist_subgrad: float | None = None
 
     def to_row(self) -> dict[str, Any]:
-        row: dict[str, Any] = {
+        return {
             "k": self.k,
             "phi": self.phi,
             "E": self.stationarity,
@@ -274,9 +296,6 @@ class IterationRecord:
             "zeta": self.zeta,
             "ms": self.ms,
         }
-        if self.dist_subgrad is not None:
-            row["dist_subgrad"] = self.dist_subgrad
-        return row
 
 
 @dataclass(frozen=True)
@@ -333,7 +352,6 @@ def recommended_params(
     *,
     seed: int = 0,
     max_iters: int = 100_000,
-    check_inequalities: bool = True,
     trace_stride: int = 1,
 ) -> ARPGDAParams:
     """Default driving parameters, tuned separately for the two regimes.
@@ -358,7 +376,6 @@ def recommended_params(
         theta=theta,
         max_iters=max_iters,
         seed=seed,
-        check_inequalities=check_inequalities,
         trace_stride=trace_stride,
     )
 
@@ -372,11 +389,12 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     """Run ARPGDA from a seeded random start until E(U, y) <= epsilon or the
     iteration cap.
 
-    Feasibility is tracked every iteration: orthonormality drift beyond
-    tol_orth or a non-finite evaluation raises NumericalError.  With
-    check_inequalities on, the per-iteration sufficient-decrease and
-    ascent-gap inequalities are evaluated with INEQUALITY_SLACK; failures are
-    collected on the result (and surfaced as warnings), never silenced.
+    Every iterate passes check_iterate, and the per-iteration
+    sufficient-decrease and ascent-gap inequalities are evaluated with
+    INEQUALITY_SLACK; failures are collected on the result (and surfaced as
+    warnings), never silenced.  The trace keeps every trace_stride-th
+    iteration and the last; a row's ms is the wall time since the previous
+    row, or since the solve started for the first.
     """
     t0 = time.perf_counter()
     sched = make_schedules(params, smoothness_constants(data, int(r)))
@@ -386,28 +404,18 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
 
     trace: list[IterationRecord] = []
     violations: list[InequalityViolation] = []
-    max_orth = orthonormality_error(state.U)
     max_simplex = max(simplex_violation(state.y))
     initial_phi = float(state.values.min())
     value = _regularized_value(state.values, state.y, lam)
     converged = False
     phi = initial_phi
     E = None
+    last = t0
 
     for k in range(1, params.max_iters + 1):
-        it0 = time.perf_counter()
         prev = state
         state = arpgda_step(prev, sched, data)
         values, y = state.values, state.y
-
-        if not np.isfinite(values).all():
-            raise NumericalError(f"non-finite group objectives at iteration {k}")
-        orth = orthonormality_error(state.U)
-        max_orth = max(max_orth, orth)
-        if orth > params.tol_orth:
-            raise NumericalError(
-                f"iterate left the manifold at iteration {k}: residual {orth:.3e}"
-            )
         max_simplex = max(max_simplex, *simplex_violation(y))
 
         phi = float(values.min())
@@ -415,32 +423,31 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         E = max(state.grad_norm, gap)
         beta_k, zeta_k = state.beta, state.zeta
 
-        if params.check_inequalities:
-            # sufficient decrease of the regularized value, lambda constant
-            prev_value, value = value, _regularized_value(values, y, lam)
-            lhs = value - prev_value
-            step_prev = prev.y - prev.y_prev
-            step = y - prev.y
-            rhs = (
-                -decrease * zeta_k * prev.grad_norm**2
-                + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
-                - 0.5
-                * (
-                    beta_k * float(step_prev @ step_prev)
-                    - sched.beta(k + 1) * float(step @ step)
-                )
+        # sufficient decrease of the regularized value, lambda constant
+        prev_value, value = value, _regularized_value(values, y, lam)
+        lhs = value - prev_value
+        step_prev = prev.y - prev.y_prev
+        step = y - prev.y
+        rhs = (
+            -decrease * zeta_k * prev.grad_norm**2
+            + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
+            - 0.5
+            * (
+                beta_k * float(step_prev @ step_prev)
+                - sched.beta(k + 1) * float(step @ step)
             )
-            if lhs > rhs + INEQUALITY_SLACK:
-                violations.append(InequalityViolation(k, "sufficient_decrease", lhs, rhs))
-            # ascent gap at the new iterate, bounded by the parameters of the
-            # step that produced its weights
-            bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
-            if gap > bound + INEQUALITY_SLACK:
-                violations.append(InequalityViolation(k + 1, "ascent_gap", gap, bound))
+        )
+        if lhs > rhs + INEQUALITY_SLACK:
+            violations.append(InequalityViolation(k, "sufficient_decrease", lhs, rhs))
+        # ascent gap at the new iterate, bounded by the parameters of the
+        # step that produced its weights
+        bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
+        if gap > bound + INEQUALITY_SLACK:
+            violations.append(InequalityViolation(k + 1, "ascent_gap", gap, bound))
 
-        ms = (time.perf_counter() - it0) * 1e3
         stop = E <= params.epsilon
         if stop or k % params.trace_stride == 0 or k == params.max_iters:
+            now = time.perf_counter()
             trace.append(
                 IterationRecord(
                     k=k,
@@ -451,9 +458,10 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
                     lam=lam,
                     beta=beta_k,
                     zeta=zeta_k,
-                    ms=ms,
+                    ms=(now - last) * 1e3,
                 )
             )
+            last = now
         if stop:
             converged = True
             break
@@ -474,7 +482,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         converged=converged,
         trace=trace,
         violations=violations,
-        max_orth_error=max_orth,
+        max_orth_error=state.max_orth_error,
         time_ms=(time.perf_counter() - t0) * 1e3,
         info={
             "L1": sched.L1,

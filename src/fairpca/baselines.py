@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .arpgda import IterationRecord, SolveResult
-from .exceptions import DiagnosticUnavailableError, NumericalError
-from .problem import Evaluation, GroupedDataset, dist_to_subgradient, evaluate
-from .stiefel import orthonormality_error, polar_retract, project_to_tangent, random_stiefel
+from .arpgda import IterationRecord, SolveResult, check_iterate
+from .exceptions import NumericalError
+from .problem import Evaluation, GroupedDataset, evaluate
+from .stiefel import polar_retract, project_to_tangent, random_stiefel
 
 # Relative slack of the reference stopping rule.
 REFERENCE_SLACK = 1e-4
@@ -52,15 +52,15 @@ def _ascend(ev: Evaluation, c: float, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RSGParams:
-    """Run parameters for solve_rsg."""
+    """Run parameters for solve_rsg: the stepsize scale c, the step cap, the
+    seed of the random start, the reference value of the stopping rule (None
+    runs to the cap) and the trace stride."""
 
     c: float
     max_iters: int = 100_000
     seed: int = 0
     reference_phi: float | None = None
     trace_stride: int = 100
-    record_dist: bool = False
-    tol_orth: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.c > 0:
@@ -71,24 +71,17 @@ class RSGParams:
             raise ValueError(f"trace_stride must be at least 1, got {self.trace_stride!r}")
 
 
-def _dist_or_none(data: GroupedDataset, U: np.ndarray) -> float | None:
-    try:
-        return dist_to_subgradient(data, U)
-    except DiagnosticUnavailableError:
-        return None
-
-
 def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     """Run RSG from a seeded random start.
 
     The stopping rule is checked at each iterate before stepping, so on exit
     either Phi >= (1 - 1e-4) * reference_phi held (converged, including at
     the very first iterate with zero steps taken) or exactly max_iters steps
-    were applied.  iterations counts the steps actually taken.  The trace
-    records Phi (and, when record_dist is set, dist_to_subgradient) every
-    trace_stride steps plus the final iterate.
+    were applied.  iterations counts the steps actually taken, and every
+    iterate passes check_iterate.  The trace records Phi at the start, every
+    trace_stride steps and at the final iterate; a row's ms is the wall time
+    since the previous row, or since the solve started for the first.
     """
-
     t0 = time.perf_counter()
     U = random_stiefel(data.d, int(r), params.seed)
     ev = evaluate(data, U)
@@ -99,9 +92,9 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         if params.reference_phi is None
         else (1.0 - REFERENCE_SLACK) * params.reference_phi
     )
-    max_orth = orthonormality_error(U)
+    max_orth = check_iterate(ev, 0)
     trace: list[IterationRecord] = []
-    last = time.perf_counter()
+    last = t0
 
     def record(steps: int) -> None:
         nonlocal last
@@ -117,7 +110,6 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
                 beta=None,
                 zeta=params.c / math.sqrt(steps) if steps >= 1 else None,
                 ms=(now - last) * 1e3,
-                dist_subgrad=_dist_or_none(data, U) if params.record_dist else None,
             )
         )
         last = now
@@ -134,19 +126,12 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         U = _ascend(ev, params.c, steps + 1)
         steps += 1
         ev = Evaluation(data, U)
-        if not np.isfinite(ev.values).all():
-            raise NumericalError(f"non-finite group objectives at step {steps}")
+        max_orth = check_iterate(ev, steps, max_orth)
         phi = float(ev.values.min())
-        orth = orthonormality_error(U)
-        max_orth = max(max_orth, orth)
-        if orth > params.tol_orth:
-            raise NumericalError(
-                f"iterate left the manifold at step {steps}: residual {orth:.3e}"
-            )
         if steps % params.trace_stride == 0:
             record(steps)
 
-    if not trace or trace[-1].k != steps:
+    if trace[-1].k != steps:
         record(steps)
     return SolveResult(
         algorithm="rsg",

@@ -128,7 +128,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise _UsageError(f"cannot parse group sizes {text!r}") from None
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
+# The config keys each command reads; any other key is rejected.
+_SHARED_KEYS = ("eps", "mu", "rho", "theta", "max_iters", "trace_stride")
+_SOLVE_KEYS = frozenset((*_SHARED_KEYS, "c"))
+_COMPARE_KEYS = frozenset((*_SHARED_KEYS, "r", "seeds", "algs", "c_grid", "jobs"))
+
+
+def _load_config(path: str | None, known: frozenset[str]) -> dict[str, Any]:
     if path is None:
         return {}
     try:
@@ -140,6 +146,10 @@ def _load_config(path: str | None) -> dict[str, Any]:
         raise _UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise _UsageError(f"config file {path} has unknown key(s) {', '.join(unknown)}; "
+                          f"known keys: {', '.join(sorted(known))}")
     return cfg
 
 
@@ -262,7 +272,6 @@ def _arpgda_params(
     cfg: dict[str, Any],
 ) -> arpgda_mod.ARPGDAParams:
     base = arpgda_mod.recommended_params(data, r)
-    check = _pick(args.check_inequalities, cfg, "check_inequalities", base.check_inequalities)
     return arpgda_mod.ARPGDAParams(
         epsilon=float(_pick(args.eps, cfg, "eps", base.epsilon)),
         mu=float(_pick(args.mu, cfg, "mu", base.mu)),
@@ -270,9 +279,7 @@ def _arpgda_params(
         theta=float(_pick(args.theta, cfg, "theta", base.theta)),
         max_iters=int(_pick(args.max_iters, cfg, "max_iters", base.max_iters)),
         seed=seed,
-        check_inequalities=bool(check),
         trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", base.trace_stride)),
-        tol_orth=float(_pick(args.tol_orth, cfg, "tol_orth", base.tol_orth)),
     )
 
 
@@ -292,8 +299,6 @@ def _rsg_params(
         seed=seed,
         reference_phi=reference_phi,
         trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", RSGParams.trace_stride)),
-        record_dist=bool(args.record_dist),
-        tol_orth=float(_pick(args.tol_orth, cfg, "tol_orth", RSGParams.tol_orth)),
     )
 
 
@@ -339,7 +344,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _SOLVE_KEYS)
     dataset, meta = _resolve_dataset(args)
     if args.r is None:
         raise _UsageError("solve needs --r")
@@ -436,7 +441,7 @@ def _run_worker_cell(spec: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _COMPARE_KEYS)
     dataset, meta = _resolve_dataset(args)
     r_list = _unique(_parse_int_list(_list_text(_pick(args.r, cfg, "r", "1,2,5,10")), "--r"))
     if not r_list:
@@ -561,7 +566,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         "phi": min_objective(dataset, U),
         "group_objectives": [float(v) for v in values],
         "orth_error": orthonormality_error(U),
-        "dist_subgrad": dist_to_subgradient(dataset, U, rel_threshold=args.rel_threshold),
+        "dist_to_subgradient": dist_to_subgradient(dataset, U, rel_threshold=args.rel_threshold),
     }
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out is not None:
@@ -596,15 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_solver.add_argument("--theta", type=float, default=None)
     common_solver.add_argument("--mu", type=float, default=None)
     common_solver.add_argument("--max-iters", type=int, default=None)
-    common_solver.add_argument("--tol-orth", type=float, default=None)
     common_solver.add_argument("--trace-stride", type=int, default=None)
-    common_solver.add_argument(
-        "--check-inequalities",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="record per-iteration inequality checks (default: on)",
-    )
-    common_solver.add_argument("--config", help="JSON config file (flags win over it)")
+    common_solver.add_argument("--config", help="JSON config file (flags win; unknown keys fail)")
 
     p_solve = sub.add_parser(
         "solve", parents=[common_solver], help="run one solver, one report per seed"
@@ -615,9 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", default="0", help="seed or comma list, e.g. 0,1,2")
     p_solve.add_argument("--c", type=float, default=None, help="rsg stepsize scale")
     p_solve.add_argument("--ref-phi", type=float, default=None, help="rsg stopping reference")
-    p_solve.add_argument(
-        "--record-dist", action="store_true", help="record dist_subgrad in rsg trace rows"
-    )
     p_solve.add_argument("--out", default=".", help="report directory (or single .json path)")
     p_solve.add_argument("--save-u", default=None, help="directory for final basis CSVs")
     p_solve.set_defaults(func=cmd_solve)

@@ -394,6 +394,8 @@ def dist_to_subgradient(
     classical 1/L stepsize, L = 2 lambda_max(Gram), iterating until the
     update moves less than tol or max_iters inner steps.
     """
+    if not rel_threshold >= 0.0:
+        raise ValueError(f"rel_threshold must be non-negative, got {rel_threshold!r}")
     U = validate_stiefel(_check_point(data, U))
     ev = evaluate(data, U)
     f_vals = ev.values

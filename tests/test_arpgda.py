@@ -210,6 +210,8 @@ class TestSolve:
         assert res.info["evaluation"] == "sample"
         assert set(res.trace[0].to_row()) == {
             "k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
+        assert all(t.ms >= 0.0 for t in res.trace)
+        assert sum(t.ms for t in res.trace) <= res.time_ms
 
     def test_report_validates_against_schema(self):
         data = small_dataset(seed=3)
@@ -249,6 +251,28 @@ class TestSolve:
         params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
         with pytest.raises(NumericalError):
             solve_arpgda(data, 2, params)
+
+    @pytest.mark.parametrize("retract, cause", [
+        (lambda U, D: np.full_like(U, np.nan), "non-finite group objectives at iteration 1"),
+        (lambda U, D: 2.0 * U, "iterate left the manifold at iteration 1"),
+    ], ids=["nan", "scaled"])
+    def test_bad_retraction_raises_numerical_error(self, monkeypatch, retract, cause):
+        monkeypatch.setattr(arpgda_module, "polar_retract", retract)
+        data = small_dataset(seed=9)
+        params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
+        with pytest.raises(NumericalError, match=cause):
+            solve_arpgda(data, 2, params)
+
+    def test_trace_ms_counts_from_previous_row(self, monkeypatch, clock):
+        # on the fake clock set-up takes one second and each retraction one
+        monkeypatch.setattr(arpgda_module, "time", clock)
+        for name in ("smoothness_constants", "polar_retract"):
+            monkeypatch.setattr(arpgda_module, name, clock.ticking(getattr(arpgda_module, name)))
+        params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=60, seed=1, trace_stride=25)
+        res = solve_arpgda(small_dataset(seed=4), 2, params)
+        assert [t.k for t in res.trace] == [25, 50, 60]
+        assert [t.ms for t in res.trace] == [26e3, 25e3, 10e3]
+        assert res.time_ms == 61e3
 
     @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
     def test_trace_schedules_are_the_schedules(self, sizes, form):

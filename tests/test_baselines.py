@@ -8,6 +8,7 @@ import oracles
 from fairpca import (
     GroupedDataset,
     IterationRecord,
+    NumericalError,
     evaluate,
     iterations_to_reach,
     ky_fan_norm,
@@ -19,6 +20,7 @@ from fairpca import (
     rsg_sweep,
     solve_rsg,
 )
+from fairpca import baselines as baselines_module
 
 
 def two_group_dataset(seed=0, d=6, sizes=(8, 8)):
@@ -122,6 +124,8 @@ class TestSolve:
         assert res.info["evaluation"] == "covariance"
         assert res.y is None
         assert res.max_orth_error <= 1e-10
+        assert all(t.ms >= 0.0 for t in res.trace)
+        assert sum(t.ms for t in res.trace) <= res.time_ms
 
     def test_ascent_makes_progress(self):
         data = two_group_dataset(seed=5)
@@ -135,13 +139,27 @@ class TestSolve:
                   for i in range(data.num_groups))
         assert res.phi <= cap + 1e-9
 
-    def test_records_subgradient_distance_when_asked(self):
+    def test_trace_ms_counts_from_previous_row(self, monkeypatch, clock):
+        # on the fake clock the start takes one second and each retraction one
+        monkeypatch.setattr(baselines_module, "time", clock)
+        for name in ("random_stiefel", "polar_retract"):
+            monkeypatch.setattr(baselines_module, name,
+                                clock.ticking(getattr(baselines_module, name)))
+        res = solve_rsg(two_group_dataset(seed=7), 2,
+                        RSGParams(c=0.1, max_iters=60, seed=3, trace_stride=25))
+        assert [t.k for t in res.trace] == [0, 25, 50, 60]
+        assert [t.ms for t in res.trace] == [1e3, 25e3, 25e3, 10e3]
+        assert res.time_ms == 61e3
+
+    @pytest.mark.parametrize("retract, cause", [
+        (lambda U, D: np.full_like(U, np.nan), "non-finite group objectives at iteration 1"),
+        (lambda U, D: 2.0 * U, "iterate left the manifold at iteration 1"),
+    ], ids=["nan", "scaled"])
+    def test_bad_retraction_raises_numerical_error(self, monkeypatch, retract, cause):
+        monkeypatch.setattr(baselines_module, "polar_retract", retract)
         data = two_group_dataset(seed=7)
-        res = solve_rsg(data, 2, RSGParams(c=0.1, max_iters=60, seed=3,
-                                           trace_stride=30, record_dist=True))
-        assert all(t.dist_subgrad is not None for t in res.trace)
-        assert all(t.dist_subgrad >= 0.0 for t in res.trace)
-        assert all("dist_subgrad" in t.to_row() for t in res.trace)
+        with pytest.raises(NumericalError, match=cause):
+            solve_rsg(data, 2, RSGParams(c=0.1, max_iters=10, seed=3))
 
     def test_evaluates_each_iterate_once(self, monkeypatch):
         # count evaluation objects, however the solver reaches their class

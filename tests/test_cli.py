@@ -152,6 +152,37 @@ class TestSolve:
         report = json.loads((tmp_path / "report_arpgda_r1_seed0.json").read_text())
         assert report["params"]["epsilon"] == 0.9
 
+    @pytest.mark.parametrize("config, unknown", [
+        ({"epsilon": 0.5, "max_iter": 40}, "epsilon, max_iter"),
+        ({"eps": 0.5, "check_inequalities": False}, "check_inequalities"),
+        ({"tol_orth": 1e-6}, "tol_orth"),
+        ({"seeds": 2}, "seeds"),
+    ], ids=["misspelt", "check_inequalities", "tol_orth", "compare_key"])
+    def test_config_rejects_unknown_keys(self, tmp_path, capsys, config, unknown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
+                    "--r", 1, "--config", cfg, "--out", tmp_path]) == 1
+        assert f"unknown key(s) {unknown};" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report_*.json"))
+
+    def test_rsg_config_takes_c(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c": 0.1, "max_iters": 30, "trace_stride": 10}))
+        assert run(["solve", "rsg", "--gen", "gaussian:d=6,n=6,seed=0",
+                    "--r", 1, "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "report_rsg_r1_seed0.json").read_text())
+        assert (report["params"]["c"], report["iterations"]) == (0.1, 30)
+        assert [row["k"] for row in report["trace"]] == [0, 10, 20, 30]
+
+    @pytest.mark.parametrize("flag", [
+        ["--check-inequalities"], ["--no-check-inequalities"], ["--tol-orth", "1e-6"],
+        ["--record-dist"],
+    ])
+    def test_removed_solver_flags_are_usage_errors(self, tmp_path, flag):
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
+                    "--r", 1, "--max-iters", 20, *flag, "--out", tmp_path]) == 1
+
     def test_save_u_checkpoint(self, tmp_path):
         assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
                     "--r", 2, "--max-iters", 200, "--out", tmp_path,
@@ -175,7 +206,8 @@ class TestMetrics:
         assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
                     "--checkpoint", ckpt]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) >= {"phi", "group_objectives", "orth_error"}
+        assert set(payload) >= {"phi", "group_objectives", "orth_error",
+                                "dist_to_subgradient"}
         assert payload["phi"] == pytest.approx(min(payload["group_objectives"]))
 
     def test_metrics_to_file(self, tmp_path):
@@ -191,6 +223,13 @@ class TestMetrics:
         np.savetxt(bad, 2.0 * np.eye(6)[:, :2], delimiter=",")
         assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
                     "--checkpoint", bad]) == 1
+
+    def test_metrics_rejects_negative_rel_threshold(self, tmp_path, capsys):
+        ckpt = self.setup_checkpoint(tmp_path)
+        capsys.readouterr()
+        assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
+                    "--checkpoint", ckpt, "--rel-threshold", -0.5]) == 1
+        assert "rel_threshold must be non-negative" in capsys.readouterr().err
 
     def test_metrics_missing_checkpoint(self, tmp_path):
         assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
@@ -277,6 +316,15 @@ class TestCompare:
                     "--config", tmp_path / "cfg.json"]) == 0
         summary = json.loads((tmp_path / "compare_summary.json").read_text())
         assert summary[field] == expected
+
+    def test_config_rejects_unknown_keys(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"r": "1", "algs": "arpgda", "c": 0.1, "tol_orth": 1e-6}))
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path,
+                    "--config", tmp_path / "cfg.json"]) == 1
+        assert "unknown key(s) c, tol_orth;" in capsys.readouterr().err
+        assert not (tmp_path / "cells").exists()
 
     def test_repeated_values_run_once(self, tmp_path):
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",

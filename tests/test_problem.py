@@ -455,3 +455,9 @@ class TestSubgradientDistance:
         U = np.eye(3)[:, :1]
         with pytest.raises(DiagnosticUnavailableError):
             dist_to_subgradient(data, U)
+
+    @pytest.mark.parametrize("threshold", [-0.5, -1e-12, np.nan])
+    def test_rejects_negative_threshold(self, threshold):
+        data = GroupedDataset(X=np.array([[1.0, 0.2], [0.5, 1.0]]), group_sizes=(1, 1))
+        with pytest.raises(ValueError, match="rel_threshold must be non-negative"):
+            dist_to_subgradient(data, np.eye(2)[:, :1], rel_threshold=threshold)
