@@ -8,8 +8,6 @@ subgradient baseline, dataset tooling, and diagnostics.
 
 from .arpgda import (
     ARPGDAParams,
-    InequalityViolation,
-    IterationRecord,
     REPORT_SCHEMA,
     Schedules,
     SolveResult,
@@ -83,8 +81,6 @@ __all__ = [
     "DiagnosticUnavailableError",
     "DimensionError",
     "GroupedDataset",
-    "InequalityViolation",
-    "IterationRecord",
     "NumericalError",
     "REPORT_SCHEMA",
     "RSGParams",

@@ -115,6 +115,15 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
+def check_count(name: str, value: Any, minimum: int) -> None:
+    """Raise ValueError naming the field unless value is an integer (numpy
+    integers included, bool not) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ARPGDAParams:
     """Driving parameters.  The regularization lambda = epsilon / 8 follows
@@ -137,10 +146,9 @@ class ARPGDAParams:
             raise ValueError(f"rho must exceed 1, got {self.rho!r}")
         if not 0 < self.theta < 2:
             raise ValueError(f"theta must lie in (0, 2), got {self.theta!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
-        if self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be at least 1, got {self.trace_stride!r}")
+        check_count("max_iters", self.max_iters, 1)
+        check_count("seed", self.seed, 0)
+        check_count("trace_stride", self.trace_stride, 1)
 
 
 @dataclass(frozen=True)
@@ -269,49 +277,16 @@ def arpgda_step(
     )
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Measurements after one iteration; entries that do not apply to an
-    algorithm are None."""
-
-    k: int
-    phi: float
-    stationarity: float | None
-    grad_norm: float | None
-    gap: float | None
-    lam: float | None
-    beta: float | None
-    zeta: float | None
-    ms: float
-
-    def to_row(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "phi": self.phi,
-            "E": self.stationarity,
-            "grad_norm": self.grad_norm,
-            "gap": self.gap,
-            "lambda": self.lam,
-            "beta": self.beta,
-            "zeta": self.zeta,
-            "ms": self.ms,
-        }
-
-
-@dataclass(frozen=True)
-class InequalityViolation:
-    k: int
-    kind: str
-    lhs: float
-    rhs: float
-
-    def to_row(self) -> dict[str, Any]:
-        return {"k": self.k, "kind": self.kind, "lhs": self.lhs, "rhs": self.rhs}
-
-
 @dataclass
 class SolveResult:
-    """Outcome of one solver run."""
+    """Outcome of one solver run.
+
+    trace and violations hold the rows of the run report as they are, so a
+    report loaded back from JSON reads the same.  A trace row has the keys
+    k, phi, E, grad_norm, gap, lambda, beta, zeta and ms, with None for a
+    key that does not apply to the algorithm; a violation has k, kind, lhs
+    and rhs.
+    """
 
     algorithm: str
     U: np.ndarray
@@ -320,8 +295,8 @@ class SolveResult:
     stationarity: float | None
     iterations: int
     converged: bool
-    trace: list[IterationRecord]
-    violations: list[InequalityViolation]
+    trace: list[dict[str, Any]]
+    violations: list[dict[str, Any]]
     max_orth_error: float
     time_ms: float
     info: dict[str, Any] = field(default_factory=dict)
@@ -338,10 +313,10 @@ class SolveResult:
             "phi": float(self.phi),
             "stationarity": None if self.stationarity is None else float(self.stationarity),
             "time_ms": float(self.time_ms),
-            "trace": [rec.to_row() for rec in self.trace],
+            "trace": self.trace,
             "y": None if self.y is None else [float(v) for v in self.y],
             "max_orth_error": float(self.max_orth_error),
-            "violations": [v.to_row() for v in self.violations],
+            "violations": self.violations,
             "info": self.info,
         }
 
@@ -402,8 +377,8 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     lam = sched.lam
     decrease = (2.0 - params.theta) / (2.0 * params.theta)
 
-    trace: list[IterationRecord] = []
-    violations: list[InequalityViolation] = []
+    trace: list[dict[str, Any]] = []
+    violations: list[dict[str, Any]] = []
     max_simplex = max(simplex_violation(state.y))
     initial_phi = float(state.values.min())
     value = _regularized_value(state.values, state.y, lam)
@@ -438,29 +413,19 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
             )
         )
         if lhs > rhs + INEQUALITY_SLACK:
-            violations.append(InequalityViolation(k, "sufficient_decrease", lhs, rhs))
+            violations.append({"k": k, "kind": "sufficient_decrease", "lhs": lhs, "rhs": rhs})
         # ascent gap at the new iterate, bounded by the parameters of the
         # step that produced its weights
         bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
         if gap > bound + INEQUALITY_SLACK:
-            violations.append(InequalityViolation(k + 1, "ascent_gap", gap, bound))
+            violations.append({"k": k + 1, "kind": "ascent_gap", "lhs": gap, "rhs": bound})
 
         stop = E <= params.epsilon
         if stop or k % params.trace_stride == 0 or k == params.max_iters:
             now = time.perf_counter()
-            trace.append(
-                IterationRecord(
-                    k=k,
-                    phi=phi,
-                    stationarity=E,
-                    grad_norm=state.grad_norm,
-                    gap=gap,
-                    lam=lam,
-                    beta=beta_k,
-                    zeta=zeta_k,
-                    ms=(now - last) * 1e3,
-                )
-            )
+            trace.append({"k": k, "phi": phi, "E": E, "grad_norm": state.grad_norm,
+                          "gap": gap, "lambda": lam, "beta": beta_k, "zeta": zeta_k,
+                          "ms": (now - last) * 1e3})
             last = now
         if stop:
             converged = True

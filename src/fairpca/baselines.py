@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arpgda import IterationRecord, SolveResult, check_iterate
+from .arpgda import SolveResult, check_count, check_iterate
 from .exceptions import NumericalError
 from .problem import Evaluation, GroupedDataset, evaluate
 from .stiefel import polar_retract, project_to_tangent, random_stiefel
@@ -65,10 +65,9 @@ class RSGParams:
     def __post_init__(self) -> None:
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c!r}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be non-negative, got {self.max_iters!r}")
-        if self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be at least 1, got {self.trace_stride!r}")
+        check_count("max_iters", self.max_iters, 0)
+        check_count("seed", self.seed, 0)
+        check_count("trace_stride", self.trace_stride, 1)
 
 
 def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
@@ -93,25 +92,16 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         else (1.0 - REFERENCE_SLACK) * params.reference_phi
     )
     max_orth = check_iterate(ev, 0)
-    trace: list[IterationRecord] = []
+    trace: list[dict[str, Any]] = []
     last = t0
 
     def record(steps: int) -> None:
         nonlocal last
         now = time.perf_counter()
-        trace.append(
-            IterationRecord(
-                k=steps,
-                phi=phi,
-                stationarity=None,
-                grad_norm=None,
-                gap=None,
-                lam=None,
-                beta=None,
-                zeta=params.c / math.sqrt(steps) if steps >= 1 else None,
-                ms=(now - last) * 1e3,
-            )
-        )
+        trace.append({"k": steps, "phi": phi, "E": None, "grad_norm": None, "gap": None,
+                      "lambda": None, "beta": None,
+                      "zeta": params.c / math.sqrt(steps) if steps >= 1 else None,
+                      "ms": (now - last) * 1e3})
         last = now
 
     record(0)
@@ -131,7 +121,7 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         if steps % params.trace_stride == 0:
             record(steps)
 
-    if trace[-1].k != steps:
+    if trace[-1]["k"] != steps:
         record(steps)
     return SolveResult(
         algorithm="rsg",
@@ -174,10 +164,11 @@ def rsg_sweep(
     ]
 
 
-def iterations_to_reach(trace: Sequence[IterationRecord], phi: float) -> int | None:
+def iterations_to_reach(trace: Sequence[Mapping[str, Any]], phi: float) -> int | None:
     """The first recorded k with Phi >= (1 - REFERENCE_SLACK) * phi, or None.
 
-    A run dominates a baseline run when it reaches the baseline's final Phi
-    in fewer iterations than the baseline took."""
+    trace is a result's trace or the trace of a saved run report.  A run
+    dominates a baseline run when it reaches the baseline's final Phi in
+    fewer iterations than the baseline took."""
     target = (1.0 - REFERENCE_SLACK) * phi
-    return next((rec.k for rec in trace if rec.phi >= target), None)
+    return next((rec["k"] for rec in trace if rec["phi"] >= target), None)

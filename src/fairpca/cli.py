@@ -465,6 +465,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if "rsg" in algs and not c_grid:
         raise _UsageError("--c-grid must name at least one stepsize scale")
     jobs = int(_pick(args.jobs, cfg, "jobs", 1))
+    if jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {jobs}")
     max_iters = int(_pick(args.max_iters, cfg, "max_iters", RSGParams.max_iters))
 
     specs = []

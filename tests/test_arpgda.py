@@ -25,6 +25,10 @@ from fairpca import (
 from fairpca import arpgda as arpgda_module
 
 
+# The keys of a trace row, which are those of a report's trace rows.
+TRACE_KEYS = {"k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
+
+
 def small_dataset(seed=0, d=6, sizes=(2, 3, 2)):
     rng = np.random.default_rng(seed)
     return GroupedDataset(X=rng.standard_normal((d, sum(sizes))),
@@ -46,6 +50,22 @@ class TestParams:
             ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=0)
         with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, trace_stride=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("max_iters", 10.0, "max_iters must be an integer, got 10.0"),
+        ("trace_stride", 2.5, "trace_stride must be an integer, got 2.5"),
+        ("trace_stride", True, "trace_stride must be an integer, got True"),
+    ])
+    def test_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ARPGDAParams(epsilon=0.1, mu=1.0, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=np.int64(10),
+                         seed=np.uint32(3), trace_stride=np.int32(2))
+        assert (p.max_iters, p.seed, p.trace_stride) == (10, 3, 2)
 
     def test_recommended_singleton_regime(self):
         X = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 1.0]])
@@ -163,9 +183,9 @@ class TestSolve:
         np.testing.assert_array_equal(a.y, b.y)
         assert a.phi == b.phi
         assert a.iterations == b.iterations
-        assert [t.k for t in a.trace] == [t.k for t in b.trace]
-        assert [t.phi for t in a.trace] == [t.phi for t in b.trace]
-        assert [t.stationarity for t in a.trace] == [t.stationarity for t in b.trace]
+        assert [t["k"] for t in a.trace] == [t["k"] for t in b.trace]
+        assert [t["phi"] for t in a.trace] == [t["phi"] for t in b.trace]
+        assert [t["E"] for t in a.trace] == [t["E"] for t in b.trace]
 
     def test_single_group_reduces_to_pca(self):
         rng = np.random.default_rng(2)
@@ -199,19 +219,18 @@ class TestSolve:
         assert res.algorithm == "arpgda"
         assert res.max_orth_error <= 1e-8
         assert res.info["max_simplex_error"] <= 1e-12
-        assert res.iterations == res.trace[-1].k
-        ks = [t.k for t in res.trace]
+        assert res.iterations == res.trace[-1]["k"]
+        ks = [t["k"] for t in res.trace]
         assert ks == sorted(ks)
         for t in res.trace[:-1]:
-            assert t.k % 50 == 0
+            assert t["k"] % 50 == 0
         if res.converged:
             assert res.stationarity <= params.epsilon
         assert res.info["L1"] > 0
         assert res.info["evaluation"] == "sample"
-        assert set(res.trace[0].to_row()) == {
-            "k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
-        assert all(t.ms >= 0.0 for t in res.trace)
-        assert sum(t.ms for t in res.trace) <= res.time_ms
+        assert all(set(t) == TRACE_KEYS for t in res.trace)
+        assert all(t["ms"] >= 0.0 for t in res.trace)
+        assert sum(t["ms"] for t in res.trace) <= res.time_ms
 
     def test_report_validates_against_schema(self):
         data = small_dataset(seed=3)
@@ -239,9 +258,10 @@ class TestSolve:
         with pytest.warns(RuntimeWarning):
             res = solve_arpgda(data, 2, params)
         assert res.violations
-        kinds = {v.kind for v in res.violations}
+        kinds = {v["kind"] for v in res.violations}
         assert "sufficient_decrease" in kinds
-        row = res.violations[0].to_row()
+        row = res.violations[0]
+        assert set(row) == {"k", "kind", "lhs", "rhs"}
         assert row["lhs"] > row["rhs"]
 
     def test_numerical_error_on_broken_projection(self, monkeypatch):
@@ -270,8 +290,8 @@ class TestSolve:
             monkeypatch.setattr(arpgda_module, name, clock.ticking(getattr(arpgda_module, name)))
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=60, seed=1, trace_stride=25)
         res = solve_arpgda(small_dataset(seed=4), 2, params)
-        assert [t.k for t in res.trace] == [25, 50, 60]
-        assert [t.ms for t in res.trace] == [26e3, 25e3, 10e3]
+        assert [t["k"] for t in res.trace] == [25, 50, 60]
+        assert [t["ms"] for t in res.trace] == [26e3, 25e3, 10e3]
         assert res.time_ms == 61e3
 
     @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
@@ -281,10 +301,10 @@ class TestSolve:
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=40, seed=1)
         res = solve_arpgda(data, 2, params)
         sched = make_schedules(params, smoothness_constants(data, 2))
-        assert [rec.k for rec in res.trace] == list(range(1, 41))
+        assert [rec["k"] for rec in res.trace] == list(range(1, 41))
         for rec in res.trace:
-            assert rec.beta == sched.beta(rec.k)
-            assert rec.zeta == sched.zeta(rec.k)
+            assert rec["beta"] == sched.beta(rec["k"])
+            assert rec["zeta"] == sched.zeta(rec["k"])
 
     def test_cap_reached_reports_not_converged(self):
         data = small_dataset(seed=10)
@@ -292,4 +312,4 @@ class TestSolve:
         res = solve_arpgda(data, 2, params)
         assert not res.converged
         assert res.iterations == 25
-        assert res.trace[-1].k == 25
+        assert res.trace[-1]["k"] == 25

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from fairpca import (
     GroupedDataset,
-    IterationRecord,
     NumericalError,
     evaluate,
     iterations_to_reach,
@@ -21,6 +20,10 @@ from fairpca import (
     solve_rsg,
 )
 from fairpca import baselines as baselines_module
+
+
+# The keys of a trace row, which are those of a report's trace rows.
+TRACE_KEYS = {"k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
 
 
 def two_group_dataset(seed=0, d=6, sizes=(8, 8)):
@@ -89,6 +92,21 @@ class TestParams:
         with pytest.raises(ValueError):
             RSGParams(c=1.0, trace_stride=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("max_iters", 10.0, "max_iters must be an integer, got 10.0"),
+        ("trace_stride", 2.5, "trace_stride must be an integer, got 2.5"),
+    ])
+    def test_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RSGParams(c=1.0, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = RSGParams(c=1.0, max_iters=np.int64(0), seed=np.uint32(3),
+                      trace_stride=np.int32(2))
+        assert (p.max_iters, p.seed, p.trace_stride) == (0, 3, 2)
+
 
 class TestSolve:
     def test_deterministic_given_seed(self):
@@ -98,8 +116,8 @@ class TestSolve:
         b = solve_rsg(data, 2, params)
         np.testing.assert_array_equal(a.U, b.U)
         assert a.phi == b.phi
-        assert [t.k for t in a.trace] == [t.k for t in b.trace]
-        assert [t.phi for t in a.trace] == [t.phi for t in b.trace]
+        assert [t["k"] for t in a.trace] == [t["k"] for t in b.trace]
+        assert [t["phi"] for t in a.trace] == [t["phi"] for t in b.trace]
 
     def test_reference_already_met_stops_before_stepping(self):
         data = two_group_dataset(seed=3)
@@ -109,7 +127,7 @@ class TestSolve:
         assert res.converged
         assert res.iterations == 0
         assert res.phi == pytest.approx(start_phi)
-        assert [t.k for t in res.trace] == [0]
+        assert [t["k"] for t in res.trace] == [0]
 
     def test_cap_and_trace_layout(self):
         data = two_group_dataset(seed=4)
@@ -117,20 +135,23 @@ class TestSolve:
                                            trace_stride=50))
         assert not res.converged
         assert res.iterations == 130
-        assert [t.k for t in res.trace] == [0, 50, 100, 130]
-        assert res.trace[0].zeta is None
-        assert res.trace[1].zeta == pytest.approx(0.1 / np.sqrt(50))
+        assert [t["k"] for t in res.trace] == [0, 50, 100, 130]
+        assert all(set(t) == TRACE_KEYS for t in res.trace)
+        for key in ("E", "grad_norm", "gap", "lambda", "beta"):
+            assert all(t[key] is None for t in res.trace)
+        assert res.trace[0]["zeta"] is None
+        assert res.trace[1]["zeta"] == pytest.approx(0.1 / np.sqrt(50))
         assert res.algorithm == "rsg"
         assert res.info["evaluation"] == "covariance"
         assert res.y is None
         assert res.max_orth_error <= 1e-10
-        assert all(t.ms >= 0.0 for t in res.trace)
-        assert sum(t.ms for t in res.trace) <= res.time_ms
+        assert all(t["ms"] >= 0.0 for t in res.trace)
+        assert sum(t["ms"] for t in res.trace) <= res.time_ms
 
     def test_ascent_makes_progress(self):
         data = two_group_dataset(seed=5)
         res = solve_rsg(data, 2, RSGParams(c=0.1, max_iters=2000, seed=1))
-        assert res.phi > res.trace[0].phi
+        assert res.phi > res.trace[0]["phi"]
 
     def test_phi_bounded_by_best_single_group_variance(self):
         data = two_group_dataset(seed=6)
@@ -147,8 +168,8 @@ class TestSolve:
                                 clock.ticking(getattr(baselines_module, name)))
         res = solve_rsg(two_group_dataset(seed=7), 2,
                         RSGParams(c=0.1, max_iters=60, seed=3, trace_stride=25))
-        assert [t.k for t in res.trace] == [0, 25, 50, 60]
-        assert [t.ms for t in res.trace] == [1e3, 25e3, 25e3, 10e3]
+        assert [t["k"] for t in res.trace] == [0, 25, 50, 60]
+        assert [t["ms"] for t in res.trace] == [1e3, 25e3, 25e3, 10e3]
         assert res.time_ms == 61e3
 
     @pytest.mark.parametrize("retract, cause", [
@@ -198,7 +219,7 @@ class TestSweep:
             assert np.array_equal(run.U, direct.U)
             assert np.array_equal(run.phi, direct.phi)
             assert np.array_equal(run.iterations, direct.iterations)
-            assert [t.k for t in run.trace] == [0, 80]
+            assert [t["k"] for t in run.trace] == [0, 80]
 
     def test_reference_reaches_every_run(self):
         data = two_group_dataset(seed=11)
@@ -213,12 +234,12 @@ class TestSweep:
         (run,) = rsg_sweep(data, 2, (0.1,), seed=0, max_iters=0,
                            reference_phi=None)
         assert run.iterations == 0
-        assert [t.k for t in run.trace] == [0]
+        assert [t["k"] for t in run.trace] == [0]
 
 
 def record(k, phi):
-    return IterationRecord(k=k, phi=phi, stationarity=None, grad_norm=None,
-                           gap=None, lam=None, beta=None, zeta=None, ms=0.0)
+    return {"k": k, "phi": phi, "E": None, "grad_norm": None, "gap": None,
+            "lambda": None, "beta": None, "zeta": None, "ms": 0.0}
 
 
 class TestIterationsToReach:

@@ -8,7 +8,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fairpca import REPORT_SCHEMA
+from fairpca import (
+    REPORT_SCHEMA,
+    gen_synthetic_gaussian,
+    iterations_to_reach,
+    recommended_params,
+    solve_arpgda,
+)
 from fairpca.cli import main
 
 
@@ -71,6 +77,27 @@ class TestSolve:
         assert report["params"]["seed"] == 3
         assert report["dataset_meta"]["generator"] == "gaussian"
         assert report["violations"] == []
+
+    def test_saved_trace_reads_as_result_trace(self, tmp_path):
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=8,n=8,seed=1",
+                    "--r", 2, "--seed", 3, "--max-iters", 500,
+                    "--trace-stride", 10, "--out", tmp_path / "a.json"]) == 0
+        saved = json.loads((tmp_path / "a.json").read_text())["trace"]
+        data = gen_synthetic_gaussian(8, 8, 1)
+        result = solve_arpgda(data, 2, recommended_params(data, 2, seed=3, max_iters=500,
+                                                          trace_stride=10))
+        strip = lambda trace: [{**row, "ms": None} for row in trace]
+        assert strip(saved) == strip(result.trace)
+        for row in saved:
+            assert iterations_to_reach(saved, row["phi"]) == iterations_to_reach(
+                result.trace, row["phi"])
+        assert iterations_to_reach(saved, 2.0 * saved[-1]["phi"]) is None
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
+                    "--r", 1, "--seed=-1", "--out", tmp_path]) == 1
+        assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report_*.json"))
 
     def test_single_json_out_path(self, tmp_path):
         target = tmp_path / "one.json"
@@ -286,6 +313,18 @@ class TestCompare:
             # no reference: every run of the sweep takes the full cap
             assert cell["rsg"]["iterations"] == 200
             assert cell["rsg"]["c"] in (0.1, 1.0)
+
+    @pytest.mark.parametrize("jobs, source", [(0, "flag"), (-2, "flag"), (0, "config")])
+    def test_rejects_jobs_below_one(self, tmp_path, capsys, jobs, source):
+        if source == "flag":
+            extra = ["--jobs", jobs]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"jobs": jobs}))
+            extra = ["--config", tmp_path / "cfg.json"]
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path, *extra]) == 1
+        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "cells").exists()
 
     def test_rejects_unknown_algorithm(self, tmp_path):
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
