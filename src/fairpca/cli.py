@@ -106,12 +106,6 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise _UsageError(f"cannot parse {what} list {text!r}") from None
 
 
-def _list_text(value: Any) -> str:
-    """A list option's value in its flag's comma form; a config file may
-    give it as a JSON list instead."""
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
-
-
 def _unique(values: list[Any]) -> list[Any]:
     """values without repeats, in first-seen order."""
     return list(dict.fromkeys(values))
@@ -128,15 +122,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise _UsageError(f"cannot parse group sizes {text!r}") from None
 
 
-# The config keys each command reads; any other key is rejected.
+# The config keys each command reads; any other key is rejected.  Each key
+# stands for the flag of the same name (max_iters for --max-iters).
 _SHARED_KEYS = ("eps", "mu", "rho", "theta", "max_iters", "trace_stride")
-_SOLVE_KEYS = frozenset((*_SHARED_KEYS, "c"))
-_COMPARE_KEYS = frozenset((*_SHARED_KEYS, "r", "seeds", "algs", "c_grid", "jobs"))
+_CONFIG_KEYS = {
+    "solve": frozenset((*_SHARED_KEYS, "c")),
+    "compare": frozenset((*_SHARED_KEYS, "r", "seeds", "algs", "c_grid", "jobs")),
+}
 
 
-def _load_config(path: str | None, known: frozenset[str]) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _load_config(path: str, known: frozenset[str]) -> dict[str, Any]:
     try:
         with open(path) as handle:
             cfg = json.load(handle)
@@ -153,12 +148,15 @@ def _load_config(path: str | None, known: frozenset[str]) -> dict[str, Any]:
     return cfg
 
 
-def _pick(cli_value: Any, cfg: dict[str, Any], key: str, fallback: Any) -> Any:
-    if cli_value is not None:
-        return cli_value
-    if key in cfg:
-        return cfg[key]
-    return fallback
+def _config_flags(cfg: dict[str, Any]) -> list[str]:
+    """The config entries as the flags they stand for, so that each value is
+    parsed by its flag's own parser: {"max_iters": 10, "r": [1, 2]} gives
+    ["--max-iters=10", "--r=1,2"]."""
+    return [
+        f"--{key.replace('_', '-')}="
+        + (",".join(map(str, value)) if isinstance(value, list) else str(value))
+        for key, value in cfg.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +187,29 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _dataset_from_gen_spec(spec: str) -> tuple[GroupedDataset, dict[str, Any]]:
+    """Generate the dataset that spec names, 'gaussian:d=..,n=..[,seed=..]'
+    or 'blocks:d=..,sizes=..[,scales=..][,seed=..]' (seed defaults to 0);
+    returns it with its provenance (generator and seed)."""
     kind, _, body = spec.partition(":")
     kv: dict[str, str] = {}
     if body:
         for item in body.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise _UsageError(f"bad generator spec item {item!r} in {spec!r}")
-            kv[key.strip()] = value.strip()
+            if key in kv:
+                raise _UsageError(f"generator spec {spec!r} repeats key {key!r}")
+            kv[key] = value.strip()
     try:
+        seed = int(kv.pop("seed", "0"))
+        if seed < 0:
+            raise _UsageError(f"generator spec {spec!r}: seed must be at least 0, got {seed}")
         if kind == "gaussian":
             d = int(kv.pop("d"))
             n = int(kv.pop("n"))
-            seed = int(kv.pop("seed", "0"))
-            extra = kv
-            if extra:
-                raise _UsageError(f"unknown gaussian keys {sorted(extra)} in {spec!r}")
+            if kv:
+                raise _UsageError(f"unknown gaussian keys {sorted(kv)} in {spec!r}")
             return data_mod.gen_synthetic_gaussian(d, n, seed), {
                 "generator": "gaussian",
                 "seed": seed,
@@ -212,7 +217,6 @@ def _dataset_from_gen_spec(spec: str) -> tuple[GroupedDataset, dict[str, Any]]:
         if kind == "blocks":
             d = int(kv.pop("d"))
             sizes = _parse_sizes(kv.pop("sizes"))
-            seed = int(kv.pop("seed", "0"))
             scales = None
             if "scales" in kv:
                 scales = [float(s) for s in kv.pop("scales").split("|")]
@@ -254,6 +258,7 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, data_mod
         dataset,
         normalized=args.normalize,
         centered=args.center,
+        standardized=args.standardize,
         min_norm_threshold=threshold,
         **provenance,
     )
@@ -264,49 +269,28 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, data_mod
 # solver plumbing
 
 
+def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
+    """The params fields among fields whose flag (or config entry) was set."""
+    return {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
+
+
 def _arpgda_params(
-    data: GroupedDataset,
-    r: int,
-    seed: int,
-    args: argparse.Namespace,
-    cfg: dict[str, Any],
+    data: GroupedDataset, r: int, seed: int, args: argparse.Namespace
 ) -> arpgda_mod.ARPGDAParams:
-    base = arpgda_mod.recommended_params(data, r)
-    return arpgda_mod.ARPGDAParams(
-        epsilon=float(_pick(args.eps, cfg, "eps", base.epsilon)),
-        mu=float(_pick(args.mu, cfg, "mu", base.mu)),
-        rho=float(_pick(args.rho, cfg, "rho", base.rho)),
-        theta=float(_pick(args.theta, cfg, "theta", base.theta)),
-        max_iters=int(_pick(args.max_iters, cfg, "max_iters", base.max_iters)),
-        seed=seed,
-        trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", base.trace_stride)),
-    )
+    given = _given(args, "epsilon", "mu", "rho", "theta", "max_iters", "trace_stride")
+    return replace(arpgda_mod.recommended_params(data, r, seed=seed), **given)
 
 
-def _rsg_params(
-    seed: int,
-    args: argparse.Namespace,
-    cfg: dict[str, Any],
-    *,
-    reference_phi: float | None,
-) -> RSGParams:
-    c = _pick(args.c, cfg, "c", None)
-    if c is None:
+def _rsg_params(seed: int, args: argparse.Namespace) -> RSGParams:
+    if args.c is None:
         raise _UsageError("rsg needs --c (or 'c' in the config file)")
-    return RSGParams(
-        c=float(c),
-        max_iters=int(_pick(args.max_iters, cfg, "max_iters", RSGParams.max_iters)),
-        seed=seed,
-        reference_phi=reference_phi,
-        trace_stride=int(_pick(args.trace_stride, cfg, "trace_stride", RSGParams.trace_stride)),
-    )
+    given = _given(args, "max_iters", "trace_stride")
+    return RSGParams(c=args.c, seed=seed, reference_phi=args.ref_phi, **given)
 
 
-def _report_path(out: str, algorithm: str, r: int, seed: int, n_runs: int) -> Path:
+def _report_path(out: str, algorithm: str, r: int, seed: int) -> Path:
     out_path = Path(out)
     if out_path.suffix == ".json":
-        if n_runs > 1:
-            raise _UsageError("--out must be a directory when running several seeds")
         out_path.parent.mkdir(parents=True, exist_ok=True)
         return out_path
     out_path.mkdir(parents=True, exist_ok=True)
@@ -318,25 +302,11 @@ def _report_path(out: str, algorithm: str, r: int, seed: int, n_runs: int) -> Pa
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if args.kind == "gaussian":
-        if args.n is None or args.d is None:
-            raise _UsageError("gen gaussian needs --d and --n")
-        dataset = data_mod.gen_synthetic_gaussian(args.d, args.n, seed)
-        generator = "gaussian"
-    else:
-        if args.sizes is None or args.d is None:
-            raise _UsageError("gen blocks needs --d and --sizes")
-        scales = None
-        if args.scales is not None:
-            scales = _parse_float_list(args.scales, "scales")
-        dataset = data_mod.gen_synthetic_blocks(args.d, _parse_sizes(args.sizes), seed, scales)
-        generator = "blocks"
-    out = Path(args.out if args.out is not None else f"{args.kind}.csv")
-    if not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    dataset, provenance = _dataset_from_gen_spec(args.spec)
+    out = Path(args.out if args.out is not None else f"{provenance['generator']}.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out, data_mod.dataset_csv_text(dataset))
-    meta = data_mod.describe(dataset, generator=generator, seed=seed)
+    meta = data_mod.describe(dataset, **provenance)
     meta_path = out.with_suffix(".meta.json")
     _atomic_write_json(meta_path, meta.to_dict())
     print(f"wrote {dataset.num_samples} samples in {dataset.num_groups} groups to {out} (+ {meta_path.name})")
@@ -344,25 +314,26 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, _SOLVE_KEYS)
     dataset, meta = _resolve_dataset(args)
-    if args.r is None:
+    r = args.r
+    if r is None:
         raise _UsageError("solve needs --r")
-    r = int(args.r)
     if not 1 <= r <= dataset.d:
         raise _UsageError(f"--r must lie in [1, {dataset.d}], got {r}")
     seeds = _parse_int_list(args.seed, "--seed")
     if not seeds:
         raise _UsageError("--seed must name at least one seed")
+    if len(seeds) > 1 and Path(args.out).suffix == ".json":
+        raise _UsageError("--out must be a directory when running several seeds")
     for seed in seeds:
         if args.algorithm == "arpgda":
-            params = _arpgda_params(dataset, r, seed, args, cfg)
+            params = _arpgda_params(dataset, r, seed, args)
             result = arpgda_mod.solve_arpgda(dataset, r, params)
         else:
-            params = _rsg_params(seed, args, cfg, reference_phi=args.ref_phi)
+            params = _rsg_params(seed, args)
             result = solve_rsg(dataset, r, params)
         report = result.to_report(asdict(params), meta.to_dict())
-        path = _report_path(args.out, args.algorithm, r, seed, len(seeds))
+        path = _report_path(args.out, args.algorithm, r, seed)
         _atomic_write_json(path, report)
         if args.save_u is not None:
             u_dir = Path(args.save_u)
@@ -441,37 +412,32 @@ def _run_worker_cell(spec: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, _COMPARE_KEYS)
     dataset, meta = _resolve_dataset(args)
-    r_list = _unique(_parse_int_list(_list_text(_pick(args.r, cfg, "r", "1,2,5,10")), "--r"))
+    r_list = _unique(_parse_int_list(args.r, "--r"))
     if not r_list:
         raise _UsageError("--r must name at least one value")
     for r in r_list:
         if not 1 <= r <= dataset.d:
             raise _UsageError(f"--r values must lie in [1, {dataset.d}], got {r}")
-    n_seeds = int(_pick(args.seeds, cfg, "seeds", 10))
+    n_seeds = args.seeds
     if n_seeds < 1:
         raise _UsageError("--seeds must be at least 1")
-    algs_text = _list_text(_pick(args.algs, cfg, "algs", "arpgda,rsg"))
-    algs = _unique([a.strip() for a in algs_text.split(",") if a.strip()])
+    algs = _unique([a.strip() for a in args.algs.split(",") if a.strip()])
     for alg in algs:
         if alg not in ("arpgda", "rsg"):
             raise _UsageError(f"unknown algorithm {alg!r} (use arpgda and/or rsg)")
     if not algs:
         raise _UsageError("--algs must name at least one algorithm")
-    c_grid_text = _pick(args.c_grid, cfg, "c_grid", None)
-    c_grid = (list(DEFAULT_C_GRID) if c_grid_text is None
-              else _unique(_parse_float_list(_list_text(c_grid_text), "--c-grid")))
+    c_grid = _unique(_parse_float_list(args.c_grid, "--c-grid"))
     if "rsg" in algs and not c_grid:
         raise _UsageError("--c-grid must name at least one stepsize scale")
-    jobs = int(_pick(args.jobs, cfg, "jobs", 1))
-    if jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {jobs}")
-    max_iters = int(_pick(args.max_iters, cfg, "max_iters", RSGParams.max_iters))
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
 
     specs = []
     for r in r_list:
-        params = _arpgda_params(dataset, r, 0, args, cfg)
+        params = _arpgda_params(dataset, r, 0, args)
         for seed in range(n_seeds):
             specs.append(
                 {
@@ -483,9 +449,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 }
             )
 
-    if jobs > 1:
+    if args.jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_compare_worker, initargs=(dataset,)
+            max_workers=args.jobs, initializer=_init_compare_worker, initargs=(dataset,)
         ) as pool:
             cells = list(pool.map(_run_worker_cell, specs))
     else:
@@ -588,17 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset")
-    p_gen.add_argument("kind", choices=["gaussian", "blocks"])
-    p_gen.add_argument("--d", type=int, help="ambient dimension")
-    p_gen.add_argument("--n", type=int, help="number of singleton groups (gaussian)")
-    p_gen.add_argument("--sizes", help="block sizes, e.g. 750x4 or 10|20|30 (blocks)")
-    p_gen.add_argument("--scales", help="per-group scales, e.g. 1,1,0 (blocks)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("spec", help="generator spec, as --gen takes it")
     p_gen.add_argument("-o", "--out", help="output CSV path (default: <kind>.csv)")
     p_gen.set_defaults(func=cmd_gen)
 
     common_solver = argparse.ArgumentParser(add_help=False)
-    common_solver.add_argument("--eps", type=float, default=None, help="target stationarity")
+    common_solver.add_argument(
+        "--eps", dest="epsilon", type=float, default=None, help="target stationarity"
+    )
     common_solver.add_argument("--rho", type=float, default=None)
     common_solver.add_argument("--theta", type=float, default=None)
     common_solver.add_argument("--mu", type=float, default=None)
@@ -623,11 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", parents=[common_solver], help="benchmark algorithms over (r, seed) cells"
     )
     _add_dataset_args(p_cmp)
-    p_cmp.add_argument("--r", default=None, help="r list, e.g. 1,2,5,10 or 1:10")
-    p_cmp.add_argument("--seeds", type=int, default=None, help="number of seeds (0..k-1)")
-    p_cmp.add_argument("--algs", default=None, help="comma list from {arpgda, rsg}")
-    p_cmp.add_argument("--c-grid", default=None, help="rsg stepsize sweep, comma list")
-    p_cmp.add_argument("--jobs", type=int, default=None, help="parallel cell workers")
+    p_cmp.add_argument("--r", default="1,2,5,10", help="r list, e.g. 1,2,5,10 or 1:10")
+    p_cmp.add_argument("--seeds", type=int, default=10, help="number of seeds (0..k-1)")
+    p_cmp.add_argument("--algs", default="arpgda,rsg", help="comma list from {arpgda, rsg}")
+    p_cmp.add_argument(
+        "--c-grid", default=",".join(map(str, DEFAULT_C_GRID)), help="rsg stepsize sweep, comma list"
+    )
+    p_cmp.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
     p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -644,11 +609,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        if getattr(args, "config", None) is not None:
+            # Config entries go in as flags right after the command, so the
+            # command line's own flags, coming later, win.
+            cfg = _load_config(args.config, _CONFIG_KEYS[args.command])
+            args = parser.parse_args([argv[0], *_config_flags(cfg), *argv[1:]])
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ class DatasetMeta:
     source: str | None = None
     normalized: bool = False
     centered: bool = False
+    standardized: bool = False
     min_norm_threshold: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:

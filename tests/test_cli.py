@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -30,8 +33,7 @@ def read_csv_rows(path):
 class TestGen:
     def test_gaussian_writes_csv_and_meta(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"
-        assert run(["gen", "gaussian", "--d", 4, "--n", 6, "--seed", 2,
-                    "--out", out]) == 0
+        assert run(["gen", "gaussian:d=4,n=6,seed=2", "--out", out]) == 0
         assert out.exists()
         meta = json.loads((tmp_path / "toy.meta.json").read_text())
         assert meta["d"] == 4
@@ -42,25 +44,48 @@ class TestGen:
 
     def test_blocks_with_scales(self, tmp_path):
         out = tmp_path / "blk.csv"
-        assert run(["gen", "blocks", "--d", 5, "--sizes", "4x3",
-                    "--scales", "1,1,0", "--seed", 1, "--out", out]) == 0
+        assert run(["gen", "blocks:d=5,sizes=4x3,scales=1|1|0,seed=1",
+                    "--out", out]) == 0
         meta = json.loads((tmp_path / "blk.meta.json").read_text())
         assert meta["group_sizes"] == [4, 4, 4]
 
-    def test_missing_required_flags(self, tmp_path):
-        assert run(["gen", "gaussian", "--d", 4]) == 1
-        assert run(["gen", "blocks", "--d", 4]) == 1
+    def test_missing_required_flags(self, tmp_path, capsys):
+        assert run(["gen", "gaussian:d=4", "--out", tmp_path / "g.csv"]) == 1
+        assert "missing key 'n'" in capsys.readouterr().err
+        assert run(["gen", "blocks:d=4", "--out", tmp_path / "b.csv"]) == 1
+        assert "missing key 'sizes'" in capsys.readouterr().err
+        # the old flag form of gen is gone
+        assert run(["gen", "gaussian", "--d", 4, "--n", 6]) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_bad_sizes_spec(self, tmp_path):
-        assert run(["gen", "blocks", "--d", 4, "--sizes", "4xx3",
-                    "--out", tmp_path / "x.csv"]) == 1
+        assert run(["gen", "blocks:d=4,sizes=4xx3", "--out", tmp_path / "x.csv"]) == 1
 
     def test_gen_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        run(["gen", "gaussian", "--d", 3, "--n", 5, "--seed", 7, "--out", a])
-        run(["gen", "gaussian", "--d", 3, "--n", 5, "--seed", 7, "--out", b])
+        assert run(["gen", "gaussian:d=3,n=5,seed=7", "--out", a]) == 0
+        assert run(["gen", "gaussian:d=3,n=5,seed=7", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_out_is_named_after_the_kind(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen", "blocks:d=3,sizes=2x2"]) == 0
+        assert json.loads((tmp_path / "blocks.meta.json").read_text())["seed"] == 0
+        assert (tmp_path / "blocks.csv").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("gaussian:d=3,n=3,seed=1,d=5", "repeats key 'd'"),
+        ("blocks:d=3,sizes=2x2,sizes=3x2", "repeats key 'sizes'"),
+        ("gaussian:d=3,n=3,seed=-1", "seed must be at least 0, got -1"),
+    ], ids=["repeated_d", "repeated_sizes", "negative_seed"])
+    def test_spec_names_the_bad_key(self, tmp_path, capsys, spec, message):
+        assert run(["gen", spec, "--out", tmp_path / "x.csv"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert run(["solve", "arpgda", "--gen", spec, "--r", 1, "--out", tmp_path]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("report_*.json"))
 
 
 class TestSolve:
@@ -106,10 +131,16 @@ class TestSolve:
                     "--out", target]) == 0
         assert target.exists()
 
-    def test_multi_seed_needs_directory(self, tmp_path):
+    def test_multi_seed_needs_directory(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting --out")
+
+        monkeypatch.setattr("fairpca.arpgda.solve_arpgda", no_solve)
         assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
                     "--r", 1, "--seed", "0,1", "--max-iters", 50,
                     "--out", tmp_path / "one.json"]) == 1
+        assert "--out must be a directory" in capsys.readouterr().err
+        assert not (tmp_path / "one.json").exists()
 
     def test_rsg_needs_c(self, tmp_path):
         assert run(["solve", "rsg", "--gen", "gaussian:d=6,n=6,seed=0",
@@ -141,7 +172,7 @@ class TestSolve:
     def test_dataset_source_is_exclusive(self, tmp_path):
         assert run(["solve", "arpgda", "--r", 1, "--out", tmp_path]) == 1
         csv_path = tmp_path / "d.csv"
-        run(["gen", "gaussian", "--d", 3, "--n", 3, "--out", csv_path])
+        assert run(["gen", "gaussian:d=3,n=3", "--out", csv_path]) == 0
         assert run(["solve", "arpgda", "--data", csv_path,
                     "--gen", "gaussian:d=3,n=3,seed=0",
                     "--r", 1, "--out", tmp_path]) == 1
@@ -158,12 +189,27 @@ class TestSolve:
 
     def test_input_csv_is_not_mutated(self, tmp_path):
         csv_path = tmp_path / "d.csv"
-        run(["gen", "gaussian", "--d", 5, "--n", 6, "--seed", 3,
-             "--out", csv_path])
+        assert run(["gen", "gaussian:d=5,n=6,seed=3", "--out", csv_path]) == 0
         before = hashlib.sha256(csv_path.read_bytes()).hexdigest()
         assert run(["solve", "arpgda", "--data", csv_path, "--r", 2,
                     "--max-iters", 100, "--out", tmp_path / "runs"]) == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == before
+
+    @pytest.mark.parametrize("flags, field, expected", [
+        (["--normalize"], "normalized", True),
+        (["--center"], "centered", True),
+        (["--standardize"], "standardized", True),
+        (["--min-norm-threshold", 2.5], "min_norm_threshold", 2.5),
+        (["--group-col", "team"], "group_sizes", [2, 1]),
+    ], ids=["normalize", "center", "standardize", "min_norm_threshold", "group_col"])
+    def test_dataset_flags_reach_report(self, tmp_path, flags, field, expected):
+        column = flags[1] if flags[0] == "--group-col" else "group"
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(f"x,y,{column}\n3,4,a\n1,2,a\n0,5,b\n")
+        assert run(["solve", "arpgda", "--data", csv_path, "--r", 1,
+                    "--max-iters", 5, *flags, "--out", tmp_path / "a.json"]) == 0
+        meta = json.loads((tmp_path / "a.json").read_text())["dataset_meta"]
+        assert meta[field] == expected
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -192,6 +238,29 @@ class TestSolve:
                     "--r", 1, "--config", cfg, "--out", tmp_path]) == 1
         assert f"unknown key(s) {unknown};" in capsys.readouterr().err
         assert not list(tmp_path.glob("report_*.json"))
+
+    @pytest.mark.parametrize("command, config, flag", [
+        ("solve", {"max_iters": 10.7}, "--max-iters"),
+        ("solve", {"max_iters": 1e5}, "--max-iters"),
+        ("solve", {"trace_stride": 2.5}, "--trace-stride"),
+        ("solve", {"eps": None}, "--eps"),
+        ("solve", {"eps": [1, 2]}, "--eps"),
+        ("solve", {"mu": {"a": 1}}, "--mu"),
+        ("compare", {"seeds": 1.9}, "--seeds"),
+        ("compare", {"jobs": 1.5}, "--jobs"),
+    ], ids=["max_iters_float", "max_iters_1e5", "trace_stride_float", "eps_null",
+            "eps_list", "mu_object", "seeds_float", "jobs_float"])
+    def test_config_values_go_through_flag_parsers(self, tmp_path, capsys,
+                                                   command, config, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = (["solve", "arpgda", "--r", 1] if command == "solve" else
+                ["compare", "--r", 1, "--c-grid", 0.1, "--max-iters", 20])
+        assert run([*argv, "--gen", "gaussian:d=6,n=6,seed=0", "--config", cfg,
+                    "--out", tmp_path]) == 1
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report_*.json"))
+        assert not (tmp_path / "cells").exists()
 
     def test_rsg_config_takes_c(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -385,5 +454,23 @@ class TestTopLevel:
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
-        assert run(["gen", "gaussian", "--d", 3, "--n", 3,
-                    "--frobnicate"]) == 1
+        assert run(["gen", "gaussian:d=3,n=3", "--frobnicate"]) == 1
+
+    def test_module_entry_point_reads_sys_argv(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "fairpca.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        gen = cli("gen", "gaussian:d=4,n=5,seed=1")
+        assert gen.returncode == 0, gen.stderr
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"eps": 0.5, "max_iters": 7, "trace_stride": 3}))
+        solve = cli("solve", "arpgda", "--data", "gaussian.csv", "--r", "1",
+                    "--config", "cfg.json", "--out", "run.json")
+        assert solve.returncode == 0, solve.stderr
+        report = json.loads((tmp_path / "run.json").read_text())
+        assert report["dataset_meta"]["num_samples"] == 5
+        params = report["params"]
+        assert (params["epsilon"], params["max_iters"], params["trace_stride"]) == (0.5, 7, 3)
