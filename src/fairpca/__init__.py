@@ -20,15 +20,12 @@ from .arpgda import (
 )
 from .baselines import RSGParams, iterations_to_reach, rsg_step, rsg_sweep, solve_rsg
 from .data import (
-    DatasetMeta,
     dataset_csv_text,
     describe,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
     load_csv_grouped,
     preprocess,
-    save_csv_grouped,
-    save_meta,
 )
 from .exceptions import (
     DataError,
@@ -62,11 +59,11 @@ from .simplex import (
 from .stiefel import (
     load_point,
     orthonormality_error,
+    point_csv_text,
     polar_retract,
     project_to_tangent,
     random_stiefel,
     random_tangent,
-    save_point,
     tangency_error,
     validate_stiefel,
 )
@@ -76,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ARPGDAParams",
     "DataError",
-    "DatasetMeta",
     "DegenerateProblemError",
     "DiagnosticUnavailableError",
     "DimensionError",
@@ -107,6 +103,7 @@ __all__ = [
     "min_objective",
     "minimax_objective",
     "orthonormality_error",
+    "point_csv_text",
     "polar_retract",
     "preprocess",
     "project_to_simplex",
@@ -117,9 +114,6 @@ __all__ = [
     "riemannian_gradient_U",
     "rsg_step",
     "rsg_sweep",
-    "save_csv_grouped",
-    "save_meta",
-    "save_point",
     "simplex_violation",
     "smoothness_constants",
     "solve_arpgda",

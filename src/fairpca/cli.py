@@ -9,12 +9,15 @@ Commands:
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.  Effective parameter values (command line over config
 file over built-in defaults) are echoed into every report.  All files are
-written atomically (temp file in place, then rename).
+written atomically (temp file in place, then rename) by _atomic_write_text,
+which makes any missing output directory; a file that cannot be written
+exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -44,7 +47,7 @@ from .problem import (
     group_objectives,
     min_objective,
 )
-from .stiefel import TOL_ORTH, load_point, orthonormality_error, save_point, validate_stiefel
+from .stiefel import TOL_ORTH, load_point, orthonormality_error, point_csv_text, validate_stiefel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,9 +74,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    """Write text to path through a temp file beside it and a rename, making
+    any missing parent directory first; the only code that writes a file."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        # unlink raises too when the parent is not a directory
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _atomic_write_json(path: Path, obj: Any) -> None:
@@ -201,13 +213,21 @@ def _dataset_from_gen_spec(spec: str) -> tuple[GroupedDataset, dict[str, Any]]:
             if key in kv:
                 raise _UsageError(f"generator spec {spec!r} repeats key {key!r}")
             kv[key] = value.strip()
+
+    def number(what: str, text: str, kind: type = int) -> Any:
+        try:
+            return kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise _UsageError(f"generator spec {spec!r}: {what} must be {noun}, got {text!r}") from None
+
     try:
-        seed = int(kv.pop("seed", "0"))
+        seed = number("seed", kv.pop("seed", "0"))
         if seed < 0:
             raise _UsageError(f"generator spec {spec!r}: seed must be at least 0, got {seed}")
         if kind == "gaussian":
-            d = int(kv.pop("d"))
-            n = int(kv.pop("n"))
+            d = number("d", kv.pop("d"))
+            n = number("n", kv.pop("n"))
             if kv:
                 raise _UsageError(f"unknown gaussian keys {sorted(kv)} in {spec!r}")
             return data_mod.gen_synthetic_gaussian(d, n, seed), {
@@ -215,11 +235,11 @@ def _dataset_from_gen_spec(spec: str) -> tuple[GroupedDataset, dict[str, Any]]:
                 "seed": seed,
             }
         if kind == "blocks":
-            d = int(kv.pop("d"))
+            d = number("d", kv.pop("d"))
             sizes = _parse_sizes(kv.pop("sizes"))
             scales = None
             if "scales" in kv:
-                scales = [float(s) for s in kv.pop("scales").split("|")]
+                scales = [number("each scale", s, float) for s in kv.pop("scales").split("|")]
             if kv:
                 raise _UsageError(f"unknown blocks keys {sorted(kv)} in {spec!r}")
             return data_mod.gen_synthetic_blocks(d, sizes, seed, scales), {
@@ -233,7 +253,7 @@ def _dataset_from_gen_spec(spec: str) -> tuple[GroupedDataset, dict[str, Any]]:
     raise _UsageError(f"unknown generator kind {kind!r} (use gaussian or blocks)")
 
 
-def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, data_mod.DatasetMeta]:
+def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str, Any]]:
     if (args.data is None) == (args.gen is None):
         raise _UsageError("provide exactly one dataset source: --data or --gen")
     provenance: dict[str, Any] = {}
@@ -291,9 +311,7 @@ def _rsg_params(seed: int, args: argparse.Namespace) -> RSGParams:
 def _report_path(out: str, algorithm: str, r: int, seed: int) -> Path:
     out_path = Path(out)
     if out_path.suffix == ".json":
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         return out_path
-    out_path.mkdir(parents=True, exist_ok=True)
     return out_path / f"report_{algorithm}_r{r}_seed{seed}.json"
 
 
@@ -304,11 +322,9 @@ def _report_path(out: str, algorithm: str, r: int, seed: int) -> Path:
 def cmd_gen(args: argparse.Namespace) -> int:
     dataset, provenance = _dataset_from_gen_spec(args.spec)
     out = Path(args.out if args.out is not None else f"{provenance['generator']}.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out, data_mod.dataset_csv_text(dataset))
-    meta = data_mod.describe(dataset, **provenance)
     meta_path = out.with_suffix(".meta.json")
-    _atomic_write_json(meta_path, meta.to_dict())
+    _atomic_write_json(meta_path, data_mod.describe(dataset, **provenance))
     print(f"wrote {dataset.num_samples} samples in {dataset.num_groups} groups to {out} (+ {meta_path.name})")
     return EXIT_OK
 
@@ -332,13 +348,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             params = _rsg_params(seed, args)
             result = solve_rsg(dataset, r, params)
-        report = result.to_report(asdict(params), meta.to_dict())
+        report = result.to_report(asdict(params), meta)
         path = _report_path(args.out, args.algorithm, r, seed)
         _atomic_write_json(path, report)
         if args.save_u is not None:
-            u_dir = Path(args.save_u)
-            u_dir.mkdir(parents=True, exist_ok=True)
-            save_point(result.U, u_dir / f"u_{args.algorithm}_r{r}_seed{seed}.csv")
+            u_path = Path(args.save_u) / f"u_{args.algorithm}_r{r}_seed{seed}.csv"
+            _atomic_write_text(u_path, point_csv_text(result.U))
         if result.violations:
             print(
                 f"warning: {len(result.violations)} inequality violation(s) recorded",
@@ -458,10 +473,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cells = [_run_compare_cell(dataset, spec) for spec in specs]
 
     out_dir = Path(args.out if args.out is not None else ".")
-    cells_dir = out_dir / "cells"
-    cells_dir.mkdir(parents=True, exist_ok=True)
     for cell in cells:
-        _atomic_write_json(cells_dir / f"cell_r{cell['r']}_seed{cell['seed']}.json", cell)
+        _atomic_write_json(out_dir / "cells" / f"cell_r{cell['r']}_seed{cell['seed']}.json", cell)
 
     rows = []
     for cell in cells:
@@ -494,7 +507,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "n_cells": len(entries),
             }
     summary = {
-        "dataset_meta": meta.to_dict(),
+        "dataset_meta": meta,
         "r_values": r_list,
         "n_seeds": n_seeds,
         "algorithms": algs,
@@ -529,7 +542,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     validate_stiefel(U, tol)
     values = group_objectives(dataset, U)
     out: dict[str, Any] = {
-        "dataset_meta": meta.to_dict(),
+        "dataset_meta": meta,
         "r": int(U.shape[1]),
         "phi": min_objective(dataset, U),
         "group_objectives": [float(v) for v in values],
@@ -619,7 +632,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             # Config entries go in as flags right after the command, so the
             # command line's own flags, coming later, win.
             cfg = _load_config(args.config, _CONFIG_KEYS[args.command])
-            args = parser.parse_args([argv[0], *_config_flags(cfg), *argv[1:]])
+            try:
+                args = parser.parse_args([argv[0], *_config_flags(cfg), *argv[1:]])
+            except _UsageError as exc:
+                raise _UsageError(f"{exc} (from config file {args.config})") from None
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import warnings
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,39 +21,36 @@ from .exceptions import DataError, DimensionError
 from .problem import GroupedDataset
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
-    """Provenance and preprocessing record carried into run reports."""
-
-    name: str
-    d: int
-    num_samples: int
-    num_groups: int
-    group_sizes: tuple[int, ...]
-    generator: str | None = None
-    seed: int | None = None
-    source: str | None = None
-    normalized: bool = False
-    centered: bool = False
-    standardized: bool = False
-    min_norm_threshold: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        out["group_sizes"] = list(self.group_sizes)
-        return out
+# The provenance and preprocessing keys of a dataset_meta dict, with the
+# values they take when describe is not given them.
+_META_DEFAULTS: dict[str, Any] = {
+    "generator": None,
+    "seed": None,
+    "source": None,
+    "normalized": False,
+    "centered": False,
+    "standardized": False,
+    "min_norm_threshold": 0.0,
+}
 
 
-def describe(data: GroupedDataset, **fields: Any) -> DatasetMeta:
-    """Meta consistent with data by construction; extra fields pass through."""
-    return DatasetMeta(
-        name=data.name,
-        d=data.d,
-        num_samples=data.num_samples,
-        num_groups=data.num_groups,
-        group_sizes=tuple(data.group_sizes),
+def describe(data: GroupedDataset, **fields: Any) -> dict[str, Any]:
+    """The dataset_meta dict that reports and meta files carry: the shape of
+    data, consistent with it by construction, plus the provenance and
+    preprocessing fields (generator, seed, source, normalized, centered,
+    standardized, min_norm_threshold); fields not given take their defaults."""
+    unknown = sorted(set(fields) - set(_META_DEFAULTS))
+    if unknown:
+        raise TypeError(f"describe() got unknown field(s) {', '.join(unknown)}")
+    return {
+        "name": data.name,
+        "d": data.d,
+        "num_samples": data.num_samples,
+        "num_groups": data.num_groups,
+        "group_sizes": list(data.group_sizes),
+        **_META_DEFAULTS,
         **fields,
-    )
+    }
 
 
 def gen_synthetic_gaussian(d: int, n: int, seed: int) -> GroupedDataset:
@@ -169,18 +164,6 @@ def dataset_csv_text(data: GroupedDataset, group_column: str = "group") -> str:
     return buffer.getvalue()
 
 
-def save_csv_grouped(data: GroupedDataset, path, group_column: str = "group") -> None:
-    """Write a GroupedDataset in the format load_csv_grouped reads."""
-    with open(path, "w", newline="") as handle:
-        handle.write(dataset_csv_text(data, group_column))
-
-
-def save_meta(meta: DatasetMeta, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(meta.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def preprocess(
     data: GroupedDataset,
     *,
@@ -199,29 +182,24 @@ def preprocess(
     with the same settings is the identity.
     """
     keep = data.sample_norms() >= float(min_norm_threshold)
-    sizes = []
-    labels = []
-    kept_labels_src = data.labels or tuple(f"g{i}" for i in range(data.num_groups))
-    dropped_groups = []
-    cols: list[np.ndarray] = []
-    for i in range(data.num_groups):
-        sl = data.group_slice(i)
-        mask = keep[sl]
-        n_kept = int(mask.sum())
-        if n_kept == 0:
-            dropped_groups.append(kept_labels_src[i])
-            continue
-        cols.append(data.X[:, sl][:, mask])
-        sizes.append(n_kept)
-        labels.append(kept_labels_src[i])
-    if not cols:
+    if not keep.any():
         raise DataError("preprocessing dropped every sample")
+    kept = np.add.reduceat(keep, data.starts)
+    labels = data.labels or tuple(f"g{i}" for i in range(data.num_groups))
+    dropped_groups = [label for label, count in zip(labels, kept) if count == 0]
     if dropped_groups:
         warnings.warn(
             f"groups emptied by the norm threshold and removed: {dropped_groups}",
             stacklevel=2,
         )
-    X = np.concatenate(cols, axis=1)
+    sizes = tuple(int(count) for count in kept if count)
+    labels = tuple(label for label, count in zip(labels, kept) if count)
+    X = data.X[:, keep]
+    if max(sizes) == 1:
+        # The transforms below round by X's memory order. Keep the order of
+        # the per-group concatenation (C when every group kept one sample, F
+        # otherwise), so results match it bit for bit.
+        X = np.ascontiguousarray(X)
     if standardize_features:
         mean = X.mean(axis=1, keepdims=True)
         std = X.std(axis=1, keepdims=True)
@@ -233,4 +211,4 @@ def preprocess(
         norms = np.linalg.norm(X, axis=0, keepdims=True)
         norms[norms == 0.0] = 1.0
         X = X / norms
-    return GroupedDataset(X, tuple(sizes), labels=tuple(labels), name=data.name)
+    return GroupedDataset(X, sizes, labels=labels, name=data.name)

@@ -8,6 +8,7 @@ norms below are Frobenius.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -132,12 +133,15 @@ def validate_stiefel(U: np.ndarray, tol: float = TOL_ORTH) -> np.ndarray:
     return U
 
 
-def save_point(U: np.ndarray, path) -> None:
-    """Write a point to CSV as d rows of r comma-separated decimal values."""
-    np.savetxt(path, _as_point_shape(U), delimiter=",", fmt="%.17e")
+def point_csv_text(U: np.ndarray) -> str:
+    """Render a point as CSV, d rows of r comma-separated decimal values, in
+    the format load_point reads."""
+    buffer = io.StringIO()
+    np.savetxt(buffer, _as_point_shape(U), delimiter=",", fmt="%.17e")
+    return buffer.getvalue()
 
 
 def load_point(path) -> np.ndarray:
-    """Read a point written by save_point.  Feasibility is not checked here."""
+    """Read a point written by point_csv_text.  Feasibility is not checked here."""
     U = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     return U

@@ -166,3 +166,37 @@ def weight_lipschitz_bound(X, group_sizes, r):
     _, kyfan = smoothness_constants_by_loops(X, group_sizes, r)
     K = group_gram_dense(X, group_sizes)
     return min(kyfan, 2.0 * math.sqrt(float(K.sum(axis=1).max())))
+
+
+def preprocess_by_loops(X, group_sizes, labels, threshold, standardize, center, normalize):
+    """Preprocessing as a loop over groups: keep each group's samples whose
+    norm is at least threshold, concatenate the survivors, then standardize
+    the features, center and normalize the samples.  Returns the new X, the
+    kept group sizes and labels, and the labels of the groups left empty;
+    None when no sample survives."""
+    norms = np.linalg.norm(X, axis=0)
+    start = 0
+    cols, sizes, kept, emptied = [], [], [], []
+    for block, label in zip(_group_blocks(X, group_sizes), labels):
+        mask = norms[start:start + block.shape[1]] >= threshold
+        start += block.shape[1]
+        if not mask.any():
+            emptied.append(label)
+            continue
+        cols.append(block[:, mask])
+        sizes.append(int(mask.sum()))
+        kept.append(label)
+    if not cols:
+        return None
+    X = np.concatenate(cols, axis=1)
+    if standardize:
+        std = X.std(axis=1, keepdims=True)
+        std[std == 0.0] = 1.0
+        X = (X - X.mean(axis=1, keepdims=True)) / std
+    if center:
+        X = X - X.mean(axis=0, keepdims=True)
+    if normalize:
+        scale = np.linalg.norm(X, axis=0, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        X = X / scale
+    return X, tuple(sizes), tuple(kept), emptied

@@ -78,7 +78,12 @@ class TestGen:
         ("gaussian:d=3,n=3,seed=1,d=5", "repeats key 'd'"),
         ("blocks:d=3,sizes=2x2,sizes=3x2", "repeats key 'sizes'"),
         ("gaussian:d=3,n=3,seed=-1", "seed must be at least 0, got -1"),
-    ], ids=["repeated_d", "repeated_sizes", "negative_seed"])
+        ("gaussian:d=x,n=3", "'gaussian:d=x,n=3': d must be an integer, got 'x'"),
+        ("gaussian:d=3,n=y", "n must be an integer, got 'y'"),
+        ("gaussian:d=3,n=3,seed=1.5", "seed must be an integer, got '1.5'"),
+        ("blocks:d=3,sizes=2x2,scales=1|a", "each scale must be a number, got 'a'"),
+    ], ids=["repeated_d", "repeated_sizes", "negative_seed", "d_not_int", "n_not_int",
+            "seed_not_int", "scale_not_number"])
     def test_spec_names_the_bad_key(self, tmp_path, capsys, spec, message):
         assert run(["gen", spec, "--out", tmp_path / "x.csv"]) == 1
         assert message in capsys.readouterr().err
@@ -258,7 +263,9 @@ class TestSolve:
                 ["compare", "--r", 1, "--c-grid", 0.1, "--max-iters", 20])
         assert run([*argv, "--gen", "gaussian:d=6,n=6,seed=0", "--config", cfg,
                     "--out", tmp_path]) == 1
-        assert f"error: argument {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}" in err
+        assert f"(from config file {cfg})" in err
         assert not list(tmp_path.glob("report_*.json"))
         assert not (tmp_path / "cells").exists()
 
@@ -455,6 +462,28 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run(["gen", "gaussian:d=3,n=3", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["metrics", "--gen", "gaussian:d=6,n=6,seed=2", "--checkpoint", "u.csv",
+          "--out", "new/m.json"], 0),
+        (["gen", "gaussian:d=3,n=3", "--out", "adir"], 1),
+        (["solve", "arpgda", "--gen", "gaussian:d=3,n=3", "--r", 1, "--max-iters", 5,
+          "--out", "taken"], 1),
+    ], ids=["metrics_into_new_dir", "gen_onto_dir", "solve_under_file"])
+    def test_out_dirs_are_made_and_unwritable_out_exits_1(self, tmp_path, monkeypatch,
+                                                          capsys, argv, code):
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("u.csv", np.eye(6)[:, :2], delimiter=",")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "taken").write_text("")
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert (tmp_path / argv[-1]).is_file()
+        else:
+            assert f"error: cannot write {argv[-1]}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp*"))
 
     def test_module_entry_point_reads_sys_argv(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -1,11 +1,16 @@
 """Dataset generators, CSV ingestion, metadata, and preprocessing."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fairpca import (
     DataError,
-    DatasetMeta,
     DimensionError,
     GroupedDataset,
     dataset_csv_text,
@@ -17,8 +22,6 @@ from fairpca import (
     min_objective,
     preprocess,
     random_stiefel,
-    save_csv_grouped,
-    save_meta,
 )
 
 
@@ -103,7 +106,7 @@ class TestCsvRoundtrip:
     def test_save_load_is_exact(self, tmp_path):
         original = gen_synthetic_blocks(4, (3, 5), seed=7)
         path = tmp_path / "blocks.csv"
-        save_csv_grouped(original, path)
+        path.write_text(dataset_csv_text(original))
         loaded = load_csv_grouped(path)
         np.testing.assert_array_equal(loaded.X, original.X)
         assert loaded.group_sizes == original.group_sizes
@@ -113,7 +116,7 @@ class TestCsvRoundtrip:
         text = dataset_csv_text(data)
         assert text == dataset_csv_text(data)
         path = tmp_path / "once.csv"
-        save_csv_grouped(data, path)
+        path.write_text(text)
         reloaded = load_csv_grouped(path)
         assert dataset_csv_text(reloaded) == text
 
@@ -155,25 +158,16 @@ class TestCsvRoundtrip:
 class TestMeta:
     def test_describe_matches_dataset(self):
         data = gen_synthetic_blocks(4, (3, 2), seed=0)
-        meta = describe(data, generator="blocks", seed=0)
-        assert meta.d == 4
-        assert meta.num_samples == 5
-        assert meta.group_sizes == (3, 2)
-        assert meta.generator == "blocks"
-        d = meta.to_dict()
-        assert d["group_sizes"] == [3, 2]
-
-    def test_save_meta_roundtrips_through_json(self, tmp_path):
-        import json
-
-        meta = DatasetMeta(name="x", d=2, num_samples=3, num_groups=1,
-                           group_sizes=(3,), normalized=True)
-        path = tmp_path / "meta.json"
-        save_meta(meta, path)
-        loaded = json.loads(path.read_text())
-        assert loaded["name"] == "x"
-        assert loaded["normalized"] is True
-        assert loaded["group_sizes"] == [3]
+        meta = describe(data, generator="blocks", seed=0, normalized=True)
+        assert meta == {
+            "name": data.name, "d": 4, "num_samples": 5, "num_groups": 2,
+            "group_sizes": [3, 2], "generator": "blocks", "seed": 0, "source": None,
+            "normalized": True, "centered": False, "standardized": False,
+            "min_norm_threshold": 0.0,
+        }
+        assert json.loads(json.dumps(meta)) == meta
+        with pytest.raises(TypeError, match="standardize"):
+            describe(data, standardize=True)
 
 
 class TestPreprocess:
@@ -221,6 +215,37 @@ class TestPreprocess:
                            min_norm_threshold=1e-8)
         np.testing.assert_allclose(twice.X, once.X, atol=1e-14)
         assert twice.group_sizes == once.group_sizes
+
+    # The masked selection must give the per-group loop's X bit for bit, with
+    # the transforms on: they round by X's memory order, which shows from
+    # 8 features or 8 samples up.
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 12), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+           seed=st.integers(0, 2**31 - 1), flags=st.tuples(st.booleans(), st.booleans(),
+                                                           st.booleans()))
+    @example(d=10, sizes=[1] * 12, seed=0, flags=(True, True, True))
+    @example(d=10, sizes=[4] * 3, seed=0, flags=(True, True, True))
+    def test_matches_per_group_loop(self, d, sizes, seed, flags):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, sum(sizes)))
+        X[:, rng.random(sum(sizes)) < 0.4] *= 1e-9
+        labels = tuple(f"g{i}" for i in range(len(sizes)))
+        expected = oracles.preprocess_by_loops(X, sizes, labels, 1e-6, *flags)
+        data = GroupedDataset(X, tuple(sizes))
+        kwargs = dict(min_norm_threshold=1e-6, standardize_features=flags[0],
+                      center=flags[1], normalize=flags[2])
+        if expected is None:
+            with pytest.raises(DataError, match="dropped every sample"):
+                preprocess(data, **kwargs)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = preprocess(data, **kwargs)
+        expected_X, expected_sizes, expected_labels, emptied = expected
+        assert out.X.tobytes() == np.ascontiguousarray(expected_X).tobytes()
+        assert (out.group_sizes, out.labels) == (expected_sizes, expected_labels)
+        assert [str(w.message) for w in caught] == (
+            [f"groups emptied by the norm threshold and removed: {emptied}"] if emptied else [])
 
     def test_objective_scale_survives_normalization(self):
         data = gen_synthetic_gaussian(6, 8, seed=5)
