@@ -38,17 +38,12 @@ from .problem import (
     GroupedDataset,
     SmoothnessConstants,
     dist_to_subgradient,
-    euclidean_gradient_U,
     evaluate,
-    group_objectives,
-    group_riemannian_gradient,
     ky_fan_norm,
-    min_objective,
     minimax_objective,
     riemannian_gradient_U,
     smoothness_constants,
     stationarity_measure,
-    y_gradient,
 )
 from .simplex import (
     project_to_simplex,
@@ -88,19 +83,15 @@ __all__ = [
     "dataset_csv_text",
     "describe",
     "dist_to_subgradient",
-    "euclidean_gradient_U",
     "evaluate",
     "gen_synthetic_blocks",
     "gen_synthetic_gaussian",
-    "group_objectives",
-    "group_riemannian_gradient",
     "initial_state",
     "iterations_to_reach",
     "ky_fan_norm",
     "load_csv_grouped",
     "load_point",
     "make_schedules",
-    "min_objective",
     "minimax_objective",
     "orthonormality_error",
     "point_csv_text",
@@ -123,5 +114,4 @@ __all__ = [
     "uniform_weights",
     "validate_stiefel",
     "validate_weights",
-    "y_gradient",
 ]

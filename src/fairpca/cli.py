@@ -7,11 +7,12 @@ Commands:
   metrics  evaluate diagnostics for a saved basis checkpoint
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.  Effective parameter values (command line over config
-file over built-in defaults) are echoed into every report.  All files are
-written atomically (temp file in place, then rename) by _atomic_write_text,
-which makes any missing output directory; a file that cannot be written
-exits 1.
+3 numerical failure.  An input file that cannot be read is a data error,
+except the config file, which is a configuration error.  Effective parameter
+values (command line over config file over built-in defaults) are echoed
+into every report.  All files are written atomically (temp file in place,
+then rename) by _atomic_write_text; solve and compare make their output
+directories before the first solve.  An output that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from .exceptions import (
     DimensionError,
     NumericalError,
 )
-from .problem import (
-    GroupedDataset,
-    dist_to_subgradient,
-    group_objectives,
-    min_objective,
-)
+from .problem import GroupedDataset, dist_to_subgradient, evaluate
 from .stiefel import TOL_ORTH, load_point, orthonormality_error, point_csv_text, validate_stiefel
 
 EXIT_OK = 0
@@ -73,12 +69,20 @@ class _Parser(argparse.ArgumentParser):
 # small helpers
 
 
+def _make_dir(path: Path) -> None:
+    """Make directory path and any missing parent; exit 1 if it cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write text to path through a temp file beside it and a rename, making
     any missing parent directory first; the only code that writes a file."""
+    _make_dir(path.parent)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -147,9 +151,9 @@ def _load_config(path: str, known: frozenset[str]) -> dict[str, Any]:
     try:
         with open(path) as handle:
             cfg = json.load(handle)
-    except FileNotFoundError:
-        raise _UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise _UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
@@ -258,8 +262,6 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str
         raise _UsageError("provide exactly one dataset source: --data or --gen")
     provenance: dict[str, Any] = {}
     if args.data is not None:
-        if not os.path.exists(args.data):
-            raise DataError(f"dataset file not found: {args.data}")
         dataset = data_mod.load_csv_grouped(args.data, args.group_col)
         provenance["source"] = str(args.data)
     else:
@@ -308,11 +310,10 @@ def _rsg_params(seed: int, args: argparse.Namespace) -> RSGParams:
     return RSGParams(c=args.c, seed=seed, reference_phi=args.ref_phi, **given)
 
 
-def _report_path(out: str, algorithm: str, r: int, seed: int) -> Path:
-    out_path = Path(out)
-    if out_path.suffix == ".json":
-        return out_path
-    return out_path / f"report_{algorithm}_r{r}_seed{seed}.json"
+def _report_path(out: Path, algorithm: str, r: int, seed: int) -> Path:
+    if out.suffix == ".json":
+        return out
+    return out / f"report_{algorithm}_r{r}_seed{seed}.json"
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +340,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     seeds = _parse_int_list(args.seed, "--seed")
     if not seeds:
         raise _UsageError("--seed must name at least one seed")
-    if len(seeds) > 1 and Path(args.out).suffix == ".json":
-        raise _UsageError("--out must be a directory when running several seeds")
+    out = Path(args.out)
+    if out.suffix == ".json":
+        if len(seeds) > 1:
+            raise _UsageError("--out must be a directory when running several seeds")
+        if out.is_dir():
+            raise _UsageError(f"cannot write {out}: Is a directory")
+        _make_dir(out.parent)
+    else:
+        _make_dir(out)
+    if args.save_u is not None:
+        _make_dir(Path(args.save_u))
     for seed in seeds:
         if args.algorithm == "arpgda":
             params = _arpgda_params(dataset, r, seed, args)
@@ -349,7 +359,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             params = _rsg_params(seed, args)
             result = solve_rsg(dataset, r, params)
         report = result.to_report(asdict(params), meta)
-        path = _report_path(args.out, args.algorithm, r, seed)
+        path = _report_path(out, args.algorithm, r, seed)
         _atomic_write_json(path, report)
         if args.save_u is not None:
             u_path = Path(args.save_u) / f"u_{args.algorithm}_r{r}_seed{seed}.csv"
@@ -464,6 +474,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 }
             )
 
+    out_dir = Path(args.out)
+    _make_dir(out_dir / "cells")
     if args.jobs > 1:
         with ProcessPoolExecutor(
             max_workers=args.jobs, initializer=_init_compare_worker, initargs=(dataset,)
@@ -472,7 +484,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         cells = [_run_compare_cell(dataset, spec) for spec in specs]
 
-    out_dir = Path(args.out if args.out is not None else ".")
     for cell in cells:
         _atomic_write_json(out_dir / "cells" / f"cell_r{cell['r']}_seed{cell['seed']}.json", cell)
 
@@ -531,8 +542,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     dataset, meta = _resolve_dataset(args)
-    if not os.path.exists(args.checkpoint):
-        raise DataError(f"checkpoint file not found: {args.checkpoint}")
     U = load_point(args.checkpoint)
     if U.shape[0] != dataset.d:
         raise DataError(
@@ -540,11 +549,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         )
     tol = args.tol_orth if args.tol_orth is not None else TOL_ORTH
     validate_stiefel(U, tol)
-    values = group_objectives(dataset, U)
+    values = evaluate(dataset, U).values
     out: dict[str, Any] = {
         "dataset_meta": meta,
         "r": int(U.shape[1]),
-        "phi": min_objective(dataset, U),
+        "phi": float(values.min()),
         "group_objectives": [float(v) for v in values],
         "orth_error": orthonormality_error(U),
         "dist_to_subgradient": dist_to_subgradient(dataset, U, rel_threshold=args.rel_threshold),
@@ -640,7 +649,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, DegenerateProblemError, DiagnosticUnavailableError, FileNotFoundError) as exc:
+    except (DataError, DegenerateProblemError, DiagnosticUnavailableError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

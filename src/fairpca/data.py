@@ -13,7 +13,7 @@ import csv
 import io
 import warnings
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,15 +100,23 @@ def gen_synthetic_blocks(
     )
 
 
+def _text_lines(handle: Iterable[str], path) -> Iterator[str]:
+    """The lines of handle, with a failure to decode them as a DataError."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode as text: {exc}") from None
+
+
 def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
     """Read a one-row-per-sample CSV into a GroupedDataset.
 
-    Raises DataError when the group column is missing, any feature value is
-    absent or non-numeric or non-finite (reporting the offending rows), or
-    the table has no samples or no feature columns.
+    Raises DataError when the file is not text, the group column is missing,
+    any feature value is absent or non-numeric or non-finite (reporting the
+    offending rows), or the table has no samples or no feature columns.
     """
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.DictReader(_text_lines(handle, path))
         columns = reader.fieldnames
         if columns is None:
             raise DataError(f"{path}: empty file, expected a CSV header")
@@ -194,12 +202,8 @@ def preprocess(
         )
     sizes = tuple(int(count) for count in kept if count)
     labels = tuple(label for label, count in zip(labels, kept) if count)
-    X = data.X[:, keep]
-    if max(sizes) == 1:
-        # The transforms below round by X's memory order. Keep the order of
-        # the per-group concatenation (C when every group kept one sample, F
-        # otherwise), so results match it bit for bit.
-        X = np.ascontiguousarray(X)
+    # C order, so the transforms below round the same for any group sizes
+    X = np.ascontiguousarray(data.X[:, keep])
     if standardize_features:
         mean = X.mean(axis=1, keepdims=True)
         std = X.std(axis=1, keepdims=True)

@@ -24,7 +24,12 @@ import numpy as np
 
 from .exceptions import DiagnosticUnavailableError, DimensionError
 from .simplex import project_to_simplex, uniform_weights, validate_weights
-from .stiefel import TOL_ORTH, project_to_tangent, validate_stiefel
+from .stiefel import project_to_tangent, validate_stiefel
+
+# Relative residual within which ky_fan_norm accepts a matrix as symmetric
+# PSD, and the inner-step cap of dist_to_subgradient's quadratic program.
+_TOL_PSD = 1e-8
+_QP_MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +162,11 @@ def _check_weights_shape(data: GroupedDataset, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_group_index(data: GroupedDataset, i: int) -> None:
+    if not 0 <= i < data.num_groups:
+        raise DimensionError(f"group index {i} out of range [0, {data.num_groups})")
+
+
 class SampleEvaluation:
     """Group variances and gradients at one iterate U, in sample form.
 
@@ -179,7 +189,8 @@ class SampleEvaluation:
         return -2.0 * (self.data.X @ (w[:, None] * self.P))
 
     def group_gradient(self, i: int) -> np.ndarray:
-        """Ambient gradient of f_i: 2 X_i X_i^T U."""
+        """Ambient gradient of f_i: 2 X_i X_i^T U, for 0 <= i < n."""
+        _check_group_index(self.data, i)
         sl = self.data.group_slice(i)
         return 2.0 * (self.data.X[:, sl] @ self.P[sl])
 
@@ -207,7 +218,8 @@ class CovarianceEvaluation:
         return -2.0 * (y @ CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
 
     def group_gradient(self, i: int) -> np.ndarray:
-        """Ambient gradient of f_i: 2 C_i U."""
+        """Ambient gradient of f_i: 2 C_i U, for 0 <= i < n."""
+        _check_group_index(self.data, i)
         return 2.0 * self.CU[i]
 
 
@@ -225,64 +237,37 @@ def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:
     return SampleEvaluation(data, U)
 
 
-def group_objectives(data: GroupedDataset, U: np.ndarray) -> np.ndarray:
-    """Vector of group variances f_i(U) = ||X_i^T U||_F^2, shape (n,)."""
-    return evaluate(data, U).values
-
-
-def min_objective(data: GroupedDataset, U: np.ndarray) -> float:
-    """Worst group variance Phi(U) = min_i f_i(U)."""
-    return float(group_objectives(data, U).min())
-
-
 def minimax_objective(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> float:
     """f(U, y) = sum_i y_i (-f_i(U))."""
     y = _check_weights_shape(data, y)
-    return float(-(y @ group_objectives(data, U)))
-
-
-def y_gradient(data: GroupedDataset, U: np.ndarray) -> np.ndarray:
-    """Gradient of f(U, .), the constant vector (-f_1(U), ..., -f_n(U))."""
-    return -group_objectives(data, U)
-
-
-def euclidean_gradient_U(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ambient gradient of f(., y): -2 sum_i y_i X_i X_i^T U."""
-    y = _check_weights_shape(data, y)
-    return evaluate(data, U).gradient(y)
+    return float(-(y @ evaluate(data, U).values))
 
 
 def riemannian_gradient_U(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Riemannian gradient of f(., y) at U: the tangent component of the
     ambient gradient under the embedded metric."""
-    return project_to_tangent(U, euclidean_gradient_U(data, U, y))
-
-
-def group_riemannian_gradient(data: GroupedDataset, i: int, U: np.ndarray) -> np.ndarray:
-    """Riemannian gradient of the single group variance f_i at U."""
+    y = _check_weights_shape(data, y)
     ev = evaluate(data, U)
-    if not 0 <= i < data.num_groups:
-        raise DimensionError(f"group index {i} out of range [0, {data.num_groups})")
-    return project_to_tangent(ev.U, ev.group_gradient(i))
+    return project_to_tangent(ev.U, ev.gradient(y))
 
 
-def ky_fan_norm(M: np.ndarray, r: int, *, tol: float = 1e-8) -> float:
+def ky_fan_norm(M: np.ndarray, r: int) -> float:
     """Sum of the r largest eigenvalues of a symmetric PSD matrix.
 
     Symmetry and positive semidefiniteness are validated within a residual of
-    tol relative to max(1, ||M||_F).
+    1e-8 relative to max(1, ||M||_F).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"M must be square, got shape {M.shape}")
     if not isinstance(r, (int, np.integer)) or r < 1 or r > M.shape[0]:
         raise DimensionError(f"need 1 <= r <= {M.shape[0]}, got r={r!r}")
-    scale = max(1.0, float(np.linalg.norm(M)))
+    tol = _TOL_PSD * max(1.0, float(np.linalg.norm(M)))
     sym_residual = float(np.linalg.norm(M - M.T))
-    if sym_residual > tol * scale:
+    if sym_residual > tol:
         raise ValueError(f"M must be symmetric, residual {sym_residual:.3e}")
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if w[0] < -tol * scale:
+    if w[0] < -tol:
         raise ValueError(f"M must be positive semidefinite, min eigenvalue {w[0]:.3e}")
     return float(np.sum(w[-int(r):]))
 
@@ -352,13 +337,7 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
 
 
-def stationarity_measure(
-    data: GroupedDataset,
-    U: np.ndarray,
-    y: np.ndarray,
-    *,
-    tol_orth: float = TOL_ORTH,
-) -> float:
+def stationarity_measure(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> float:
     """Stationarity of a feasible pair (U, y):
 
         E(U, y) = max(||grad_U f(U, y)||_F,
@@ -366,7 +345,7 @@ def stationarity_measure(
 
     The inner maximum has the closed form sum_i y_i f_i(U) - min_i f_i(U).
     """
-    U = validate_stiefel(_check_point(data, U), tol_orth)
+    U = validate_stiefel(_check_point(data, U))
     y = validate_weights(_check_weights_shape(data, y))
     ev = evaluate(data, U)
     f_vals = ev.values
@@ -381,7 +360,6 @@ def dist_to_subgradient(
     *,
     rel_threshold: float = 0.1,
     tol: float = 1e-8,
-    max_iters: int = 10_000,
 ) -> float:
     """Distance from zero to the span of near-active group gradients:
 
@@ -392,7 +370,7 @@ def dist_to_subgradient(
 
     The quadratic program is solved by projected gradient descent with the
     classical 1/L stepsize, L = 2 lambda_max(Gram), iterating until the
-    update moves less than tol or max_iters inner steps.
+    update moves less than tol or for 10 000 inner steps.
     """
     if not rel_threshold >= 0.0:
         raise ValueError(f"rel_threshold must be non-negative, got {rel_threshold!r}")
@@ -416,7 +394,7 @@ def dist_to_subgradient(
         return 0.0
     step = 1.0 / (2.0 * lam_max)
     y = uniform_weights(len(active))
-    for _ in range(max_iters):
+    for _ in range(_QP_MAX_ITERS):
         y_next = project_to_simplex(y - step * 2.0 * (H @ y))
         moved = float(np.linalg.norm(y_next - y))
         y = y_next

@@ -62,12 +62,12 @@ def simplex_violation(y: np.ndarray) -> tuple[float, float]:
     return max(0.0, -float(y.min())), abs(float(y.sum()) - 1.0)
 
 
-def validate_weights(y: np.ndarray, tol_sum: float = TOL_SUM) -> np.ndarray:
-    """Check membership of the simplex (non-negative, sum within tol_sum of 1)."""
+def validate_weights(y: np.ndarray) -> np.ndarray:
+    """Check membership of the simplex (non-negative, sum within TOL_SUM of 1)."""
     y = _as_vector(y, "y")
     neg, drift = simplex_violation(y)
     if neg > 0.0:
         raise ValueError(f"weights must be non-negative, smallest entry {y.min():.3e}")
-    if drift > tol_sum:
-        raise ValueError(f"weights must sum to 1 within {tol_sum:g}, got sum {y.sum()!r}")
+    if drift > TOL_SUM:
+        raise ValueError(f"weights must sum to 1 within {TOL_SUM:g}, got sum {y.sum()!r}")
     return y

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DataError, DimensionError
 
 # Tolerance for validating externally supplied points; freshly constructed
 # points are held to the tighter construction tolerance.
@@ -142,6 +143,22 @@ def point_csv_text(U: np.ndarray) -> str:
 
 
 def load_point(path) -> np.ndarray:
-    """Read a point written by point_csv_text.  Feasibility is not checked here."""
-    U = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    """Read a point written by point_csv_text.
+
+    Raises DataError unless the file parses as d rows of r finite values with
+    1 <= r <= d.  Orthonormality is not checked here.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file is rejected below, by its shape
+            warnings.simplefilter("ignore", UserWarning)
+            U = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    d, r = U.shape
+    if not 1 <= r <= d:
+        raise DataError(f"{path}: a point needs d rows of r values with 1 <= r <= d, "
+                        f"got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise DataError(f"{path}: non-finite values")
     return U

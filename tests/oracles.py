@@ -188,7 +188,7 @@ def preprocess_by_loops(X, group_sizes, labels, threshold, standardize, center, 
         kept.append(label)
     if not cols:
         return None
-    X = np.concatenate(cols, axis=1)
+    X = np.ascontiguousarray(np.concatenate(cols, axis=1))
     if standardize:
         std = X.std(axis=1, keepdims=True)
         std[std == 0.0] = 1.0

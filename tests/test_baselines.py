@@ -11,7 +11,6 @@ from fairpca import (
     evaluate,
     iterations_to_reach,
     ky_fan_norm,
-    min_objective,
     random_stiefel,
     REPORT_SCHEMA,
     RSGParams,
@@ -121,7 +120,7 @@ class TestSolve:
 
     def test_reference_already_met_stops_before_stepping(self):
         data = two_group_dataset(seed=3)
-        start_phi = min_objective(data, random_stiefel(6, 2, seed=7))
+        start_phi = float(evaluate(data, random_stiefel(6, 2, seed=7)).values.min())
         res = solve_rsg(data, 2, RSGParams(c=0.5, seed=7,
                                            reference_phi=start_phi))
         assert res.converged
@@ -223,7 +222,7 @@ class TestSweep:
 
     def test_reference_reaches_every_run(self):
         data = two_group_dataset(seed=11)
-        start_phi = min_objective(data, random_stiefel(6, 2, seed=5))
+        start_phi = float(evaluate(data, random_stiefel(6, 2, seed=5)).values.min())
         runs = rsg_sweep(data, 2, (0.1, 1.0), seed=5, max_iters=50,
                          reference_phi=start_phi)
         assert all(run.converged and run.iterations == 0 for run in runs)

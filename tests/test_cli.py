@@ -485,6 +485,55 @@ class TestTopLevel:
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "arpgda", "--r", 1, "--out", "taken"],
+        ["solve", "arpgda", "--r", 1, "--out", "taken/run.json"],
+        ["solve", "arpgda", "--r", 1, "--out", "adir.json"],
+        ["solve", "arpgda", "--r", 1, "--save-u", "taken"],
+        ["compare", "--r", 1, "--seeds", 1, "--algs", "arpgda", "--out", "taken"],
+    ], ids=["solve_dir", "solve_json_parent", "solve_json_is_dir", "save_u", "compare"])
+    def test_unwritable_out_fails_before_any_solve(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "adir.json").mkdir()
+
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("a solve ran before --out was checked")
+
+        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        assert run([*argv, "--gen", "gaussian:d=4,n=4,seed=1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
+
+    SOLVE = ["solve", "arpgda", "--r", 1, "--max-iters", 5]
+    METRICS = ["metrics", "--gen", "gaussian:d=4,n=4,seed=1", "--checkpoint"]
+
+    @pytest.mark.parametrize("argv, path, code", [
+        ([*SOLVE, "--data", "adir"], "adir", 2),
+        ([*SOLVE, "--data", "bytes.csv"], "bytes.csv", 2),
+        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "--config", "adir"], "adir", 1),
+        ([*METRICS, "adir"], "adir", 2),
+        ([*METRICS, "letters.csv"], "letters.csv", 2),
+        ([*METRICS, "wide.csv"], "wide.csv", 2),
+        ([*METRICS, "empty.csv"], "empty.csv", 2),
+    ], ids=["data_is_dir", "data_not_text", "config_is_dir", "checkpoint_is_dir",
+            "checkpoint_not_numeric", "checkpoint_too_wide", "checkpoint_empty"])
+    def test_unreadable_inputs_exit_with_their_code(self, tmp_path, monkeypatch, capsys,
+                                                    argv, path, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "letters.csv").write_text("1,0\na,1\n0,0\n0,0\n")
+        np.savetxt("wide.csv", np.eye(4, 5), delimiter=",")
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "bytes.csv").write_bytes(b"a,group\n\xff\xfe,g\n")
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error:" if code == 2 else "error:")
+        assert path in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("report_*.json"))
+
     def test_module_entry_point_reads_sys_argv(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 

@@ -16,10 +16,9 @@ from fairpca import (
     dataset_csv_text,
     describe,
     gen_synthetic_blocks,
+    evaluate,
     gen_synthetic_gaussian,
-    group_objectives,
     load_csv_grouped,
-    min_objective,
     preprocess,
     random_stiefel,
 )
@@ -54,14 +53,14 @@ class TestGenerators:
         # covariance scaling keeps f_i near s_i^2 * r regardless of group size
         data = gen_synthetic_blocks(6, (50, 500), seed=2, scales=(1.0, 1.0))
         U = random_stiefel(6, 2, seed=0)
-        f = group_objectives(data, U)
+        f = evaluate(data, U).values
         assert np.all(f > 0.05)
         assert np.all(f < 5.0)
 
     def test_blocks_zero_scale_silences_a_group(self):
         data = gen_synthetic_blocks(4, (5, 5), seed=3, scales=(1.0, 0.0))
         U = random_stiefel(4, 2, seed=1)
-        f = group_objectives(data, U)
+        f = evaluate(data, U).values
         assert f[1] == 0.0
         assert f[0] > 0.0
 
@@ -251,4 +250,4 @@ class TestPreprocess:
         data = gen_synthetic_gaussian(6, 8, seed=5)
         out = preprocess(data, normalize=True)
         U = random_stiefel(6, 2, seed=0)
-        assert min_objective(out, U) <= 1.0 + 1e-12
+        assert evaluate(out, U).values.min() <= 1.0 + 1e-12

@@ -11,22 +11,18 @@ from fairpca import (
     DimensionError,
     GroupedDataset,
     dist_to_subgradient,
-    euclidean_gradient_U,
     evaluate,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
-    group_objectives,
-    group_riemannian_gradient,
     ky_fan_norm,
-    min_objective,
     minimax_objective,
+    project_to_tangent,
     random_stiefel,
     random_tangent,
     riemannian_gradient_U,
     smoothness_constants,
     stationarity_measure,
     tangency_error,
-    y_gradient,
 )
 from fairpca.problem import CovarianceEvaluation, SampleEvaluation
 
@@ -115,18 +111,21 @@ class TestObjectives:
             data = random_dataset(seed)
             U = random_stiefel(data.d, min(2, data.d), seed=seed)
             expected = oracles.objective_by_loops(data.X, data.group_sizes, U)
-            np.testing.assert_allclose(group_objectives(data, U), expected,
+            np.testing.assert_allclose(evaluate(data, U).values, expected,
                                        rtol=1e-12, atol=1e-12)
 
     def test_min_and_minimax_and_y_gradient(self):
         data = random_dataset(3)
         U = random_stiefel(data.d, 2, seed=3)
-        f_vals = group_objectives(data, U)
+        f_vals = evaluate(data, U).values
         rng = np.random.default_rng(3)
         y = rng.dirichlet(np.ones(data.num_groups))
-        assert min_objective(data, U) == pytest.approx(f_vals.min())
         assert minimax_objective(data, U, y) == pytest.approx(-(y @ f_vals))
-        np.testing.assert_allclose(y_gradient(data, U), -f_vals)
+        # f(U, .) is linear, so its gradient -f_vals is its value at the
+        # simplex vertices, and its maximum over the simplex is -Phi(U)
+        at_vertices = [minimax_objective(data, U, e) for e in np.eye(data.num_groups)]
+        np.testing.assert_allclose(at_vertices, -f_vals)
+        assert max(at_vertices) == pytest.approx(-f_vals.min())
 
     def test_unit_sample_fixed_values(self):
         # one sample e_1, basis e_1: full variance retained
@@ -134,7 +133,7 @@ class TestObjectives:
         X[0, 0] = 1.0
         data = GroupedDataset(X=X, group_sizes=(1,))
         U = np.eye(3)[:, :1]
-        assert min_objective(data, U) == pytest.approx(1.0)
+        assert evaluate(data, U).values.min() == pytest.approx(1.0)
         consts = smoothness_constants(data, 1)
         assert consts.L1 == pytest.approx(2.0)
         # one group: the simplex is the single point {1}, so y = y' always
@@ -201,7 +200,7 @@ class TestGradients:
             rng = np.random.default_rng(seed + 90)
             U = rng.standard_normal((5, 2))
             y = rng.dirichlet(np.ones(data.num_groups))
-            grad = euclidean_gradient_U(data, U, y)
+            grad = evaluate(data, U).gradient(y)
             fd = np.zeros_like(U)
             for j in range(U.shape[0]):
                 for k in range(U.shape[1]):
@@ -218,7 +217,7 @@ class TestGradients:
             U = random_stiefel(data.d, 2, seed=seed)
             y = rng.dirichlet(np.ones(data.num_groups))
             np.testing.assert_allclose(
-                euclidean_gradient_U(data, U, y),
+                evaluate(data, U).gradient(y),
                 oracles.euclidean_gradient_by_loops(data.X, data.group_sizes, U, y),
                 rtol=1e-12, atol=1e-12)
 
@@ -244,13 +243,19 @@ class TestGradients:
             assert abs(inner - fd) <= 1e-4 * max(1.0, abs(inner))
 
     def test_group_gradient_is_tangent_and_indexed(self):
-        data = random_dataset(7)
-        U = random_stiefel(data.d, 2, seed=7)
-        for i in range(data.num_groups):
-            g = group_riemannian_gradient(data, i, U)
-            assert tangency_error(U, g) <= 1e-10
-        with pytest.raises(DimensionError):
-            group_riemannian_gradient(data, data.num_groups, U)
+        # both forms: d = 8 with groups of 3, 4 and 3 samples in sample form,
+        # a d = 3, 2 x 4 block set in covariance form
+        for data, cls in ((random_dataset(7), SampleEvaluation),
+                          (gen_synthetic_blocks(3, (4, 4), 7), CovarianceEvaluation)):
+            U = random_stiefel(data.d, 2, seed=7)
+            ev = evaluate(data, U)
+            assert type(ev) is cls
+            for i in range(data.num_groups):
+                g = project_to_tangent(U, ev.group_gradient(i))
+                assert tangency_error(U, g) <= 1e-10
+            for i in (-1, data.num_groups):
+                with pytest.raises(DimensionError, match=f"group index {i} out of range"):
+                    ev.group_gradient(i)
 
 
 class TestKyFan:
@@ -400,7 +405,7 @@ class TestStationarity:
             rng = np.random.default_rng(seed)
             U = random_stiefel(data.d, 2, seed=seed)
             y = rng.dirichlet(np.ones(data.num_groups))
-            f_vals = group_objectives(data, U)
+            f_vals = evaluate(data, U).values
             grad_norm = np.linalg.norm(riemannian_gradient_U(data, U, y))
             gap = float(y @ f_vals - f_vals.min())
             e = stationarity_measure(data, U, y)
@@ -429,8 +434,8 @@ class TestSubgradientDistance:
         data = GroupedDataset(X=X, group_sizes=(1, 1))
         U = np.full((2, 1), 1.0 / np.sqrt(2.0))
         d = dist_to_subgradient(data, U, tol=1e-12)
-        g1 = group_riemannian_gradient(data, 0, U)
-        g2 = group_riemannian_gradient(data, 1, U)
+        ev = evaluate(data, U)
+        g1, g2 = (project_to_tangent(U, ev.group_gradient(i)) for i in (0, 1))
         assert d <= oracles.two_group_mix_distance(g1, g2) + 1e-10
         assert d <= 1e-6
 
@@ -444,8 +449,8 @@ class TestSubgradientDistance:
                                   group_sizes=(1, 1))
             U = np.eye(3)[:, :1]
             d = dist_to_subgradient(data, U, tol=1e-12)
-            g1 = group_riemannian_gradient(data, 0, U)
-            g2 = group_riemannian_gradient(data, 1, U)
+            ev = evaluate(data, U)
+            g1, g2 = (project_to_tangent(U, ev.group_gradient(i)) for i in (0, 1))
             grid = oracles.two_group_mix_distance(g1, g2)
             assert d <= grid + 1e-10
             assert grid - d <= 1e-2
