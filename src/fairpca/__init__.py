@@ -11,9 +11,7 @@ from .arpgda import (
     REPORT_SCHEMA,
     Schedules,
     SolveResult,
-    SolverState,
     arpgda_step,
-    initial_state,
     make_schedules,
     recommended_params,
     solve_arpgda,
@@ -78,7 +76,6 @@ __all__ = [
     "Schedules",
     "SmoothnessConstants",
     "SolveResult",
-    "SolverState",
     "arpgda_step",
     "dataset_csv_text",
     "describe",
@@ -86,7 +83,6 @@ __all__ = [
     "evaluate",
     "gen_synthetic_blocks",
     "gen_synthetic_gaussian",
-    "initial_state",
     "iterations_to_reach",
     "ky_fan_norm",
     "load_csv_grouped",

@@ -33,6 +33,7 @@ from .problem import (
     Evaluation,
     GroupedDataset,
     SmoothnessConstants,
+    _check_weights_shape,
     evaluate,
     smoothness_constants,
 )
@@ -185,37 +186,6 @@ def make_schedules(params: ARPGDAParams, constants: SmoothnessConstants) -> Sche
     )
 
 
-@dataclass
-class SolverState:
-    """One iterate with the evaluations shared between consecutive steps.
-
-    evaluation is the evaluation at U, whose class, picked once by evaluate
-    in initial_state, evaluates every later iterate of the solve; grad caches
-    the Riemannian gradient of f(., y) at U, which serves first as the
-    stationarity certificate of (U, y) and then as the next descent
-    direction.  max_orth_error is the largest orthonormality error of this
-    and every earlier iterate.  beta and zeta are the schedule values
-    beta_{k-1} and zeta_{k-1} of the step that produced this state (None for
-    the start).
-    """
-
-    k: int
-    U: np.ndarray
-    y: np.ndarray
-    y_prev: np.ndarray
-    evaluation: Evaluation
-    grad: np.ndarray
-    grad_norm: float
-    max_orth_error: float
-    beta: float | None = None
-    zeta: float | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        """The group variances f_i(U)."""
-        return self.evaluation.values
-
-
 def _norm(G: np.ndarray) -> float:
     # the dot product numpy's Frobenius norm takes, without its dispatch
     return math.sqrt(np.vdot(G, G))
@@ -234,47 +204,38 @@ def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     return max(max_orth_error, orth)
 
 
-def initial_state(data: GroupedDataset, r: int, seed: int) -> SolverState:
-    """Random Stiefel point with uniform weights, caches filled in."""
-    U = random_stiefel(data.d, int(r), seed)
-    y = uniform_weights(data.num_groups)
-    ev = evaluate(data, U)
-    grad = project_to_tangent(U, ev.gradient(y))
-    return SolverState(k=1, U=U, y=y, y_prev=y, evaluation=ev, grad=grad,
-                       grad_norm=_norm(grad), max_orth_error=check_iterate(ev, 0))
-
-
 def arpgda_step(
-    state: SolverState, schedules: Schedules, data: GroupedDataset
-) -> SolverState:
+    U: np.ndarray, y: np.ndarray, data: GroupedDataset, schedules: Schedules, k: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance (U_k, y_k) to (U_{k+1}, y_{k+1}): a retracted descent step in
-    U, then a projected ascent step in y onto the probability simplex.
-    U_{k+1} passes check_iterate before the ascent step reads its values."""
-    k = state.k
-    if not np.isfinite(state.grad).all():
+    U, then a projected ascent step in y onto the probability simplex, with
+    the schedule values of the 1-based step count k."""
+    check_count("k", k, 1)
+    y = _check_weights_shape(data, y)
+    ev = evaluate(data, U)
+    ev_next, y_next, _ = _descend_ascend(
+        ev, project_to_tangent(ev.U, ev.gradient(y)), y, schedules, k, 0.0
+    )
+    return ev_next.U, y_next
+
+
+def _descend_ascend(
+    ev: Evaluation, grad: np.ndarray, y: np.ndarray, schedules: Schedules, k: int,
+    max_orth_error: float,
+) -> tuple[Evaluation, np.ndarray, float]:
+    """arpgda_step from the evaluation of U_k and the Riemannian gradient of
+    f(., y_k) there; returns the evaluation of U_{k+1}, in the class of ev,
+    with y_{k+1} and the check_iterate bound.  U_{k+1} passes check_iterate
+    before the ascent step reads its values."""
+    if not np.isfinite(grad).all():
         raise NumericalError(f"non-finite gradient entering iteration {k}")
     lam = schedules.lam
-    beta_k = schedules.beta(k)
-    zeta_k = schedules.zeta(k)
-
-    U_next = polar_retract(state.U, -zeta_k * state.grad)
-    ev = type(state.evaluation)(data, U_next)
-    max_orth = check_iterate(ev, k, state.max_orth_error)
+    U_next = polar_retract(ev.U, -schedules.zeta(k) * grad)
+    ev_next = type(ev)(ev.data, U_next)
+    max_orth_error = check_iterate(ev_next, k, max_orth_error)
     # grad_y f(U_{k+1}, y_k) = -values, independent of y
-    y_next = project_to_simplex(state.y + (-ev.values - lam * state.y) / (lam + beta_k))
-    grad = project_to_tangent(U_next, ev.gradient(y_next))
-    return SolverState(
-        k=k + 1,
-        U=U_next,
-        y=y_next,
-        y_prev=state.y,
-        evaluation=ev,
-        grad=grad,
-        grad_norm=_norm(grad),
-        max_orth_error=max_orth,
-        beta=beta_k,
-        zeta=zeta_k,
-    )
+    y_next = project_to_simplex(y + (-ev_next.values - lam * y) / (lam + schedules.beta(k)))
+    return ev_next, y_next, max_orth_error
 
 
 @dataclass
@@ -373,44 +334,48 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     """
     t0 = time.perf_counter()
     sched = make_schedules(params, smoothness_constants(data, int(r)))
-    state = initial_state(data, int(r), params.seed)
     lam = sched.lam
     decrease = (2.0 - params.theta) / (2.0 * params.theta)
+    y = uniform_weights(data.num_groups)
+    ev = evaluate(data, random_stiefel(data.d, int(r), params.seed))
+    max_orth = check_iterate(ev, 0)
+    # the Riemannian gradient of f(., y) at U certifies (U, y) in E, then
+    # serves as the next descent direction
+    grad = project_to_tangent(ev.U, ev.gradient(y))
+    grad_norm = _norm(grad)
 
     trace: list[dict[str, Any]] = []
     violations: list[dict[str, Any]] = []
-    max_simplex = max(simplex_violation(state.y))
-    initial_phi = float(state.values.min())
-    value = _regularized_value(state.values, state.y, lam)
+    max_simplex = max(simplex_violation(y))
+    initial_phi = float(ev.values.min())
+    value = _regularized_value(ev.values, y, lam)
+    step_sq = 0.0  # ||y_k - y_{k-1}||^2, zero at the start
     converged = False
-    phi = initial_phi
-    E = None
     last = t0
 
     for k in range(1, params.max_iters + 1):
-        prev = state
-        state = arpgda_step(prev, sched, data)
-        values, y = state.values, state.y
-        max_simplex = max(max_simplex, *simplex_violation(y))
+        ev, y_next, max_orth = _descend_ascend(ev, grad, y, sched, k, max_orth)
+        values = ev.values
+        max_simplex = max(max_simplex, *simplex_violation(y_next))
+        prev_grad_norm = grad_norm
+        grad = project_to_tangent(ev.U, ev.gradient(y_next))
+        grad_norm = _norm(grad)
 
         phi = float(values.min())
-        gap = max(float(y @ values) - phi, 0.0)
-        E = max(state.grad_norm, gap)
-        beta_k, zeta_k = state.beta, state.zeta
+        gap = max(float(y_next @ values) - phi, 0.0)
+        E = max(grad_norm, gap)
+        beta_k, zeta_k = sched.beta(k), sched.zeta(k)
 
         # sufficient decrease of the regularized value, lambda constant
-        prev_value, value = value, _regularized_value(values, y, lam)
+        prev_value, value = value, _regularized_value(values, y_next, lam)
         lhs = value - prev_value
-        step_prev = prev.y - prev.y_prev
-        step = y - prev.y
+        step = y_next - y
+        step_sq_prev, step_sq = step_sq, float(step @ step)
+        y = y_next
         rhs = (
-            -decrease * zeta_k * prev.grad_norm**2
+            -decrease * zeta_k * prev_grad_norm**2
             + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
-            - 0.5
-            * (
-                beta_k * float(step_prev @ step_prev)
-                - sched.beta(k + 1) * float(step @ step)
-            )
+            - 0.5 * (beta_k * step_sq_prev - sched.beta(k + 1) * step_sq)
         )
         if lhs > rhs + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "sufficient_decrease", "lhs": lhs, "rhs": rhs})
@@ -423,7 +388,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         stop = E <= params.epsilon
         if stop or k % params.trace_stride == 0 or k == params.max_iters:
             now = time.perf_counter()
-            trace.append({"k": k, "phi": phi, "E": E, "grad_norm": state.grad_norm,
+            trace.append({"k": k, "phi": phi, "E": E, "grad_norm": grad_norm,
                           "gap": gap, "lambda": lam, "beta": beta_k, "zeta": zeta_k,
                           "ms": (now - last) * 1e3})
             last = now
@@ -439,15 +404,15 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         )
     return SolveResult(
         algorithm="arpgda",
-        U=state.U,
-        y=state.y,
+        U=ev.U,
+        y=y,
         phi=phi,
         stationarity=E,
-        iterations=state.k - 1,
+        iterations=k,
         converged=converged,
         trace=trace,
         violations=violations,
-        max_orth_error=state.max_orth_error,
+        max_orth_error=max_orth,
         time_ms=(time.perf_counter() - t0) * 1e3,
         info={
             "L1": sched.L1,

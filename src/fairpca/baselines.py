@@ -36,8 +36,7 @@ def rsg_step(U: np.ndarray, data: GroupedDataset, c: float, k: int) -> np.ndarra
     """
     if not c > 0:
         raise ValueError(f"c must be positive, got {c!r}")
-    if not k >= 1:
-        raise ValueError(f"k must be at least 1, got {k!r}")
+    check_count("k", k, 1)
     return _ascend(evaluate(data, U), c, k)
 
 

@@ -27,8 +27,10 @@ from .simplex import project_to_simplex, uniform_weights, validate_weights
 from .stiefel import project_to_tangent, validate_stiefel
 
 # Relative residual within which ky_fan_norm accepts a matrix as symmetric
-# PSD, and the inner-step cap of dist_to_subgradient's quadratic program.
+# PSD, and the step tolerance and inner-step cap of dist_to_subgradient's
+# quadratic program.
 _TOL_PSD = 1e-8
+_QP_TOL = 1e-8
 _QP_MAX_ITERS = 10_000
 
 
@@ -359,7 +361,6 @@ def dist_to_subgradient(
     U: np.ndarray,
     *,
     rel_threshold: float = 0.1,
-    tol: float = 1e-8,
 ) -> float:
     """Distance from zero to the span of near-active group gradients:
 
@@ -370,7 +371,7 @@ def dist_to_subgradient(
 
     The quadratic program is solved by projected gradient descent with the
     classical 1/L stepsize, L = 2 lambda_max(Gram), iterating until the
-    update moves less than tol or for 10 000 inner steps.
+    update moves less than 1e-8 or for 10 000 inner steps.
     """
     if not rel_threshold >= 0.0:
         raise ValueError(f"rel_threshold must be non-negative, got {rel_threshold!r}")
@@ -398,7 +399,7 @@ def dist_to_subgradient(
         y_next = project_to_simplex(y - step * 2.0 * (H @ y))
         moved = float(np.linalg.norm(y_next - y))
         y = y_next
-        if moved <= tol:
+        if moved <= _QP_TOL:
             break
     # Norm of the actual combination rather than sqrt(y H y): the Gram form
     # squares the conditioning and floors the result near sqrt(eps) when the

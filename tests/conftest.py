@@ -6,15 +6,22 @@ process holds a core, so those timings would depend on the machine's load.
 The variables are read when numpy loads BLAS, which happens after this file
 is imported; values set by the caller are kept.
 
+The one hypothesis profile lifts the per-example deadline, whose timings
+would depend on the machine's load in the same way.
+
 The clock fixture is a fake time module for tests of the trace timings.
 """
 
 import os
 
 import pytest
+from hypothesis import settings
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+settings.register_profile("fairpca", deadline=None)
+settings.load_profile("fairpca")
 
 
 class FakeClock:

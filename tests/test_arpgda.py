@@ -10,17 +10,19 @@ import oracles
 from fairpca import (
     ARPGDAParams,
     DegenerateProblemError,
+    DimensionError,
     GroupedDataset,
     NumericalError,
     REPORT_SCHEMA,
     Schedules,
     SmoothnessConstants,
     arpgda_step,
-    initial_state,
     make_schedules,
+    random_stiefel,
     recommended_params,
     smoothness_constants,
     solve_arpgda,
+    uniform_weights,
 )
 from fairpca import arpgda as arpgda_module
 
@@ -117,6 +119,11 @@ class TestSchedules:
                            SmoothnessConstants(L1=0.0, L2=0.0))
 
 
+def start_point(data, r, seed):
+    """The start solve_arpgda draws: a seeded Stiefel point, uniform weights."""
+    return random_stiefel(data.d, r, seed), uniform_weights(data.num_groups)
+
+
 class TestStep:
     def test_matches_hand_transcription(self):
         data = GroupedDataset(
@@ -124,14 +131,13 @@ class TestStep:
             group_sizes=(1, 1))
         params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
         sched = make_schedules(params, smoothness_constants(data, 1))
-        state = initial_state(data, 1, params.seed)
-        nxt = arpgda_step(state, sched, data)
+        U, y = start_point(data, 1, params.seed)
+        U_next, y_next = arpgda_step(U, y, data, sched, 1)
         U_hand, y_hand = oracles.arpgda_step_by_hand(
-            data.X, data.group_sizes, state.U, state.y,
+            data.X, data.group_sizes, U, y,
             lam=sched.lam, beta_k=sched.beta(1), zeta_k=sched.zeta(1))
-        np.testing.assert_allclose(nxt.U, U_hand, atol=1e-12)
-        np.testing.assert_allclose(nxt.y, y_hand, atol=1e-12)
-        np.testing.assert_allclose(nxt.y_prev, state.y, atol=0)
+        np.testing.assert_allclose(U_next, U_hand, atol=1e-12)
+        np.testing.assert_allclose(y_next, y_hand, atol=1e-12)
 
     def test_block_groups_match_hand_transcription(self):
         # n d = 6 < N = 8: the steps evaluate in covariance form
@@ -139,38 +145,61 @@ class TestStep:
         assert data.evaluation_form == "covariance"
         params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
         sched = make_schedules(params, smoothness_constants(data, 2))
-        state = initial_state(data, 2, params.seed)
-        U, y = state.U, state.y
+        U, y = U_hand, y_hand = start_point(data, 2, params.seed)
         for k in (1, 2):
-            state = arpgda_step(state, sched, data)
-            U, y = oracles.arpgda_step_by_hand(
-                data.X, data.group_sizes, U, y,
+            U, y = arpgda_step(U, y, data, sched, k)
+            U_hand, y_hand = oracles.arpgda_step_by_hand(
+                data.X, data.group_sizes, U_hand, y_hand,
                 lam=sched.lam, beta_k=sched.beta(k), zeta_k=sched.zeta(k))
-            np.testing.assert_allclose(state.U, U, atol=1e-12)
-            np.testing.assert_allclose(state.y, y, atol=1e-12)
+            np.testing.assert_allclose(U, U_hand, atol=1e-12)
+            np.testing.assert_allclose(y, y_hand, atol=1e-12)
 
     def test_two_steps_match_hand_transcription(self):
         data = small_dataset(seed=1, d=5, sizes=(2, 2, 1))
         params = ARPGDAParams(epsilon=0.05, mu=2.0, seed=4)
         sched = make_schedules(params, smoothness_constants(data, 2))
-        state = initial_state(data, 2, params.seed)
-        U, y = state.U, state.y
+        U, y = U_hand, y_hand = start_point(data, 2, params.seed)
         for k in (1, 2):
-            state = arpgda_step(state, sched, data)
-            U, y = oracles.arpgda_step_by_hand(
-                data.X, data.group_sizes, U, y,
+            U, y = arpgda_step(U, y, data, sched, k)
+            U_hand, y_hand = oracles.arpgda_step_by_hand(
+                data.X, data.group_sizes, U_hand, y_hand,
                 lam=sched.lam, beta_k=sched.beta(k), zeta_k=sched.zeta(k))
-            np.testing.assert_allclose(state.U, U, atol=1e-11)
-            np.testing.assert_allclose(state.y, y, atol=1e-11)
+            np.testing.assert_allclose(U, U_hand, atol=1e-11)
+            np.testing.assert_allclose(y, y_hand, atol=1e-11)
 
-    def test_rejects_non_finite_gradient(self):
-        data = small_dataset()
-        params = ARPGDAParams(epsilon=0.05, mu=2.0)
+    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
+    def test_solver_takes_the_public_steps(self, sizes, form):
+        # settings under which the solve records no violation
+        data = small_dataset(seed=3, d=5, sizes=sizes)
+        assert data.evaluation_form == form
+        params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=12, seed=1)
+        res = solve_arpgda(data, 2, params)
+        assert res.iterations == params.max_iters
         sched = make_schedules(params, smoothness_constants(data, 2))
-        state = initial_state(data, 2, 0)
-        state.grad[0, 0] = np.nan
-        with pytest.raises(NumericalError):
-            arpgda_step(state, sched, data)
+        U, y = start_point(data, 2, params.seed)
+        for k in range(1, params.max_iters + 1):
+            U, y = arpgda_step(U, y, data, sched, k)
+        np.testing.assert_array_equal(res.U, U)
+        np.testing.assert_array_equal(res.y, y)
+
+    def test_rejects_bad_arguments(self):
+        data = small_dataset()
+        sched = make_schedules(ARPGDAParams(epsilon=0.05, mu=2.0),
+                               smoothness_constants(data, 2))
+        U, y = start_point(data, 2, 0)
+        for k, message in ((0, "k must be at least 1, got 0"),
+                           (1.5, "k must be an integer, got 1.5"),
+                           (True, "k must be an integer, got True")):
+            with pytest.raises(ValueError, match=message):
+                arpgda_step(U, y, data, sched, k)
+        with pytest.raises(DimensionError, match=r"y must have shape \(3,\)"):
+            arpgda_step(U, y[:2], data, sched, 1)
+
+    def test_rejects_non_finite_gradient(self, monkeypatch):
+        monkeypatch.setattr(arpgda_module, "project_to_tangent",
+                            lambda U, G: np.full_like(G, np.nan))
+        with pytest.raises(NumericalError, match="non-finite gradient entering iteration 1"):
+            solve_arpgda(small_dataset(), 2, ARPGDAParams(epsilon=0.05, mu=2.0))
 
 
 class TestSolve:

@@ -77,8 +77,11 @@ class TestStep:
         U = random_stiefel(6, 2, seed=0)
         with pytest.raises(ValueError):
             rsg_step(U, data, c=0.0, k=1)
-        with pytest.raises(ValueError):
-            rsg_step(U, data, c=1.0, k=0)
+        for k, message in ((0, "k must be at least 1, got 0"),
+                           (1.5, "k must be an integer, got 1.5"),
+                           (True, "k must be an integer, got True")):
+            with pytest.raises(ValueError, match=message):
+                rsg_step(U, data, c=1.0, k=k)
 
 
 class TestParams:

@@ -218,7 +218,7 @@ class TestPreprocess:
     # The masked selection must give the per-group loop's X bit for bit, with
     # the transforms on: they round by X's memory order, which shows from
     # 8 features or 8 samples up.
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(d=st.integers(1, 12), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
            seed=st.integers(0, 2**31 - 1), flags=st.tuples(st.booleans(), st.booleans(),
                                                            st.booleans()))

@@ -156,7 +156,7 @@ class TestEvaluationForms:
     # The forms sum the same products in different orders, so they agree to
     # rounding: within 1e-12 of ||X||_F^2, the scale of every f_i and, up to
     # a factor 2, of every gradient entry (||U||_2 = 1 and simplex y).
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(evaluation_cases())
     def test_forms_agree(self, case):
         d, sizes, r, seed = case
@@ -351,7 +351,7 @@ class TestSmoothnessConstants:
             if r == d:
                 assert (consts.L2 == pytest.approx(kyfan, rel=1e-12)) == l2_is_kyfan
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=lipschitz_cases())
     @example(case=(5, (7,), 2, 0, 0, 0))
     def test_gradient_weight_lipschitz_at_simplex_vertices(self, case):
@@ -367,7 +367,7 @@ class TestSmoothnessConstants:
                               - riemannian_gradient_U(data, U, yj))
         assert diff <= consts.L2 * np.linalg.norm(yi - yj) + 1e-9
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=constants_cases())
     @example(case=(4, (30,), 2, 0))        # one group, covariance form
     @example(case=(3, (10, 12, 9), 2, 1))  # block groups, covariance form
@@ -433,7 +433,7 @@ class TestSubgradientDistance:
         X = np.eye(2)
         data = GroupedDataset(X=X, group_sizes=(1, 1))
         U = np.full((2, 1), 1.0 / np.sqrt(2.0))
-        d = dist_to_subgradient(data, U, tol=1e-12)
+        d = dist_to_subgradient(data, U)
         ev = evaluate(data, U)
         g1, g2 = (project_to_tangent(U, ev.group_gradient(i)) for i in (0, 1))
         assert d <= oracles.two_group_mix_distance(g1, g2) + 1e-10
@@ -448,7 +448,7 @@ class TestSubgradientDistance:
             data = GroupedDataset(X=np.column_stack([x1, x2]),
                                   group_sizes=(1, 1))
             U = np.eye(3)[:, :1]
-            d = dist_to_subgradient(data, U, tol=1e-12)
+            d = dist_to_subgradient(data, U)
             ev = evaluate(data, U)
             g1, g2 = (project_to_tangent(U, ev.group_gradient(i)) for i in (0, 1))
             grid = oracles.two_group_mix_distance(g1, g2)

@@ -127,7 +127,7 @@ def test_orthonormality_error_fixed_value():
     assert orthonormality_error(np.array([[2.0], [0.0]])) == pytest.approx(3.0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(d=st.integers(1, 12), draw=st.data())
 def test_orthonormality_error_matches_dense_norm(d, draw):
     r = draw.draw(st.integers(1, d))
