@@ -9,14 +9,11 @@ subgradient baseline, dataset tooling, and diagnostics.
 from .arpgda import (
     ARPGDAParams,
     REPORT_SCHEMA,
-    Schedules,
     SolveResult,
-    arpgda_step,
-    make_schedules,
     recommended_params,
     solve_arpgda,
 )
-from .baselines import RSGParams, iterations_to_reach, rsg_step, rsg_sweep, solve_rsg
+from .baselines import RSGParams, iterations_to_reach, rsg_sweep, solve_rsg
 from .data import (
     dataset_csv_text,
     describe,
@@ -73,10 +70,8 @@ __all__ = [
     "NumericalError",
     "REPORT_SCHEMA",
     "RSGParams",
-    "Schedules",
     "SmoothnessConstants",
     "SolveResult",
-    "arpgda_step",
     "dataset_csv_text",
     "describe",
     "dist_to_subgradient",
@@ -87,7 +82,6 @@ __all__ = [
     "ky_fan_norm",
     "load_csv_grouped",
     "load_point",
-    "make_schedules",
     "minimax_objective",
     "orthonormality_error",
     "point_csv_text",
@@ -99,7 +93,6 @@ __all__ = [
     "random_tangent",
     "recommended_params",
     "riemannian_gradient_U",
-    "rsg_step",
     "rsg_sweep",
     "simplex_violation",
     "smoothness_constants",

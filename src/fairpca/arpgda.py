@@ -15,7 +15,10 @@ and couple the U-stepsize to both smoothness constants:
     zeta_k = theta / (L1 + L2^2 / (lambda_k + beta_k + beta_{k+1})),  theta in (0, 2).
 
 Runs stop once the stationarity measure E(U, y) drops to epsilon or the
-iteration cap is reached.
+iteration cap is reached.  solve_arpgda's loop is the only implementation
+of the update: it computes lambda_k, beta_k, beta_{k+1} and zeta_k once per
+iteration and records them in the trace, and a run with max_iters = k ends
+at (U_k, y_k) unless it converged sooner.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .exceptions import DegenerateProblemError, NumericalError
 from .problem import (
     Evaluation,
     GroupedDataset,
-    SmoothnessConstants,
-    _check_weights_shape,
     evaluate,
     smoothness_constants,
 )
@@ -139,51 +140,17 @@ class ARPGDAParams:
     trace_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu!r}")
-        if not self.rho > 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be non-negative and finite, got {self.mu!r}")
+        if not 1 < self.rho < math.inf:
+            raise ValueError(f"rho must exceed 1 and be finite, got {self.rho!r}")
         if not 0 < self.theta < 2:
             raise ValueError(f"theta must lie in (0, 2), got {self.theta!r}")
         check_count("max_iters", self.max_iters, 1)
         check_count("seed", self.seed, 0)
         check_count("trace_stride", self.trace_stride, 1)
-
-
-@dataclass(frozen=True)
-class Schedules:
-    """Per-iteration regularization and stepsize values (1-based k)."""
-
-    lam: float
-    mu: float
-    rho: float
-    theta: float
-    L1: float
-    L2: float
-
-    def beta(self, k: int) -> float:
-        return self.mu * float(k) ** -self.rho
-
-    def zeta(self, k: int) -> float:
-        return self.theta / (self.L1 + self.L2**2 / (self.lam + self.beta(k) + self.beta(k + 1)))
-
-
-def make_schedules(params: ARPGDAParams, constants: SmoothnessConstants) -> Schedules:
-    if constants.L1 <= 0.0:
-        raise DegenerateProblemError(
-            "all groups have zero variance; the objective is constant"
-        )
-    lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
-    return Schedules(
-        lam=lam,
-        mu=params.mu,
-        rho=params.rho,
-        theta=params.theta,
-        L1=constants.L1,
-        L2=constants.L2,
-    )
 
 
 def _norm(G: np.ndarray) -> float:
@@ -202,40 +169,6 @@ def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     if orth > TOL_ORTH:
         raise NumericalError(f"iterate left the manifold at iteration {k}: residual {orth:.3e}")
     return max(max_orth_error, orth)
-
-
-def arpgda_step(
-    U: np.ndarray, y: np.ndarray, data: GroupedDataset, schedules: Schedules, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (U_k, y_k) to (U_{k+1}, y_{k+1}): a retracted descent step in
-    U, then a projected ascent step in y onto the probability simplex, with
-    the schedule values of the 1-based step count k."""
-    check_count("k", k, 1)
-    y = _check_weights_shape(data, y)
-    ev = evaluate(data, U)
-    ev_next, y_next, _ = _descend_ascend(
-        ev, project_to_tangent(ev.U, ev.gradient(y)), y, schedules, k, 0.0
-    )
-    return ev_next.U, y_next
-
-
-def _descend_ascend(
-    ev: Evaluation, grad: np.ndarray, y: np.ndarray, schedules: Schedules, k: int,
-    max_orth_error: float,
-) -> tuple[Evaluation, np.ndarray, float]:
-    """arpgda_step from the evaluation of U_k and the Riemannian gradient of
-    f(., y_k) there; returns the evaluation of U_{k+1}, in the class of ev,
-    with y_{k+1} and the check_iterate bound.  U_{k+1} passes check_iterate
-    before the ascent step reads its values."""
-    if not np.isfinite(grad).all():
-        raise NumericalError(f"non-finite gradient entering iteration {k}")
-    lam = schedules.lam
-    U_next = polar_retract(ev.U, -schedules.zeta(k) * grad)
-    ev_next = type(ev)(ev.data, U_next)
-    max_orth_error = check_iterate(ev_next, k, max_orth_error)
-    # grad_y f(U_{k+1}, y_k) = -values, independent of y
-    y_next = project_to_simplex(y + (-ev_next.values - lam * y) / (lam + schedules.beta(k)))
-    return ev_next, y_next, max_orth_error
 
 
 @dataclass
@@ -296,6 +229,7 @@ def recommended_params(
     theta = 1.5, mu = 30 n^2 sqrt(r).  Block groups (n < N): epsilon = 1e-3,
     rho = 1.01, theta = 1.99, mu = 200 n^2 sqrt(r).
     """
+    check_count("r", r, 1)
     n = data.num_groups
     if n == data.num_samples:
         epsilon = 1e-3 * float((data.sample_norms() ** 2).max())
@@ -333,11 +267,17 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     row, or since the solve started for the first.
     """
     t0 = time.perf_counter()
-    sched = make_schedules(params, smoothness_constants(data, int(r)))
-    lam = sched.lam
-    decrease = (2.0 - params.theta) / (2.0 * params.theta)
+    check_count("r", r, 1)
+    constants = smoothness_constants(data, r)
+    L1, L2_sq = constants.L1, constants.L2**2
+    if L1 <= 0.0:
+        raise DegenerateProblemError("all groups have zero variance; the objective is constant")
+    mu, rho, theta = params.mu, params.rho, params.theta
+    lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
+    decrease = (2.0 - theta) / (2.0 * theta)
     y = uniform_weights(data.num_groups)
-    ev = evaluate(data, random_stiefel(data.d, int(r), params.seed))
+    ev = evaluate(data, random_stiefel(data.d, r, params.seed))
+    Evaluation = type(ev)
     max_orth = check_iterate(ev, 0)
     # the Riemannian gradient of f(., y) at U certifies (U, y) in E, then
     # serves as the next descent direction
@@ -354,8 +294,17 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     last = t0
 
     for k in range(1, params.max_iters + 1):
-        ev, y_next, max_orth = _descend_ascend(ev, grad, y, sched, k, max_orth)
+        beta_k = mu * k**-rho
+        beta_next = mu * (k + 1) ** -rho
+        zeta_k = theta / (L1 + L2_sq / (lam + beta_k + beta_next))
+        if not np.isfinite(grad).all():
+            raise NumericalError(f"non-finite gradient entering iteration {k}")
+        ev = Evaluation(data, polar_retract(ev.U, -zeta_k * grad))
+        # U_{k+1} passes check_iterate before the ascent step reads its values
+        max_orth = check_iterate(ev, k, max_orth)
         values = ev.values
+        # grad_y f(U_{k+1}, y_k) = -values, independent of y
+        y_next = project_to_simplex(y + (-values - lam * y) / (lam + beta_k))
         max_simplex = max(max_simplex, *simplex_violation(y_next))
         prev_grad_norm = grad_norm
         grad = project_to_tangent(ev.U, ev.gradient(y_next))
@@ -364,7 +313,6 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         phi = float(values.min())
         gap = max(float(y_next @ values) - phi, 0.0)
         E = max(grad_norm, gap)
-        beta_k, zeta_k = sched.beta(k), sched.zeta(k)
 
         # sufficient decrease of the regularized value, lambda constant
         prev_value, value = value, _regularized_value(values, y_next, lam)
@@ -375,7 +323,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         rhs = (
             -decrease * zeta_k * prev_grad_norm**2
             + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
-            - 0.5 * (beta_k * step_sq_prev - sched.beta(k + 1) * step_sq)
+            - 0.5 * (beta_k * step_sq_prev - beta_next * step_sq)
         )
         if lhs > rhs + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "sufficient_decrease", "lhs": lhs, "rhs": rhs})
@@ -415,9 +363,9 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         max_orth_error=max_orth,
         time_ms=(time.perf_counter() - t0) * 1e3,
         info={
-            "L1": sched.L1,
-            "L2": sched.L2,
-            "lambda": sched.lam,
+            "L1": L1,
+            "L2": constants.L2,
+            "lambda": lam,
             "initial_phi": initial_phi,
             "max_simplex_error": max_simplex,
             "evaluation": data.evaluation_form,

@@ -8,7 +8,10 @@ stepsize c / sqrt(k):
     U_{k+1} = R_{U_k}((c / sqrt(k)) grad f_{i*}(U_k)).
 
 A run stops once Phi(U) >= (1 - 1e-4) * reference_phi (the reference is
-typically another solver's final value) or after max_iters steps.
+typically another solver's final value) or after max_iters steps.  Ties in
+the worst group go to the lowest index.  solve_rsg's loop is the only
+implementation of the step, so a run with max_iters = k and no reference
+ends at U_k.
 """
 
 from __future__ import annotations
@@ -22,31 +25,11 @@ import numpy as np
 
 from .arpgda import SolveResult, check_count, check_iterate
 from .exceptions import NumericalError
-from .problem import Evaluation, GroupedDataset, evaluate
+from .problem import GroupedDataset, evaluate
 from .stiefel import polar_retract, project_to_tangent, random_stiefel
 
 # Relative slack of the reference stopping rule.
 REFERENCE_SLACK = 1e-4
-
-
-def rsg_step(U: np.ndarray, data: GroupedDataset, c: float, k: int) -> np.ndarray:
-    """One ascent step along the worst group's Riemannian gradient.
-
-    Ties in the worst group are broken toward the lowest index.
-    """
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    check_count("k", k, 1)
-    return _ascend(evaluate(data, U), c, k)
-
-
-def _ascend(ev: Evaluation, c: float, k: int) -> np.ndarray:
-    """rsg_step from the evaluation of its iterate."""
-    i_star = int(ev.values.argmin())
-    g = project_to_tangent(ev.U, ev.group_gradient(i_star))
-    if not np.isfinite(g).all():
-        raise NumericalError(f"non-finite subgradient at iteration {k}")
-    return polar_retract(ev.U, (c / math.sqrt(k)) * g)
 
 
 @dataclass(frozen=True)
@@ -62,8 +45,10 @@ class RSGParams:
     trace_stride: int = 100
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c!r}")
+        if self.reference_phi is not None and not math.isfinite(self.reference_phi):
+            raise ValueError(f"reference_phi must be finite, got {self.reference_phi!r}")
         check_count("max_iters", self.max_iters, 0)
         check_count("seed", self.seed, 0)
         check_count("trace_stride", self.trace_stride, 1)
@@ -81,7 +66,8 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     since the previous row, or since the solve started for the first.
     """
     t0 = time.perf_counter()
-    U = random_stiefel(data.d, int(r), params.seed)
+    check_count("r", r, 1)
+    U = random_stiefel(data.d, r, params.seed)
     ev = evaluate(data, U)
     Evaluation = type(ev)
     phi = float(ev.values.min())
@@ -112,8 +98,11 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
             break
         if steps >= params.max_iters:
             break
-        U = _ascend(ev, params.c, steps + 1)
         steps += 1
+        g = project_to_tangent(ev.U, ev.group_gradient(int(ev.values.argmin())))
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite subgradient at iteration {steps}")
+        U = polar_retract(ev.U, (params.c / math.sqrt(steps)) * g)
         ev = Evaluation(data, U)
         max_orth = check_iterate(ev, steps, max_orth)
         phi = float(ev.values.min())

@@ -337,7 +337,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise _UsageError("solve needs --r")
     if not 1 <= r <= dataset.d:
         raise _UsageError(f"--r must lie in [1, {dataset.d}], got {r}")
-    seeds = _parse_int_list(args.seed, "--seed")
+    seeds = _unique(_parse_int_list(args.seed, "--seed"))
     if not seeds:
         raise _UsageError("--seed must name at least one seed")
     out = Path(args.out)
@@ -459,6 +459,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
+    if "rsg" in algs:
+        for c in c_grid:  # a bad scale exits here, before any solve
+            RSGParams(c=c, max_iters=max_iters)
 
     specs = []
     for r in r_list:

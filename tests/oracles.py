@@ -89,6 +89,17 @@ def polar_retraction_via_svd(U, D):
     return W @ Vt
 
 
+def arpgda_schedule_by_hand(epsilon, mu, rho, theta, L1, L2, k):
+    """The paper's step-size rule at the 1-based step k: lambda = epsilon /
+    (8 R^2) with R = 1 on the simplex, beta_k = mu k^-rho and
+    zeta_k = theta / (L1 + L2^2 / (lambda + beta_k + beta_{k+1}))."""
+    lam = epsilon / 8.0
+    beta_k = mu * k ** -rho
+    beta_next = mu * (k + 1) ** -rho
+    zeta_k = theta / (L1 + L2 ** 2 / (lam + beta_k + beta_next))
+    return lam, beta_k, zeta_k
+
+
 def arpgda_step_by_hand(X, group_sizes, U, y, lam, beta_k, zeta_k):
     """One alternating update written directly from the update equations."""
     grad = tangent_projection_by_formula(

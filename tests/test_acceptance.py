@@ -23,12 +23,11 @@ import oracles
 from fairpca import (
     ARPGDAParams,
     GroupedDataset,
-    arpgda_step,
+    RSGParams,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
     iterations_to_reach,
     ky_fan_norm,
-    make_schedules,
     minimax_objective,
     polar_retract,
     project_to_simplex,
@@ -36,10 +35,10 @@ from fairpca import (
     random_tangent,
     recommended_params,
     riemannian_gradient_U,
-    rsg_step,
     rsg_sweep,
     smoothness_constants,
     solve_arpgda,
+    solve_rsg,
     uniform_weights,
 )
 
@@ -229,8 +228,8 @@ def test_criterion_5_smoothness_certification(capsys):
 
 
 def test_criterion_6_oracle_equivalences(capsys):
-    """Simplex projection, Ky Fan norm, and one step of each solver agree
-    with independent transcriptions."""
+    """Simplex projection, Ky Fan norm, and the first steps of each solver
+    agree with independent transcriptions."""
     rng = np.random.default_rng(77)
     worst_simplex = 0.0
     for i in range(1000):
@@ -253,21 +252,24 @@ def test_criterion_6_oracle_equivalences(capsys):
     data = GroupedDataset(
         X=np.array([[0.9, -0.3], [0.1, 1.2], [-0.7, 0.4]]),
         group_sizes=(1, 1))
-    params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
-    sched = make_schedules(params, smoothness_constants(data, 1))
-    U, y = random_stiefel(data.d, 1, params.seed), uniform_weights(data.num_groups)
-    U_next, y_next = arpgda_step(U, y, data, sched, 1)
+    params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, max_iters=1, seed=11)
+    res = solve_arpgda(data, 1, params)
+    constants = smoothness_constants(data, 1)
+    lam, beta_1, zeta_1 = oracles.arpgda_schedule_by_hand(
+        params.epsilon, params.mu, params.rho, params.theta,
+        constants.L1, constants.L2, 1)
     U_hand, y_hand = oracles.arpgda_step_by_hand(
-        data.X, data.group_sizes, U, y,
-        lam=sched.lam, beta_k=sched.beta(1), zeta_k=sched.zeta(1))
-    arpgda_diff = max(float(np.abs(U_next - U_hand).max()),
-                      float(np.abs(y_next - y_hand).max()))
+        data.X, data.group_sizes, random_stiefel(data.d, 1, params.seed),
+        uniform_weights(data.num_groups), lam=lam, beta_k=beta_1, zeta_k=zeta_1)
+    arpgda_diff = max(float(np.abs(res.U - U_hand).max()),
+                      float(np.abs(res.y - y_hand).max()))
 
-    U0 = random_stiefel(data.d, 1, seed=5)
-    U_rsg = rsg_step(U0, data, c=0.3, k=4)
-    U_rsg_hand = oracles.rsg_step_by_hand(data.X, data.group_sizes,
-                                          U0, c=0.3, k=4)
-    rsg_diff = float(np.abs(U_rsg - U_rsg_hand).max())
+    res_rsg = solve_rsg(data, 1, RSGParams(c=0.3, max_iters=4, seed=5))
+    U_rsg_hand = random_stiefel(data.d, 1, seed=5)
+    for k in range(1, 5):
+        U_rsg_hand = oracles.rsg_step_by_hand(data.X, data.group_sizes,
+                                              U_rsg_hand, c=0.3, k=k)
+    rsg_diff = float(np.abs(res_rsg.U - U_rsg_hand).max())
 
     ok = (worst_simplex <= 1e-10 and worst_kyfan <= 1e-10
           and arpgda_diff <= 1e-12 and rsg_diff <= 1e-12)

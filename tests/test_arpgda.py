@@ -1,6 +1,8 @@
-"""The alternating descent-ascent solver: schedules, steps, full runs."""
+"""The alternating descent-ascent solver: parameters, schedules, steps and
+full runs, each step taken through solve_arpgda."""
 
 import json
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -14,10 +16,7 @@ from fairpca import (
     GroupedDataset,
     NumericalError,
     REPORT_SCHEMA,
-    Schedules,
     SmoothnessConstants,
-    arpgda_step,
-    make_schedules,
     random_stiefel,
     recommended_params,
     smoothness_constants,
@@ -52,6 +51,12 @@ class TestParams:
             ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=0)
         with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, trace_stride=0)
+
+    @pytest.mark.parametrize("field", ["epsilon", "mu", "rho"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must .* finite, got {value!r}"):
+            ARPGDAParams(**{"epsilon": 0.1, "mu": 1.0, field: value})
 
     @pytest.mark.parametrize("field, value, message", [
         ("seed", -1, "seed must be at least 0, got -1"),
@@ -92,108 +97,120 @@ class TestParams:
             solve_arpgda(data, 1, ARPGDAParams(epsilon=0.1, mu=1.0))
 
 
+def constants_patch(monkeypatch, L1, L2):
+    """Make solve_arpgda use the given smoothness constants."""
+    monkeypatch.setattr(arpgda_module, "smoothness_constants",
+                        lambda data, r: SmoothnessConstants(L1=L1, L2=L2))
+
+
 class TestSchedules:
-    def test_fixed_values(self):
-        sched = make_schedules(
-            ARPGDAParams(epsilon=0.008, mu=7.0, rho=1.1, theta=1.5),
-            SmoothnessConstants(L1=2.0, L2=3.0))
-        assert sched.lam == pytest.approx(0.001, rel=1e-15)
-        assert sched.beta(1) == pytest.approx(7.0, rel=1e-15)
-        assert sched.beta(2) == pytest.approx(3.265615470378826, rel=1e-13)
-        assert sched.zeta(1) == pytest.approx(0.5214439028516656, rel=1e-13)
-        assert sched.zeta(2) == pytest.approx(0.40761016678740986, rel=1e-13)
+    def test_fixed_values(self, monkeypatch):
+        # valid bounds for this data, so the two steps record no violation
+        constants_patch(monkeypatch, L1=2.0, L2=3.0)
+        data = GroupedDataset(X=np.array([[0.3, -0.2], [0.1, 0.4]]), group_sizes=(1, 1))
+        params = ARPGDAParams(epsilon=0.008, mu=7.0, rho=1.1, theta=1.5, max_iters=2)
+        first, second = solve_arpgda(data, 1, params).trace
+        assert first["lambda"] == second["lambda"] == pytest.approx(0.001, rel=1e-15)
+        assert first["beta"] == pytest.approx(7.0, rel=1e-15)
+        assert second["beta"] == pytest.approx(3.265615470378826, rel=1e-13)
+        assert first["zeta"] == pytest.approx(0.5214439028516656, rel=1e-13)
+        assert second["zeta"] == pytest.approx(0.40761016678740986, rel=1e-13)
 
     def test_monotonicity(self):
-        sched = make_schedules(
-            ARPGDAParams(epsilon=0.01, mu=50.0, rho=1.3, theta=1.2),
-            SmoothnessConstants(L1=4.0, L2=6.0))
-        betas = [sched.beta(k) for k in range(1, 30)]
-        zetas = [sched.zeta(k) for k in range(1, 30)]
+        params = ARPGDAParams(epsilon=1e-9, mu=50.0, rho=1.3, theta=1.2, max_iters=30)
+        res = solve_arpgda(small_dataset(seed=3, d=5, sizes=(40, 40)), 2, params)
+        betas = [row["beta"] for row in res.trace]
+        zetas = [row["zeta"] for row in res.trace]
+        assert len(betas) == 30
         assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
         assert all(z1 > z2 for z1, z2 in zip(zetas, zetas[1:]))
-        assert all(z < sched.theta / sched.L1 for z in zetas)
+        assert all(z < params.theta / res.info["L1"] for z in zetas)
 
-    def test_zero_variance_data_rejected(self):
-        with pytest.raises(DegenerateProblemError):
-            make_schedules(ARPGDAParams(epsilon=0.1, mu=1.0),
-                           SmoothnessConstants(L1=0.0, L2=0.0))
+    def test_zero_variance_data_rejected(self, monkeypatch):
+        constants_patch(monkeypatch, L1=0.0, L2=0.0)
+        with pytest.raises(DegenerateProblemError, match="all groups have zero variance"):
+            solve_arpgda(small_dataset(), 1, ARPGDAParams(epsilon=0.1, mu=1.0))
 
 
-def start_point(data, r, seed):
-    """The start solve_arpgda draws: a seeded Stiefel point, uniform weights."""
-    return random_stiefel(data.d, r, seed), uniform_weights(data.num_groups)
+def hand_steps(data, r, params, k):
+    """k ARPGDA steps by hand from the start solve_arpgda draws: a seeded
+    Stiefel point and uniform weights."""
+    constants = smoothness_constants(data, r)
+    U, y = random_stiefel(data.d, r, params.seed), uniform_weights(data.num_groups)
+    for step in range(1, k + 1):
+        lam, beta_k, zeta_k = oracles.arpgda_schedule_by_hand(
+            params.epsilon, params.mu, params.rho, params.theta,
+            constants.L1, constants.L2, step)
+        U, y = oracles.arpgda_step_by_hand(data.X, data.group_sizes, U, y,
+                                           lam=lam, beta_k=beta_k, zeta_k=zeta_k)
+    return U, y
+
+
+def solve_steps(data, r, params, k):
+    """solve_arpgda capped at k steps; the settings must not converge sooner."""
+    res = solve_arpgda(data, r, replace(params, max_iters=k))
+    assert res.iterations == k
+    return res
 
 
 class TestStep:
+    """The step, taken through solve_arpgda with max_iters = k."""
+
     def test_matches_hand_transcription(self):
         data = GroupedDataset(
             X=np.array([[0.9, -0.3], [0.1, 1.2], [-0.7, 0.4]]),
             group_sizes=(1, 1))
         params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
-        sched = make_schedules(params, smoothness_constants(data, 1))
-        U, y = start_point(data, 1, params.seed)
-        U_next, y_next = arpgda_step(U, y, data, sched, 1)
-        U_hand, y_hand = oracles.arpgda_step_by_hand(
-            data.X, data.group_sizes, U, y,
-            lam=sched.lam, beta_k=sched.beta(1), zeta_k=sched.zeta(1))
-        np.testing.assert_allclose(U_next, U_hand, atol=1e-12)
-        np.testing.assert_allclose(y_next, y_hand, atol=1e-12)
+        res = solve_steps(data, 1, params, 1)
+        U_hand, y_hand = hand_steps(data, 1, params, 1)
+        np.testing.assert_allclose(res.U, U_hand, atol=1e-12)
+        np.testing.assert_allclose(res.y, y_hand, atol=1e-12)
 
     def test_block_groups_match_hand_transcription(self):
         # n d = 6 < N = 8: the steps evaluate in covariance form
         data = small_dataset(seed=2, d=3, sizes=(4, 4))
         assert data.evaluation_form == "covariance"
         params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
-        sched = make_schedules(params, smoothness_constants(data, 2))
-        U, y = U_hand, y_hand = start_point(data, 2, params.seed)
         for k in (1, 2):
-            U, y = arpgda_step(U, y, data, sched, k)
-            U_hand, y_hand = oracles.arpgda_step_by_hand(
-                data.X, data.group_sizes, U_hand, y_hand,
-                lam=sched.lam, beta_k=sched.beta(k), zeta_k=sched.zeta(k))
-            np.testing.assert_allclose(U, U_hand, atol=1e-12)
-            np.testing.assert_allclose(y, y_hand, atol=1e-12)
+            res = solve_steps(data, 2, params, k)
+            U_hand, y_hand = hand_steps(data, 2, params, k)
+            np.testing.assert_allclose(res.U, U_hand, atol=1e-12)
+            np.testing.assert_allclose(res.y, y_hand, atol=1e-12)
 
     def test_two_steps_match_hand_transcription(self):
         data = small_dataset(seed=1, d=5, sizes=(2, 2, 1))
         params = ARPGDAParams(epsilon=0.05, mu=2.0, seed=4)
-        sched = make_schedules(params, smoothness_constants(data, 2))
-        U, y = U_hand, y_hand = start_point(data, 2, params.seed)
         for k in (1, 2):
-            U, y = arpgda_step(U, y, data, sched, k)
-            U_hand, y_hand = oracles.arpgda_step_by_hand(
-                data.X, data.group_sizes, U_hand, y_hand,
-                lam=sched.lam, beta_k=sched.beta(k), zeta_k=sched.zeta(k))
-            np.testing.assert_allclose(U, U_hand, atol=1e-11)
-            np.testing.assert_allclose(y, y_hand, atol=1e-11)
+            res = solve_steps(data, 2, params, k)
+            U_hand, y_hand = hand_steps(data, 2, params, k)
+            np.testing.assert_allclose(res.U, U_hand, atol=1e-11)
+            np.testing.assert_allclose(res.y, y_hand, atol=1e-11)
 
     @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
-    def test_solver_takes_the_public_steps(self, sizes, form):
+    def test_solver_matches_hand_steps(self, sizes, form):
         # settings under which the solve records no violation
         data = small_dataset(seed=3, d=5, sizes=sizes)
         assert data.evaluation_form == form
-        params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=12, seed=1)
-        res = solve_arpgda(data, 2, params)
-        assert res.iterations == params.max_iters
-        sched = make_schedules(params, smoothness_constants(data, 2))
-        U, y = start_point(data, 2, params.seed)
-        for k in range(1, params.max_iters + 1):
-            U, y = arpgda_step(U, y, data, sched, k)
-        np.testing.assert_array_equal(res.U, U)
-        np.testing.assert_array_equal(res.y, y)
+        params = ARPGDAParams(epsilon=1e-9, mu=5.0, seed=1)
+        res = solve_steps(data, 2, params, 12)
+        U_hand, y_hand = hand_steps(data, 2, params, 12)
+        np.testing.assert_allclose(res.U, U_hand, atol=1e-10)
+        np.testing.assert_allclose(res.y, y_hand, atol=1e-10)
 
     def test_rejects_bad_arguments(self):
-        data = small_dataset()
-        sched = make_schedules(ARPGDAParams(epsilon=0.05, mu=2.0),
-                               smoothness_constants(data, 2))
-        U, y = start_point(data, 2, 0)
-        for k, message in ((0, "k must be at least 1, got 0"),
-                           (1.5, "k must be an integer, got 1.5"),
-                           (True, "k must be an integer, got True")):
+        data = small_dataset()  # d = 6
+        params = ARPGDAParams(epsilon=0.05, mu=2.0, max_iters=1)
+        for r, message in ((0, "r must be at least 1, got 0"),
+                           (-1, "r must be at least 1, got -1"),
+                           (2.7, "r must be an integer, got 2.7"),
+                           ("2", "r must be an integer, got '2'"),
+                           (True, "r must be an integer, got True")):
             with pytest.raises(ValueError, match=message):
-                arpgda_step(U, y, data, sched, k)
-        with pytest.raises(DimensionError, match=r"y must have shape \(3,\)"):
-            arpgda_step(U, y[:2], data, sched, 1)
+                solve_arpgda(data, r, params)
+            with pytest.raises(ValueError, match=message):
+                recommended_params(data, r)
+        with pytest.raises(DimensionError, match="need 1 <= r <= d=6, got r=7"):
+            solve_arpgda(data, 7, params)
 
     def test_rejects_non_finite_gradient(self, monkeypatch):
         monkeypatch.setattr(arpgda_module, "project_to_tangent",
@@ -272,16 +289,8 @@ class TestSolve:
         json.dumps(report)  # must be serializable as-is
 
     def test_violations_are_detected_and_warned(self, monkeypatch):
-        class BrokenSchedules(Schedules):
-            def zeta(self, k):
-                return 250.0  # absurd stepsize: sufficient decrease must fail
-
-        def broken(params, constants):
-            return BrokenSchedules(lam=params.epsilon / 8.0, mu=params.mu,
-                                   rho=params.rho, theta=params.theta,
-                                   L1=constants.L1, L2=constants.L2)
-
-        monkeypatch.setattr(arpgda_module, "make_schedules", broken)
+        # a tiny L1 gives zeta = theta / L1 = 250: sufficient decrease must fail
+        constants_patch(monkeypatch, L1=1.5 / 250.0, L2=0.0)
         data = small_dataset(seed=8)
         params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
         with pytest.warns(RuntimeWarning):
@@ -325,15 +334,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
     def test_trace_schedules_are_the_schedules(self, sizes, form):
+        # every row holds the paper's step-size rule at its k, exactly
         data = small_dataset(seed=3, d=5, sizes=sizes)
         assert data.evaluation_form == form
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=40, seed=1)
         res = solve_arpgda(data, 2, params)
-        sched = make_schedules(params, smoothness_constants(data, 2))
         assert [rec["k"] for rec in res.trace] == list(range(1, 41))
         for rec in res.trace:
-            assert rec["beta"] == sched.beta(rec["k"])
-            assert rec["zeta"] == sched.zeta(rec["k"])
+            assert (rec["lambda"], rec["beta"], rec["zeta"]) == oracles.arpgda_schedule_by_hand(
+                params.epsilon, params.mu, params.rho, params.theta,
+                res.info["L1"], res.info["L2"], rec["k"])
 
     def test_cap_reached_reports_not_converged(self):
         data = small_dataset(seed=10)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from fairpca import (
+    DimensionError,
     GroupedDataset,
     NumericalError,
     evaluate,
@@ -14,7 +15,6 @@ from fairpca import (
     random_stiefel,
     REPORT_SCHEMA,
     RSGParams,
-    rsg_step,
     rsg_sweep,
     solve_rsg,
 )
@@ -31,57 +31,69 @@ def two_group_dataset(seed=0, d=6, sizes=(8, 8)):
                           group_sizes=sizes)
 
 
+def hand_iterates(data, r, c, seed, steps):
+    """The first steps of RSG by hand, from the start solve_rsg draws."""
+    U = random_stiefel(data.d, r, seed)
+    iterates = []
+    for k in range(1, steps + 1):
+        U = oracles.rsg_step_by_hand(data.X, data.group_sizes, U, c, k)
+        iterates.append(U)
+    return iterates
+
+
+def solve_steps(data, r, c, seed, k):
+    """solve_rsg with no reference, capped at k steps."""
+    res = solve_rsg(data, r, RSGParams(c=c, max_iters=k, seed=seed))
+    assert res.iterations == k
+    return res
+
+
 class TestStep:
+    """The step, taken through solve_rsg with max_iters = k."""
+
     def test_matches_hand_transcription(self):
         data = GroupedDataset(
             X=np.array([[1.1, -0.2], [0.3, 0.8], [-0.5, 0.6]]),
             group_sizes=(1, 1))
-        U = random_stiefel(3, 1, seed=13)
+        iterates = hand_iterates(data, 1, 0.3, 13, 7)
         for k in (1, 2, 7):
-            np.testing.assert_allclose(
-                rsg_step(U, data, c=0.3, k=k),
-                oracles.rsg_step_by_hand(data.X, data.group_sizes, U, 0.3, k),
-                atol=1e-12)
+            np.testing.assert_allclose(solve_steps(data, 1, 0.3, 13, k).U,
+                                       iterates[k - 1], atol=1e-12)
 
     def test_block_groups_match_hand_transcription(self):
-        # n d = 6 < N = 8: the step evaluates in covariance form
+        # n d = 6 < N = 8: the steps evaluate in covariance form
         rng = np.random.default_rng(14)
         data = GroupedDataset(X=rng.standard_normal((3, 8)), group_sizes=(4, 4))
         assert data.evaluation_form == "covariance"
-        U = random_stiefel(3, 2, seed=13)
+        iterates = hand_iterates(data, 2, 0.3, 13, 7)
         for k in (1, 2, 7):
-            np.testing.assert_allclose(
-                rsg_step(U, data, c=0.3, k=k),
-                oracles.rsg_step_by_hand(data.X, data.group_sizes, U, 0.3, k),
-                atol=1e-12)
+            np.testing.assert_allclose(solve_steps(data, 2, 0.3, 13, k).U,
+                                       iterates[k - 1], atol=1e-12)
 
     def test_ties_break_toward_lowest_index(self):
         x = np.array([[0.7], [0.4]])
         data = GroupedDataset(X=np.hstack([x, x]), group_sizes=(1, 1))
         single = GroupedDataset(X=x, group_sizes=(1,))
-        U = random_stiefel(2, 1, seed=5)
-        np.testing.assert_allclose(rsg_step(U, data, c=0.2, k=3),
-                                   rsg_step(U, single, c=0.2, k=3),
+        np.testing.assert_allclose(solve_steps(data, 1, 0.2, 5, 3).U,
+                                   solve_steps(single, 1, 0.2, 5, 3).U,
                                    atol=1e-14)
 
     def test_stays_on_manifold_even_with_large_steps(self):
-        data = two_group_dataset(seed=1)
-        U = random_stiefel(6, 3, seed=1)
-        from fairpca import orthonormality_error
-        for k in range(1, 40):
-            U = rsg_step(U, data, c=10.0, k=k)
-            assert orthonormality_error(U) <= 1e-12
+        res = solve_steps(two_group_dataset(seed=1), 3, 10.0, 1, 39)
+        assert res.max_orth_error <= 1e-12
 
     def test_rejects_bad_arguments(self):
         data = two_group_dataset()
-        U = random_stiefel(6, 2, seed=0)
-        with pytest.raises(ValueError):
-            rsg_step(U, data, c=0.0, k=1)
-        for k, message in ((0, "k must be at least 1, got 0"),
-                           (1.5, "k must be an integer, got 1.5"),
-                           (True, "k must be an integer, got True")):
+        with pytest.raises(ValueError, match="c must be positive and finite, got 0.0"):
+            RSGParams(c=0.0)
+        for r, message in ((0, "r must be at least 1, got 0"),
+                           (2.7, "r must be an integer, got 2.7"),
+                           ("2", "r must be an integer, got '2'"),
+                           (True, "r must be an integer, got True")):
             with pytest.raises(ValueError, match=message):
-                rsg_step(U, data, c=1.0, k=k)
+                solve_rsg(data, r, RSGParams(c=1.0, max_iters=1))
+        with pytest.raises(DimensionError, match="need 1 <= r <= d, got d=6, r=7"):
+            solve_rsg(data, 7, RSGParams(c=1.0, max_iters=1))
 
 
 class TestParams:
@@ -93,6 +105,15 @@ class TestParams:
             RSGParams(c=1.0, max_iters=-1)
         with pytest.raises(ValueError):
             RSGParams(c=1.0, trace_stride=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("c", float("inf")), ("c", float("nan")),
+        ("reference_phi", float("inf")), ("reference_phi", float("-inf")),
+        ("reference_phi", float("nan")),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value!r}"):
+            RSGParams(**{"c": 1.0, field: value})
 
     @pytest.mark.parametrize("field, value, message", [
         ("seed", -1, "seed must be at least 0, got -1"),

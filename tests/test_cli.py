@@ -147,6 +147,31 @@ class TestSolve:
         assert "--out must be a directory" in capsys.readouterr().err
         assert not (tmp_path / "one.json").exists()
 
+    @pytest.mark.parametrize("algorithm, flag, field", [
+        ("arpgda", "--eps", "epsilon"), ("arpgda", "--mu", "mu"), ("arpgda", "--rho", "rho"),
+        ("rsg", "--c", "c"), ("rsg", "--ref-phi", "reference_phi"),
+    ])
+    def test_non_finite_parameter_exits_1_before_any_solve(self, tmp_path, capsys,
+                                                           monkeypatch, algorithm, flag, field):
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("solved with a non-finite parameter")
+
+        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        monkeypatch.setattr("fairpca.cli.solve_rsg", solve_must_not_run)
+        extra = ["--c", 0.1] if flag == "--ref-phi" else []
+        assert run(["solve", algorithm, "--gen", "gaussian:d=6,n=6,seed=0", "--r", 1,
+                    *extra, flag, "inf", "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must " in err and "finite, got inf" in err
+        assert not list(tmp_path.glob("report_*.json"))
+
+    def test_repeated_seeds_run_once(self, tmp_path, capsys):
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0", "--r", 1,
+                    "--seed", "1,0,1", "--max-iters", 50, "--out", tmp_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == ["seed=1", "seed=0"]
+        assert len(list(tmp_path.glob("report_*.json"))) == 2
+
     def test_rsg_needs_c(self, tmp_path):
         assert run(["solve", "rsg", "--gen", "gaussian:d=6,n=6,seed=0",
                     "--r", 1, "--out", tmp_path]) == 1
@@ -400,6 +425,16 @@ class TestCompare:
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
                     "--seeds", 1, "--max-iters", 20, "--out", tmp_path, *extra]) == 1
         assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "cells").exists()
+
+    def test_bad_c_grid_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("solved before --c-grid was checked")
+
+        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
+                    "--seeds", 1, "--c-grid", "0.1,-1", "--out", tmp_path]) == 1
+        assert "error: c must be positive and finite, got -1.0" in capsys.readouterr().err
         assert not (tmp_path / "cells").exists()
 
     def test_rejects_unknown_algorithm(self, tmp_path):

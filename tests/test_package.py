@@ -1,12 +1,15 @@
-"""The package's public names and the README's examples."""
+"""The package's public names, the README's examples and the independence
+of the test oracles."""
 
+import ast
 import re
 import types
 from pathlib import Path
 
 import fairpca
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def test_all_lists_every_public_name():
@@ -21,3 +24,15 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_oracles_do_not_import_the_package():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported
+    assert not [name for name in imported if name.split(".")[0] == "fairpca"]
