@@ -41,17 +41,12 @@ from .problem import (
     stationarity_measure,
 )
 from .simplex import (
-    project_to_simplex,
-    simplex_violation,
     uniform_weights,
     validate_weights,
 )
 from .stiefel import (
     load_point,
-    orthonormality_error,
     point_csv_text,
-    polar_retract,
-    project_to_tangent,
     random_stiefel,
     random_tangent,
     tangency_error,
@@ -83,18 +78,13 @@ __all__ = [
     "load_csv_grouped",
     "load_point",
     "minimax_objective",
-    "orthonormality_error",
     "point_csv_text",
-    "polar_retract",
     "preprocess",
-    "project_to_simplex",
-    "project_to_tangent",
     "random_stiefel",
     "random_tangent",
     "recommended_params",
     "riemannian_gradient_U",
     "rsg_sweep",
-    "simplex_violation",
     "smoothness_constants",
     "solve_arpgda",
     "solve_rsg",

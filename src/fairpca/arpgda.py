@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .exceptions import DegenerateProblemError, NumericalError
+from .exceptions import DegenerateProblemError, NumericalError, check_count
 from .problem import (
     Evaluation,
     GroupedDataset,
@@ -115,15 +115,6 @@ REPORT_SCHEMA: dict[str, Any] = {
     },
     "additionalProperties": True,
 }
-
-
-def check_count(name: str, value: Any, minimum: int) -> None:
-    """Raise ValueError naming the field unless value is an integer (numpy
-    integers included, bool not) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -267,7 +258,6 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     row, or since the solve started for the first.
     """
     t0 = time.perf_counter()
-    check_count("r", r, 1)
     constants = smoothness_constants(data, r)
     L1, L2_sq = constants.L1, constants.L2**2
     if L1 <= 0.0:

@@ -23,8 +23,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arpgda import SolveResult, check_count, check_iterate
-from .exceptions import NumericalError
+from .arpgda import SolveResult, check_iterate
+from .exceptions import NumericalError, check_count
 from .problem import GroupedDataset, evaluate
 from .stiefel import polar_retract, project_to_tangent, random_stiefel
 
@@ -66,7 +66,6 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     since the previous row, or since the solve started for the first.
     """
     t0 = time.perf_counter()
-    check_count("r", r, 1)
     U = random_stiefel(data.d, r, params.seed)
     ev = evaluate(data, U)
     Evaluation = type(ev)
@@ -99,7 +98,7 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         if steps >= params.max_iters:
             break
         steps += 1
-        g = project_to_tangent(ev.U, ev.group_gradient(int(ev.values.argmin())))
+        g = project_to_tangent(ev.U, ev.group_gradient(ev.values.argmin()))
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite subgradient at iteration {steps}")
         U = polar_retract(ev.U, (params.c / math.sqrt(steps)) * g)

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError
+from .exceptions import DataError, DimensionError, check_count
 from .problem import GroupedDataset
 
 
@@ -55,9 +55,9 @@ def describe(data: GroupedDataset, **fields: Any) -> dict[str, Any]:
 
 def gen_synthetic_gaussian(d: int, n: int, seed: int) -> GroupedDataset:
     """n singleton groups of standard Gaussian samples in R^d (the n = N regime)."""
-    if d < 1 or n < 1:
-        raise DimensionError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    rng = np.random.default_rng(seed)
+    check_count("d", d, 1)
+    check_count("n", n, 1)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     X = rng.standard_normal((d, n))
     return GroupedDataset(X, (1,) * n, name=f"gaussian-d{d}-n{n}-seed{seed}")
 
@@ -77,12 +77,13 @@ def gen_synthetic_blocks(
     so group variances stay O(r) while differing across groups; a group with
     scale 0 contributes f_i identically zero.
     """
-    sizes = tuple(int(s) for s in group_sizes)
-    if d < 1 or len(sizes) == 0 or any(s < 1 for s in sizes):
-        raise DimensionError(f"need d >= 1 and positive group sizes, got d={d}, {sizes}")
+    check_count("d", d, 1)
+    sizes = tuple(check_count(f"group_sizes[{i}]", s, 1) for i, s in enumerate(group_sizes))
+    if len(sizes) == 0:
+        raise DimensionError("group_sizes must be non-empty")
     if scales is not None and len(scales) != len(sizes):
         raise DimensionError(f"got {len(scales)} scales for {len(sizes)} groups")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     blocks = []
     for i, n_i in enumerate(sizes):
         s_i = rng.uniform(0.6, 1.4)
@@ -155,8 +156,9 @@ def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
     return GroupedDataset(X, sizes, labels=labels, name=Path(path).stem)
 
 
-def dataset_csv_text(data: GroupedDataset, group_column: str = "group") -> str:
-    """Render a GroupedDataset in the format load_csv_grouped reads.
+def dataset_csv_text(data: GroupedDataset) -> str:
+    """Render a GroupedDataset in the format load_csv_grouped reads, with the
+    group labels in the column it reads by default, "group".
 
     Floats are written with repr (shortest round-trip form), so rendering the
     same dataset twice produces identical bytes.
@@ -164,7 +166,7 @@ def dataset_csv_text(data: GroupedDataset, group_column: str = "group") -> str:
     labels = data.labels or tuple(f"g{i}" for i in range(data.num_groups))
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow([f"feature_{j}" for j in range(data.d)] + [group_column])
+    writer.writerow([f"feature_{j}" for j in range(data.d)] + ["group"])
     for i in range(data.num_groups):
         block = data.group(i)
         for col in range(block.shape[1]):
@@ -200,7 +202,7 @@ def preprocess(
             f"groups emptied by the norm threshold and removed: {dropped_groups}",
             stacklevel=2,
         )
-    sizes = tuple(int(count) for count in kept if count)
+    sizes = tuple(count for count in kept if count)
     labels = tuple(label for label, count in zip(labels, kept) if count)
     # C order, so the transforms below round the same for any group sizes
     X = np.ascontiguousarray(data.X[:, keep])

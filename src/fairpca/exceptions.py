@@ -1,8 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of every count
+a caller passes."""
+
+from typing import Any
+
+import numpy as np
 
 
 class DimensionError(ValueError):
-    """A matrix or vector argument has an incompatible shape."""
+    """A count, or the shape of a matrix or vector argument, is invalid."""
 
 
 class DataError(ValueError):
@@ -20,3 +25,14 @@ class DiagnosticUnavailableError(ValueError):
 
 class NumericalError(RuntimeError):
     """A solver produced non-finite values or lost manifold feasibility."""
+
+
+def check_count(name: str, value: Any, minimum: float) -> int:
+    """Raise DimensionError naming the argument unless value is an integer
+    (numpy integers included, bool not) of at least minimum; return it as
+    an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DimensionError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)

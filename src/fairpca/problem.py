@@ -17,14 +17,15 @@ with n d < N), as GroupedDataset.evaluation_form decides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DiagnosticUnavailableError, DimensionError
-from .simplex import project_to_simplex, uniform_weights, validate_weights
-from .stiefel import project_to_tangent, validate_stiefel
+from .exceptions import DiagnosticUnavailableError, DimensionError, check_count
+from .simplex import _as_vector, project_to_simplex, uniform_weights, validate_weights
+from .stiefel import _as_point_shape, project_to_tangent, validate_stiefel
 
 # Relative residual within which ky_fan_norm accepts a matrix as symmetric
 # PSD, and the step tolerance and inner-step cap of dist_to_subgradient's
@@ -57,11 +58,10 @@ class GroupedDataset:
             raise DimensionError(f"X must be non-empty, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("X must be finite")
-        sizes = tuple(int(s) for s in self.group_sizes)
+        sizes = tuple(check_count(f"group_sizes[{i}]", s, 1)
+                      for i, s in enumerate(self.group_sizes))
         if len(sizes) == 0:
             raise DimensionError("group_sizes must be non-empty")
-        if any(s < 1 for s in sizes):
-            raise DimensionError(f"group sizes must be positive, got {sizes}")
         if sum(sizes) != X.shape[1]:
             raise DimensionError(
                 f"group sizes sum to {sum(sizes)} but X has {X.shape[1]} columns"
@@ -144,28 +144,16 @@ class SmoothnessConstants:
     L2: float
 
 
-def _check_point(data: GroupedDataset, U: np.ndarray) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != data.d:
-        raise DimensionError(
-            f"U must have shape ({data.d}, r), got {U.shape}"
-        )
-    if U.shape[1] < 1 or U.shape[1] > data.d:
-        raise DimensionError(f"need 1 <= r <= d={data.d}, got r={U.shape[1]}")
-    return U
-
-
-def _check_weights_shape(data: GroupedDataset, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (data.num_groups,):
-        raise DimensionError(
-            f"y must have shape ({data.num_groups},), got {y.shape}"
-        )
+def _check_weights_size(data: GroupedDataset, y: np.ndarray) -> np.ndarray:
+    y = _as_vector(y, "y")
+    if y.size != data.num_groups:
+        raise DimensionError(f"y must have shape ({data.num_groups},), got {y.shape}")
     return y
 
 
 def _check_group_index(data: GroupedDataset, i: int) -> None:
-    if not 0 <= i < data.num_groups:
+    # any integer passes check_count; the range gets its own message
+    if not 0 <= check_count("group index", i, -math.inf) < data.num_groups:
         raise DimensionError(f"group index {i} out of range [0, {data.num_groups})")
 
 
@@ -233,7 +221,9 @@ def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:
     names.  The result carries values (f_1(U), ..., f_n(U)), gradient(y) and
     group_gradient(i), so one evaluation feeds every quantity a solver needs
     at an iterate."""
-    U = _check_point(data, U)
+    U = _as_point_shape(U)
+    if U.shape[0] != data.d:
+        raise DimensionError(f"U must have shape ({data.d}, r), got {U.shape}")
     if data.evaluation_form == "covariance":
         return CovarianceEvaluation(data, U)
     return SampleEvaluation(data, U)
@@ -241,14 +231,14 @@ def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:
 
 def minimax_objective(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> float:
     """f(U, y) = sum_i y_i (-f_i(U))."""
-    y = _check_weights_shape(data, y)
+    y = _check_weights_size(data, y)
     return float(-(y @ evaluate(data, U).values))
 
 
 def riemannian_gradient_U(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Riemannian gradient of f(., y) at U: the tangent component of the
     ambient gradient under the embedded metric."""
-    y = _check_weights_shape(data, y)
+    y = _check_weights_size(data, y)
     ev = evaluate(data, U)
     return project_to_tangent(ev.U, ev.gradient(y))
 
@@ -262,7 +252,7 @@ def ky_fan_norm(M: np.ndarray, r: int) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"M must be square, got shape {M.shape}")
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > M.shape[0]:
+    if check_count("r", r, 1) > M.shape[0]:
         raise DimensionError(f"need 1 <= r <= {M.shape[0]}, got r={r!r}")
     tol = _TOL_PSD * max(1.0, float(np.linalg.norm(M)))
     sym_residual = float(np.linalg.norm(M - M.T))
@@ -271,7 +261,7 @@ def ky_fan_norm(M: np.ndarray, r: int) -> float:
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     if w[0] < -tol:
         raise ValueError(f"M must be positive semidefinite, min eigenvalue {w[0]:.3e}")
-    return float(np.sum(w[-int(r):]))
+    return float(np.sum(w[-r:]))
 
 
 def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
@@ -304,7 +294,7 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     O(N d^2): singleton groups in one pass, any larger group through its
     Gram X_i^T X_i and an SVD.
     """
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > data.d:
+    if check_count("r", r, 1) > data.d:
         raise DimensionError(f"need 1 <= r <= d={data.d}, got r={r!r}")
     if data.evaluation_form == "covariance":
         C = data.covariances
@@ -335,7 +325,7 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
             M += Xi @ ((Xi.T @ Xi) @ Xi.T)
         # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
         row_sums = np.add.reduceat(np.einsum("ij,ij->j", X, (X @ X.T) @ X), data.starts)
-    bound = min(ky_fan_norm(M, int(r)), float(row_sums.max()))
+    bound = min(ky_fan_norm(M, r), float(row_sums.max()))
     return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
 
 
@@ -347,11 +337,10 @@ def stationarity_measure(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> 
 
     The inner maximum has the closed form sum_i y_i f_i(U) - min_i f_i(U).
     """
-    U = validate_stiefel(_check_point(data, U))
-    y = validate_weights(_check_weights_shape(data, y))
-    ev = evaluate(data, U)
+    ev = evaluate(data, validate_stiefel(U))
+    y = validate_weights(_check_weights_size(data, y))
     f_vals = ev.values
-    grad = project_to_tangent(U, ev.gradient(y))
+    grad = project_to_tangent(ev.U, ev.gradient(y))
     gap = max(float(y @ f_vals - f_vals.min()), 0.0)
     return max(float(np.linalg.norm(grad)), gap)
 
@@ -375,8 +364,7 @@ def dist_to_subgradient(
     """
     if not rel_threshold >= 0.0:
         raise ValueError(f"rel_threshold must be non-negative, got {rel_threshold!r}")
-    U = validate_stiefel(_check_point(data, U))
-    ev = evaluate(data, U)
+    ev = evaluate(data, validate_stiefel(U))
     f_vals = ev.values
     f_min = float(f_vals.min())
     if f_min <= 0.0:
@@ -385,7 +373,7 @@ def dist_to_subgradient(
         )
     active = np.nonzero(f_vals - f_min <= rel_threshold * f_min)[0]
     grads = np.stack(
-        [project_to_tangent(U, ev.group_gradient(int(i))).ravel() for i in active]
+        [project_to_tangent(ev.U, ev.group_gradient(i)).ravel() for i in active]
     )
     if len(active) == 1:
         return float(np.linalg.norm(grads[0]))

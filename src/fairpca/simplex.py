@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, check_count
 
 # Allowed drift of sum(y) from 1 when validating weight vectors.
 TOL_SUM = 1e-12
@@ -32,10 +32,10 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
 
     The floating-point residual of the sum is folded back uniformly over the
     support once, so the result sums to 1 exactly up to a final rounding.
+
+    Internal: z is not checked; callers pass a non-empty, finite 1-d float
+    array.
     """
-    z = _as_vector(z)
-    if not np.isfinite(z).all():
-        raise ValueError("projection input must be finite")
     s = np.sort(z)[::-1]
     shifted = s.cumsum() - 1.0
     # index 0 always qualifies: z_(1) - (z_(1) - 1) = 1 > 0
@@ -51,14 +51,15 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
 
 def uniform_weights(n: int) -> np.ndarray:
     """The barycenter (1/n, ..., 1/n) of the simplex."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DimensionError(f"n must be a positive integer, got {n!r}")
-    return np.full(int(n), 1.0 / n)
+    n = check_count("n", n, 1)
+    return np.full(n, 1.0 / n)
 
 
 def simplex_violation(y: np.ndarray) -> tuple[float, float]:
-    """Return (most negative entry clipped to >= 0, |sum(y) - 1|)."""
-    y = _as_vector(y, "y")
+    """Return (most negative entry clipped to >= 0, |sum(y) - 1|).
+
+    Internal: y is not checked; callers pass a non-empty 1-d float array.
+    """
     return max(0.0, -float(y.min())), abs(float(y.sum()) - 1.0)
 
 

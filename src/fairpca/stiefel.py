@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError
+from .exceptions import DataError, DimensionError, check_count
 
 # Tolerance for validating externally supplied points; freshly constructed
 # points are held to the tighter construction tolerance.
@@ -47,11 +47,10 @@ def project_to_tangent(U: np.ndarray, G: np.ndarray) -> np.ndarray:
 
     Returns:
         G - U (U^T G + G^T U) / 2, the tangent component of G at U.
+
+    Internal: the arguments are not checked; callers pass float arrays of
+    one shape.
     """
-    U = _as_point_shape(U)
-    G = _as_matrix(G, "G")
-    if G.shape != U.shape:
-        raise DimensionError(f"G must match U's shape {U.shape}, got {G.shape}")
     S = U.T @ G
     return G - U @ ((S + S.T) / 2.0)
 
@@ -70,11 +69,10 @@ def polar_retract(U: np.ndarray, D: np.ndarray) -> np.ndarray:
 
     Returns:
         The retracted point, a d x r array with orthonormal columns.
+
+    Internal: the arguments are not checked; callers pass float arrays of
+    one shape.
     """
-    U = _as_point_shape(U)
-    D = _as_matrix(D, "D")
-    if D.shape != U.shape:
-        raise DimensionError(f"D must match U's shape {U.shape}, got {D.shape}")
     A = U + D
     # For feasible U and tangent D the Gram matrix A^T A equals I_r + D^T D;
     # forming it from A directly also absorbs rounding drift in U instead of
@@ -85,13 +83,13 @@ def polar_retract(U: np.ndarray, D: np.ndarray) -> np.ndarray:
     return A @ inv_sqrt
 
 
-def random_stiefel(d: int, r: int, seed: int | np.random.Generator | None = 0) -> np.ndarray:
+def random_stiefel(d: int, r: int, seed: int = 0) -> np.ndarray:
     """Draw the orthonormal (polar) factor of a seeded standard Gaussian d x r matrix."""
-    if not isinstance(d, (int, np.integer)) or not isinstance(r, (int, np.integer)):
-        raise DimensionError(f"d and r must be integers, got {d!r}, {r!r}")
-    if r < 1 or r > d:
+    check_count("d", d, 1)
+    check_count("r", r, 1)
+    if r > d:
         raise DimensionError(f"need 1 <= r <= d, got d={d}, r={r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     A = rng.standard_normal((d, r))
     W, _, Vt = np.linalg.svd(A, full_matrices=False)
     U = W @ Vt
@@ -99,16 +97,18 @@ def random_stiefel(d: int, r: int, seed: int | np.random.Generator | None = 0) -
     return U
 
 
-def random_tangent(U: np.ndarray, seed: int | np.random.Generator | None = 0) -> np.ndarray:
+def random_tangent(U: np.ndarray, seed: int = 0) -> np.ndarray:
     """Draw a random tangent vector at U by projecting a seeded Gaussian matrix."""
     U = _as_point_shape(U)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     return project_to_tangent(U, rng.standard_normal(U.shape))
 
 
 def orthonormality_error(U: np.ndarray) -> float:
-    """Frobenius feasibility residual ||U^T U - I_r||_F."""
-    U = _as_matrix(U, "U")
+    """Frobenius feasibility residual ||U^T U - I_r||_F.
+
+    Internal: U is not checked; callers pass a 2-d float array.
+    """
     G = U.T @ U
     G.flat[:: G.shape[0] + 1] -= 1.0
     # the dot product numpy's Frobenius norm takes, without its dispatch

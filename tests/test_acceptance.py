@@ -29,8 +29,6 @@ from fairpca import (
     iterations_to_reach,
     ky_fan_norm,
     minimax_objective,
-    polar_retract,
-    project_to_simplex,
     random_stiefel,
     random_tangent,
     recommended_params,
@@ -41,6 +39,8 @@ from fairpca import (
     solve_rsg,
     uniform_weights,
 )
+from fairpca.simplex import project_to_simplex
+from fairpca.stiefel import polar_retract
 
 pytestmark = pytest.mark.acceptance
 

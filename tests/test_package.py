@@ -1,12 +1,27 @@
-"""The package's public names, the README's examples and the independence
-of the test oracles."""
+"""The package's public names and the checks of the counts they take, the
+README's examples and the independence of the test oracles."""
 
 import ast
 import re
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fairpca
+from fairpca import (
+    DimensionError,
+    GroupedDataset,
+    evaluate,
+    gen_synthetic_blocks,
+    gen_synthetic_gaussian,
+    ky_fan_norm,
+    random_stiefel,
+    random_tangent,
+    smoothness_constants,
+    uniform_weights,
+)
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -17,6 +32,45 @@ def test_all_lists_every_public_name():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(fairpca.__all__) == public
     assert len(fairpca.__all__) == len(public)
+
+
+# Every public function or constructor that takes a count, as (label, call
+# with the count, the argument's name in the error, the smallest valid
+# value).  The solvers' r and the params classes' counts are tested in
+# test_arpgda.py and test_baselines.py.
+_BLOCKS = gen_synthetic_blocks(3, (4, 4), 0)  # covariance form
+_SINGLETONS = gen_synthetic_gaussian(3, 2, 0)  # sample form
+_COUNTS = [
+    ("GroupedDataset-group_sizes", lambda v: GroupedDataset(np.ones((2, 3)), (v, 1)),
+     "group_sizes", 1),
+    ("gen_synthetic_gaussian-d", lambda v: gen_synthetic_gaussian(v, 2, 0), "d", 1),
+    ("gen_synthetic_gaussian-n", lambda v: gen_synthetic_gaussian(3, v, 0), "n", 1),
+    ("gen_synthetic_gaussian-seed", lambda v: gen_synthetic_gaussian(3, 2, v), "seed", 0),
+    ("gen_synthetic_blocks-d", lambda v: gen_synthetic_blocks(v, (2, 2), 0), "d", 1),
+    ("gen_synthetic_blocks-group_sizes", lambda v: gen_synthetic_blocks(3, (v, 2), 0),
+     "group_sizes", 1),
+    ("gen_synthetic_blocks-seed", lambda v: gen_synthetic_blocks(3, (2, 2), v), "seed", 0),
+    ("random_stiefel-d", lambda v: random_stiefel(v, 1, 0), "d", 1),
+    ("random_stiefel-r", lambda v: random_stiefel(4, v, 0), "r", 1),
+    ("random_stiefel-seed", lambda v: random_stiefel(4, 2, v), "seed", 0),
+    ("random_tangent-seed", lambda v: random_tangent(np.eye(4, 2), v), "seed", 0),
+    ("uniform_weights-n", uniform_weights, "n", 1),
+    ("ky_fan_norm-r", lambda v: ky_fan_norm(np.eye(3), v), "r", 1),
+    ("smoothness_constants-r", lambda v: smoothness_constants(_BLOCKS, v), "r", 1),
+    ("group_gradient-covariance", lambda v: evaluate(_BLOCKS, np.eye(3, 2)).group_gradient(v),
+     "group index", 0),
+    ("group_gradient-sample", lambda v: evaluate(_SINGLETONS, np.eye(3, 2)).group_gradient(v),
+     "group index", 0),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2", "below"], ids=repr)
+@pytest.mark.parametrize("call, name, minimum",
+                         [case[1:] for case in _COUNTS], ids=[case[0] for case in _COUNTS])
+def test_bad_counts_are_rejected_by_name(call, name, minimum, bad):
+    value = minimum - 1 if bad == "below" else bad
+    with pytest.raises(DimensionError, match=rf"^{name}\b"):
+        call(value)
 
 
 def test_readme_python_blocks_run():

@@ -16,7 +16,6 @@ from fairpca import (
     gen_synthetic_gaussian,
     ky_fan_norm,
     minimax_objective,
-    project_to_tangent,
     random_stiefel,
     random_tangent,
     riemannian_gradient_U,
@@ -25,6 +24,7 @@ from fairpca import (
     tangency_error,
 )
 from fairpca.problem import CovarianceEvaluation, SampleEvaluation
+from fairpca.stiefel import project_to_tangent
 
 
 @st.composite
