@@ -241,9 +241,10 @@ def recommended_params(
     )
 
 
-def _regularized_value(values: np.ndarray, y: np.ndarray, lam: float) -> float:
-    # f_k(U, y) = f(U, y) - (lam / 2) ||y||^2 with f(U, y) = -y . values
-    return float(-(y @ values) - 0.5 * lam * float(y @ y))
+def _regularized_value(weighted: float, y: np.ndarray, lam: float) -> float:
+    # f_k(U, y) = f(U, y) - (lam / 2) ||y||^2 with f(U, y) = -weighted,
+    # weighted = y . values
+    return -weighted - 0.5 * lam * float(y @ y)
 
 
 def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveResult:
@@ -278,7 +279,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     violations: list[dict[str, Any]] = []
     max_simplex = max(simplex_violation(y))
     initial_phi = float(ev.values.min())
-    value = _regularized_value(ev.values, y, lam)
+    value = _regularized_value(float(y @ ev.values), y, lam)
     step_sq = 0.0  # ||y_k - y_{k-1}||^2, zero at the start
     converged = False
     last = t0
@@ -301,11 +302,12 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         grad_norm = _norm(grad)
 
         phi = float(values.min())
-        gap = max(float(y_next @ values) - phi, 0.0)
+        weighted = float(y_next @ values)
+        gap = max(weighted - phi, 0.0)
         E = max(grad_norm, gap)
 
         # sufficient decrease of the regularized value, lambda constant
-        prev_value, value = value, _regularized_value(values, y_next, lam)
+        prev_value, value = value, _regularized_value(weighted, y_next, lam)
         lhs = value - prev_value
         step = y_next - y
         step_sq_prev, step_sq = step_sq, float(step @ step)

@@ -69,13 +69,15 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     U = random_stiefel(data.d, r, params.seed)
     ev = evaluate(data, U)
     Evaluation = type(ev)
-    phi = float(ev.values.min())
     target = (
         math.inf
         if params.reference_phi is None
         else (1.0 - REFERENCE_SLACK) * params.reference_phi
     )
     max_orth = check_iterate(ev, 0)
+    # the worst group, lowest index on ties, and its value Phi(U)
+    i = ev.values.argmin()
+    phi = float(ev.values[i])
     trace: list[dict[str, Any]] = []
     last = t0
 
@@ -98,13 +100,14 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         if steps >= params.max_iters:
             break
         steps += 1
-        g = project_to_tangent(ev.U, ev.group_gradient(ev.values.argmin()))
+        g = project_to_tangent(ev.U, ev._group_gradient(i))
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite subgradient at iteration {steps}")
         U = polar_retract(ev.U, (params.c / math.sqrt(steps)) * g)
         ev = Evaluation(data, U)
         max_orth = check_iterate(ev, steps, max_orth)
-        phi = float(ev.values.min())
+        i = ev.values.argmin()
+        phi = float(ev.values[i])
         if steps % params.trace_stride == 0:
             record(steps)
 

@@ -168,7 +168,7 @@ def dataset_csv_text(data: GroupedDataset) -> str:
     writer = csv.writer(buffer)
     writer.writerow([f"feature_{j}" for j in range(data.d)] + ["group"])
     for i in range(data.num_groups):
-        block = data.group(i)
+        block = data.X[:, data._slice(i)]
         for col in range(block.shape[1]):
             writer.writerow([repr(float(v)) for v in block[:, col]] + [labels[i]])
     return buffer.getvalue()

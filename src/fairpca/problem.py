@@ -102,12 +102,20 @@ class GroupedDataset:
         return a
 
     def group_slice(self, i: int) -> slice:
-        start = int(self.starts[i])
-        return slice(start, start + self.group_sizes[i])
+        """The columns of X that group i owns, for 0 <= i < n."""
+        _check_group_index(self, i)
+        return self._slice(i)
 
     def group(self, i: int) -> np.ndarray:
-        """Read-only view of group i's columns."""
-        return self.X[:, self.group_slice(i)]
+        """Read-only view of group i's columns, for 0 <= i < n."""
+        _check_group_index(self, i)
+        return self.X[:, self._slice(i)]
+
+    def _slice(self, i: int) -> slice:
+        # group_slice without the index check, for callers that loop over
+        # valid indices
+        start = int(self.starts[i])
+        return slice(start, start + self.group_sizes[i])
 
     @cached_property
     def evaluation_form(self) -> str:
@@ -181,7 +189,11 @@ class SampleEvaluation:
     def group_gradient(self, i: int) -> np.ndarray:
         """Ambient gradient of f_i: 2 X_i X_i^T U, for 0 <= i < n."""
         _check_group_index(self.data, i)
-        sl = self.data.group_slice(i)
+        return self._group_gradient(i)
+
+    def _group_gradient(self, i: int) -> np.ndarray:
+        # group_gradient without the index check, for solve_rsg's argmin
+        sl = self.data._slice(i)
         return 2.0 * (self.data.X[:, sl] @ self.P[sl])
 
 
@@ -210,6 +222,10 @@ class CovarianceEvaluation:
     def group_gradient(self, i: int) -> np.ndarray:
         """Ambient gradient of f_i: 2 C_i U, for 0 <= i < n."""
         _check_group_index(self.data, i)
+        return self._group_gradient(i)
+
+    def _group_gradient(self, i: int) -> np.ndarray:
+        # group_gradient without the index check, for solve_rsg's argmin
         return 2.0 * self.CU[i]
 
 
@@ -318,7 +334,7 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
         top = float(sq.max(initial=0.0))
         M = (Xs * sq) @ Xs.T
         for i in np.flatnonzero(sizes > 1):
-            Xi = data.group(int(i))
+            Xi = X[:, data._slice(i)]
             sigma = float(np.linalg.norm(Xi, 2))
             top = max(top, sigma * sigma)
             # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T

@@ -13,6 +13,7 @@ import math
 import warnings
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .exceptions import DataError, DimensionError, check_count
 
@@ -63,6 +64,14 @@ def polar_retract(U: np.ndarray, D: np.ndarray) -> np.ndarray:
     For tangent D the result is exactly feasible up to rounding, and it
     satisfies ||R_U(D) - U|| <= ||D|| and ||R_U(D) - U - D|| <= ||D||^2 / 2.
 
+    The decomposition calls numpy's LAPACK gufunc eigh_lo directly, the
+    kernel np.linalg.eigh runs for float64 input with UPLO="L", so results
+    are bit-identical to it; the wrapper's argument checks, error-state
+    context and dtype casts cost more than the kernel at these sizes.
+    Without the wrapper a LAPACK non-convergence returns NaN instead of
+    raising LinAlgError; both solvers run check_iterate on every retracted
+    point and report it as NumericalError.
+
     Args:
         U: point on St(d, r).
         D: tangent vector at U (tangency is assumed, not checked).
@@ -78,7 +87,7 @@ def polar_retract(U: np.ndarray, D: np.ndarray) -> np.ndarray:
     # forming it from A directly also absorbs rounding drift in U instead of
     # compounding it across repeated retractions.
     M = A.T @ A
-    w, Q = np.linalg.eigh(M)  # w >= 1 up to rounding
+    w, Q = _eigh_lo(M, signature="d->dd")  # w >= 1 up to rounding
     inv_sqrt = (Q / np.sqrt(w)) @ Q.T
     return A @ inv_sqrt
 

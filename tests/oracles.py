@@ -89,6 +89,14 @@ def polar_retraction_via_svd(U, D):
     return W @ Vt
 
 
+def polar_retract_by_eigh(U, D):
+    """(U + D)(I + D^T D)^(-1/2) through np.linalg.eigh of the Gram matrix
+    of U + D, operation for operation as the package's retraction forms it."""
+    A = U + D
+    w, Q = np.linalg.eigh(A.T @ A)
+    return A @ ((Q / np.sqrt(w)) @ Q.T)
+
+
 def arpgda_schedule_by_hand(epsilon, mu, rho, theta, L1, L2, k):
     """The paper's step-size rule at the 1-based step k: lambda = epsilon /
     (8 R^2) with R = 1 on the simplex, beta_k = mu k^-rho and

@@ -71,12 +71,18 @@ class TestStep:
                                        iterates[k - 1], atol=1e-12)
 
     def test_ties_break_toward_lowest_index(self):
-        x = np.array([[0.7], [0.4]])
-        data = GroupedDataset(X=np.hstack([x, x]), group_sizes=(1, 1))
-        single = GroupedDataset(X=x, group_sizes=(1,))
-        np.testing.assert_allclose(solve_steps(data, 1, 0.2, 5, 3).U,
-                                   solve_steps(single, 1, 0.2, 5, 3).U,
-                                   atol=1e-14)
+        # group 0 holds b e_1 and group 1 holds a e_2, so at the start
+        # (a, b) both values are exactly (a b)^2 while the gradients differ
+        U0 = random_stiefel(2, 1, 5)
+        a, b = U0[:, 0]
+        X = np.array([[b, 0.0], [0.0, a]])
+        data = GroupedDataset(X=X, group_sizes=(1, 1))
+        values = evaluate(data, U0).values
+        assert values[0] == values[1]
+        along_0 = oracles.rsg_step_by_hand(X, (1, 1), U0, 0.3, 1)
+        along_1 = oracles.rsg_step_by_hand(X[:, ::-1], (1, 1), U0, 0.3, 1)
+        assert np.linalg.norm(along_0 - along_1) > 1e-3
+        np.testing.assert_allclose(solve_steps(data, 1, 0.3, 5, 1).U, along_0, atol=1e-14)
 
     def test_stays_on_manifold_even_with_large_steps(self):
         res = solve_steps(two_group_dataset(seed=1), 3, 10.0, 1, 39)

@@ -57,6 +57,8 @@ _COUNTS = [
     ("uniform_weights-n", uniform_weights, "n", 1),
     ("ky_fan_norm-r", lambda v: ky_fan_norm(np.eye(3), v), "r", 1),
     ("smoothness_constants-r", lambda v: smoothness_constants(_BLOCKS, v), "r", 1),
+    ("group", lambda v: _BLOCKS.group(v), "group index", 0),
+    ("group_slice", lambda v: _BLOCKS.group_slice(v), "group index", 0),
     ("group_gradient-covariance", lambda v: evaluate(_BLOCKS, np.eye(3, 2)).group_gradient(v),
      "group index", 0),
     ("group_gradient-sample", lambda v: evaluate(_SINGLETONS, np.eye(3, 2)).group_gradient(v),

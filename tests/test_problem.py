@@ -68,6 +68,13 @@ class TestGroupedDataset:
         np.testing.assert_allclose(data.sample_norms(),
                                    np.linalg.norm(X, axis=0))
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_group_index_out_of_range_rejected(self, i):
+        data = GroupedDataset(X=np.ones((3, 4)), group_sizes=(1, 3))
+        for accessor in (data.group, data.group_slice):
+            with pytest.raises(DimensionError, match=rf"group index {i} out of range \[0, 2\)"):
+                accessor(i)
+
     def test_array_is_copied_and_frozen(self):
         X = np.ones((2, 3))
         data = GroupedDataset(X=X, group_sizes=(3,))

@@ -9,14 +9,21 @@ from hypothesis import strategies as st
 
 import oracles
 from fairpca import (
+    ARPGDAParams,
     DimensionError,
+    GroupedDataset,
+    NumericalError,
+    RSGParams,
     load_point,
     point_csv_text,
     random_stiefel,
     random_tangent,
+    solve_arpgda,
+    solve_rsg,
     tangency_error,
     validate_stiefel,
 )
+from fairpca import stiefel as stiefel_module
 from fairpca.stiefel import orthonormality_error, polar_retract, project_to_tangent
 
 
@@ -87,6 +94,31 @@ def test_retraction_matches_svd_polar_factor():
             polar_retract(U, D),
             oracles.polar_retraction_via_svd(U, D),
             atol=1e-12)
+
+
+@settings(max_examples=150)
+@given(d=st.integers(1, 30), draw=st.data())
+def test_retraction_equals_eigh_formula_exactly(d, draw):
+    # the gufunc is the kernel np.linalg.eigh runs, so no rounding may differ
+    r = draw.draw(st.integers(1, min(d, 10)))
+    seed = draw.draw(st.integers(0, 2**31 - 1))
+    scale = 10.0 ** draw.draw(st.floats(-8.0, 2.0))
+    U = random_stiefel(d, r, seed=seed)
+    D = scale * random_tangent(U, seed=seed)
+    assert np.array_equal(polar_retract(U, D), oracles.polar_retract_by_eigh(U, D))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda data: solve_arpgda(data, 2, ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10)),
+    lambda data: solve_rsg(data, 2, RSGParams(c=0.1, max_iters=10)),
+], ids=["arpgda", "rsg"])
+def test_retraction_non_convergence_is_a_numerical_error(monkeypatch, solve):
+    # LAPACK non-convergence leaves NaN in the gufunc's outputs
+    monkeypatch.setattr(stiefel_module, "_eigh_lo", lambda M, signature: (
+        np.full(M.shape[:-1], np.nan), np.full_like(M, np.nan)))
+    data = GroupedDataset(np.random.default_rng(0).standard_normal((5, 6)), (3, 3))
+    with pytest.raises(NumericalError, match="non-finite group objectives at iteration 1"):
+        solve(data)
 
 
 def test_retraction_displacement_bounds():
