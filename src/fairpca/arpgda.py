@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .exceptions import DegenerateProblemError, NumericalError, check_count
+from .exceptions import DegenerateProblemError, NumericalError, check_count, check_rank
 from .problem import (
     Evaluation,
     GroupedDataset,
@@ -206,21 +206,15 @@ class SolveResult:
         }
 
 
-def recommended_params(
-    data: GroupedDataset,
-    r: int,
-    *,
-    seed: int = 0,
-    max_iters: int = 100_000,
-    trace_stride: int = 1,
-) -> ARPGDAParams:
+def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDAParams:
     """Default driving parameters, tuned separately for the two regimes.
 
     Singleton groups (n = N): epsilon = 1e-3 max_i ||x_i||^2, rho = 1.1,
     theta = 1.5, mu = 30 n^2 sqrt(r).  Block groups (n < N): epsilon = 1e-3,
-    rho = 1.01, theta = 1.99, mu = 200 n^2 sqrt(r).
+    rho = 1.01, theta = 1.99, mu = 200 n^2 sqrt(r).  max_iters and
+    trace_stride keep their defaults; dataclasses.replace sets others.
     """
-    check_count("r", r, 1)
+    check_rank("r", r, data.d)
     n = data.num_groups
     if n == data.num_samples:
         epsilon = 1e-3 * float((data.sample_norms() ** 2).max())
@@ -235,9 +229,7 @@ def recommended_params(
         mu=mu_scale * n * n * math.sqrt(r),
         rho=rho,
         theta=theta,
-        max_iters=max_iters,
         seed=seed,
-        trace_stride=trace_stride,
     )
 
 
@@ -320,10 +312,10 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         if lhs > rhs + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "sufficient_decrease", "lhs": lhs, "rhs": rhs})
         # ascent gap at the new iterate, bounded by the parameters of the
-        # step that produced its weights
+        # step that produced its weights; recorded at k, as its trace row is
         bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
         if gap > bound + INEQUALITY_SLACK:
-            violations.append({"k": k + 1, "kind": "ascent_gap", "lhs": gap, "rhs": bound})
+            violations.append({"k": k, "kind": "ascent_gap", "lhs": gap, "rhs": bound})
 
         stop = E <= params.epsilon
         if stop or k % params.trace_stride == 0 or k == params.max_iters:

@@ -41,9 +41,11 @@ from .exceptions import (
     DiagnosticUnavailableError,
     DimensionError,
     NumericalError,
+    check_count,
+    check_rank,
 )
 from .problem import GroupedDataset, dist_to_subgradient, evaluate
-from .stiefel import TOL_ORTH, load_point, orthonormality_error, point_csv_text, validate_stiefel
+from .stiefel import load_point, orthonormality_error, point_csv_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -227,8 +229,6 @@ def _dataset_from_gen_spec(spec: str) -> tuple[GroupedDataset, dict[str, Any]]:
 
     try:
         seed = number("seed", kv.pop("seed", "0"))
-        if seed < 0:
-            raise _UsageError(f"generator spec {spec!r}: seed must be at least 0, got {seed}")
         if kind == "gaussian":
             d = number("d", kv.pop("d"))
             n = number("n", kv.pop("n"))
@@ -291,15 +291,33 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str
 # solver plumbing
 
 
+# The solver flags by the args field each sets, and the fields each solver
+# reads.  Every one defaults to None, so a field that is not None was set by
+# its flag or config entry.
+_SOLVER_FLAGS = {"epsilon": "--eps", "mu": "--mu", "rho": "--rho", "theta": "--theta",
+                 "max_iters": "--max-iters", "trace_stride": "--trace-stride",
+                 "c": "--c", "ref_phi": "--ref-phi"}
+_ARPGDA_FIELDS = ("epsilon", "mu", "rho", "theta", "max_iters", "trace_stride")
+_RSG_FIELDS = ("c", "ref_phi", "max_iters", "trace_stride")
+
+
 def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
     """The params fields among fields whose flag (or config entry) was set."""
     return {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
 
 
+def _reject_unread(args: argparse.Namespace, read: Sequence[str]) -> None:
+    """Exit 1 naming every solver flag that was set but whose field is not in read."""
+    unread = [flag for field, flag in _SOLVER_FLAGS.items()
+              if field not in read and getattr(args, field, None) is not None]
+    if unread:
+        raise _UsageError(f"no solver of this run reads {', '.join(unread)}")
+
+
 def _arpgda_params(
     data: GroupedDataset, r: int, seed: int, args: argparse.Namespace
 ) -> arpgda_mod.ARPGDAParams:
-    given = _given(args, "epsilon", "mu", "rho", "theta", "max_iters", "trace_stride")
+    given = _given(args, *_ARPGDA_FIELDS)
     return replace(arpgda_mod.recommended_params(data, r, seed=seed), **given)
 
 
@@ -332,11 +350,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     dataset, meta = _resolve_dataset(args)
-    r = args.r
-    if r is None:
-        raise _UsageError("solve needs --r")
-    if not 1 <= r <= dataset.d:
-        raise _UsageError(f"--r must lie in [1, {dataset.d}], got {r}")
+    r = check_rank("--r", args.r, dataset.d)
+    _reject_unread(args, _ARPGDA_FIELDS if args.algorithm == "arpgda" else _RSG_FIELDS)
     seeds = _unique(_parse_int_list(args.seed, "--seed"))
     if not seeds:
         raise _UsageError("--seed must name at least one seed")
@@ -442,11 +457,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not r_list:
         raise _UsageError("--r must name at least one value")
     for r in r_list:
-        if not 1 <= r <= dataset.d:
-            raise _UsageError(f"--r values must lie in [1, {dataset.d}], got {r}")
-    n_seeds = args.seeds
-    if n_seeds < 1:
-        raise _UsageError("--seeds must be at least 1")
+        check_rank("--r", r, dataset.d)
+    n_seeds = check_count("--seeds", args.seeds, 1)
     algs = _unique([a.strip() for a in args.algs.split(",") if a.strip()])
     for alg in algs:
         if alg not in ("arpgda", "rsg"):
@@ -456,8 +468,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     c_grid = _unique(_parse_float_list(args.c_grid, "--c-grid"))
     if "rsg" in algs and not c_grid:
         raise _UsageError("--c-grid must name at least one stepsize scale")
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    # the RSG sweep of compare reads only --max-iters
+    _reject_unread(args, _ARPGDA_FIELDS if "arpgda" in algs else ("max_iters",))
+    check_count("--jobs", args.jobs, 1)
     max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
     if "rsg" in algs:
         for c in c_grid:  # a bad scale exits here, before any solve
@@ -550,9 +563,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         raise DataError(
             f"checkpoint has {U.shape[0]} rows but the dataset has d={dataset.d}"
         )
-    tol = args.tol_orth if args.tol_orth is not None else TOL_ORTH
-    validate_stiefel(U, tol)
     values = evaluate(dataset, U).values
+    # dist_to_subgradient rejects a U off the manifold by more than TOL_ORTH
     out: dict[str, Any] = {
         "dataset_meta": meta,
         "r": int(U.shape[1]),
@@ -599,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("algorithm", choices=["arpgda", "rsg"])
     _add_dataset_args(p_solve)
-    p_solve.add_argument("--r", type=int, help="number of basis columns")
+    p_solve.add_argument("--r", type=int, required=True, help="number of basis columns")
     p_solve.add_argument("--seed", default="0", help="seed or comma list, e.g. 0,1,2")
     p_solve.add_argument("--c", type=float, default=None, help="rsg stepsize scale")
     p_solve.add_argument("--ref-phi", type=float, default=None, help="rsg stopping reference")
@@ -625,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_met)
     p_met.add_argument("--checkpoint", required=True, help="basis CSV written by solve --save-u")
     p_met.add_argument("--rel-threshold", type=float, default=0.1)
-    p_met.add_argument("--tol-orth", type=float, default=None)
     p_met.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_met.set_defaults(func=cmd_metrics)
 

@@ -113,8 +113,9 @@ def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
     """Read a one-row-per-sample CSV into a GroupedDataset.
 
     Raises DataError when the file is not text, the group column is missing,
-    any feature value is absent or non-numeric or non-finite (reporting the
-    offending rows), or the table has no samples or no feature columns.
+    a row has more values than the header, any feature value is absent or
+    non-numeric or non-finite (reporting the offending rows), or the table
+    has no samples or no feature columns.
     """
     with open(path, newline="") as handle:
         reader = csv.DictReader(_text_lines(handle, path))
@@ -136,18 +137,16 @@ def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
             except (TypeError, ValueError):
                 bad_rows.append(row_num)
                 continue
-            if not all(np.isfinite(vec)):
-                bad_rows.append(row_num)
-                continue
             key = row.get(group_column)
-            if key is None:
+            # DictReader files the values past the header under the key None
+            if not all(np.isfinite(vec)) or key is None or None in row:
                 bad_rows.append(row_num)
                 continue
             by_group.setdefault(key, []).append(vec)
     if bad_rows:
         shown = ", ".join(str(r) for r in bad_rows[:10])
         suffix = "" if len(bad_rows) <= 10 else f" (+{len(bad_rows) - 10} more)"
-        raise DataError(f"{path}: non-numeric or missing values in rows {shown}{suffix}")
+        raise DataError(f"{path}: non-numeric, missing or extra values in rows {shown}{suffix}")
     if not by_group:
         raise DataError(f"{path}: no data rows")
     labels = tuple(by_group.keys())
@@ -163,14 +162,11 @@ def dataset_csv_text(data: GroupedDataset) -> str:
     Floats are written with repr (shortest round-trip form), so rendering the
     same dataset twice produces identical bytes.
     """
-    labels = data.labels or tuple(f"g{i}" for i in range(data.num_groups))
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow([f"feature_{j}" for j in range(data.d)] + ["group"])
-    for i in range(data.num_groups):
-        block = data.X[:, data._slice(i)]
-        for col in range(block.shape[1]):
-            writer.writerow([repr(float(v)) for v in block[:, col]] + [labels[i]])
+    for x, label in zip(data.X.T, np.repeat(data.labels, data.group_sizes)):
+        writer.writerow([repr(float(v)) for v in x] + [str(label)])
     return buffer.getvalue()
 
 
@@ -195,15 +191,14 @@ def preprocess(
     if not keep.any():
         raise DataError("preprocessing dropped every sample")
     kept = np.add.reduceat(keep, data.starts)
-    labels = data.labels or tuple(f"g{i}" for i in range(data.num_groups))
-    dropped_groups = [label for label, count in zip(labels, kept) if count == 0]
+    dropped_groups = [label for label, count in zip(data.labels, kept) if count == 0]
     if dropped_groups:
         warnings.warn(
             f"groups emptied by the norm threshold and removed: {dropped_groups}",
             stacklevel=2,
         )
     sizes = tuple(count for count in kept if count)
-    labels = tuple(label for label, count in zip(labels, kept) if count)
+    labels = tuple(label for label, count in zip(data.labels, kept) if count)
     # C order, so the transforms below round the same for any group sizes
     X = np.ascontiguousarray(data.X[:, keep])
     if standardize_features:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check of every count
-a caller passes."""
+"""Exception types shared across the package, and the checks of every count
+and every rank r a caller passes."""
 
 from typing import Any
 
@@ -36,3 +36,12 @@ def check_count(name: str, value: Any, minimum: float) -> int:
     if value < minimum:
         raise DimensionError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def check_rank(name: str, r: Any, d: int) -> int:
+    """Raise DimensionError naming the argument unless r is an integer with
+    1 <= r <= d, the rank of a point on St(d, r); return it as an int."""
+    r = check_count(name, r, 1)
+    if r > d:
+        raise DimensionError(f"{name} must lie in [1, {d}], got {r}")
+    return r

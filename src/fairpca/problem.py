@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DiagnosticUnavailableError, DimensionError, check_count
+from .exceptions import DiagnosticUnavailableError, DimensionError, check_count, check_rank
 from .simplex import _as_vector, project_to_simplex, uniform_weights, validate_weights
 from .stiefel import _as_point_shape, project_to_tangent, validate_stiefel
 
@@ -39,10 +39,12 @@ _QP_MAX_ITERS = 10_000
 class GroupedDataset:
     """Samples arranged column-wise with one contiguous block per group.
 
-    X has shape (d, N); group i owns group_sizes[i] consecutive columns.  The
-    array is copied and frozen at construction, so datasets can be shared
-    between concurrent solver runs without locking.  Equality and hashing go
-    by identity: a dataset can key a dict, and == never compares arrays.
+    X has shape (d, N); group i owns group_sizes[i] consecutive columns.
+    labels names the groups, "g0", ..., "g{n-1}" when none are given, so it
+    is always a tuple of n strings.  The array is copied and frozen at
+    construction, so datasets can be shared between concurrent solver runs
+    without locking.  Equality and hashing go by identity: a dataset can key
+    a dict, and == never compares arrays.
     """
 
     X: np.ndarray
@@ -66,13 +68,11 @@ class GroupedDataset:
             raise DimensionError(
                 f"group sizes sum to {sum(sizes)} but X has {X.shape[1]} columns"
             )
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != len(sizes):
-                raise DimensionError(
-                    f"got {len(labels)} labels for {len(sizes)} groups"
-                )
-            object.__setattr__(self, "labels", labels)
+        labels = (f"g{i}" for i in range(len(sizes))) if self.labels is None else self.labels
+        labels = tuple(map(str, labels))
+        if len(labels) != len(sizes):
+            raise DimensionError(f"got {len(labels)} labels for {len(sizes)} groups")
+        object.__setattr__(self, "labels", labels)
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "group_sizes", sizes)
@@ -101,19 +101,14 @@ class GroupedDataset:
         a.setflags(write=False)
         return a
 
-    def group_slice(self, i: int) -> slice:
-        """The columns of X that group i owns, for 0 <= i < n."""
-        _check_group_index(self, i)
-        return self._slice(i)
-
     def group(self, i: int) -> np.ndarray:
         """Read-only view of group i's columns, for 0 <= i < n."""
         _check_group_index(self, i)
         return self.X[:, self._slice(i)]
 
     def _slice(self, i: int) -> slice:
-        # group_slice without the index check, for callers that loop over
-        # valid indices
+        # the columns of X that group i owns, unchecked, for callers that
+        # loop over valid indices
         start = int(self.starts[i])
         return slice(start, start + self.group_sizes[i])
 
@@ -135,7 +130,8 @@ class GroupedDataset:
     def covariances(self) -> np.ndarray:
         """Per-group covariances C_i = X_i X_i^T, shape (n, d, d), built on
         first use."""
-        C = np.stack([Xi @ Xi.T for Xi in map(self.group, range(self.num_groups))])
+        groups = (self.X[:, self._slice(i)] for i in range(self.num_groups))
+        C = np.stack([Xi @ Xi.T for Xi in groups])
         C.setflags(write=False)
         return C
 
@@ -165,7 +161,20 @@ def _check_group_index(data: GroupedDataset, i: int) -> None:
         raise DimensionError(f"group index {i} out of range [0, {data.num_groups})")
 
 
-class SampleEvaluation:
+class Evaluation:
+    """Group variances values = (f_1(U), ..., f_n(U)) and gradients at one
+    iterate U.  evaluate(data, U) picks the form; each form adds its cache,
+    gradient(y) and the unchecked _group_gradient(i)."""
+
+    __slots__ = ("data", "U", "values")
+
+    def group_gradient(self, i: int) -> np.ndarray:
+        """Ambient gradient of f_i at U, for 0 <= i < n."""
+        _check_group_index(self.data, i)
+        return self._group_gradient(i)
+
+
+class SampleEvaluation(Evaluation):
     """Group variances and gradients at one iterate U, in sample form.
 
     Caches the projections P = X^T U, shape (N, r); the values and each
@@ -173,7 +182,7 @@ class SampleEvaluation:
     n d >= N (see GroupedDataset.evaluation_form).
     """
 
-    __slots__ = ("data", "U", "P", "values")
+    __slots__ = ("P",)
 
     def __init__(self, data: GroupedDataset, U: np.ndarray) -> None:
         self.data = data
@@ -186,18 +195,13 @@ class SampleEvaluation:
         w = np.repeat(y, self.data.sizes_array)
         return -2.0 * (self.data.X @ (w[:, None] * self.P))
 
-    def group_gradient(self, i: int) -> np.ndarray:
-        """Ambient gradient of f_i: 2 X_i X_i^T U, for 0 <= i < n."""
-        _check_group_index(self.data, i)
-        return self._group_gradient(i)
-
     def _group_gradient(self, i: int) -> np.ndarray:
-        # group_gradient without the index check, for solve_rsg's argmin
+        # 2 X_i X_i^T U, unchecked, for solve_rsg's argmin
         sl = self.data._slice(i)
         return 2.0 * (self.data.X[:, sl] @ self.P[sl])
 
 
-class CovarianceEvaluation:
+class CovarianceEvaluation(Evaluation):
     """Group variances and gradients at one iterate U, in covariance form.
 
     Caches the stack C U, shape (n, d, r), from the per-group covariances
@@ -205,7 +209,7 @@ class CovarianceEvaluation:
     instead of O(N d r).  It suits block groups with n d < N.
     """
 
-    __slots__ = ("data", "U", "CU", "values")
+    __slots__ = ("CU",)
 
     def __init__(self, data: GroupedDataset, U: np.ndarray) -> None:
         self.data = data
@@ -219,17 +223,9 @@ class CovarianceEvaluation:
         CU = self.CU
         return -2.0 * (y @ CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
 
-    def group_gradient(self, i: int) -> np.ndarray:
-        """Ambient gradient of f_i: 2 C_i U, for 0 <= i < n."""
-        _check_group_index(self.data, i)
-        return self._group_gradient(i)
-
     def _group_gradient(self, i: int) -> np.ndarray:
-        # group_gradient without the index check, for solve_rsg's argmin
+        # 2 C_i U, unchecked, for solve_rsg's argmin
         return 2.0 * self.CU[i]
-
-
-Evaluation = SampleEvaluation | CovarianceEvaluation
 
 
 def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:
@@ -268,8 +264,7 @@ def ky_fan_norm(M: np.ndarray, r: int) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"M must be square, got shape {M.shape}")
-    if check_count("r", r, 1) > M.shape[0]:
-        raise DimensionError(f"need 1 <= r <= {M.shape[0]}, got r={r!r}")
+    check_rank("r", r, M.shape[0])
     tol = _TOL_PSD * max(1.0, float(np.linalg.norm(M)))
     sym_residual = float(np.linalg.norm(M - M.T))
     if sym_residual > tol:
@@ -310,8 +305,7 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     O(N d^2): singleton groups in one pass, any larger group through its
     Gram X_i^T X_i and an SVD.
     """
-    if check_count("r", r, 1) > data.d:
-        raise DimensionError(f"need 1 <= r <= d={data.d}, got r={r!r}")
+    check_rank("r", r, data.d)
     if data.evaluation_form == "covariance":
         C = data.covariances
         n, d, _ = C.shape

@@ -15,12 +15,11 @@ import warnings
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
-from .exceptions import DataError, DimensionError, check_count
+from .exceptions import DataError, DimensionError, check_count, check_rank
 
 # Tolerance for validating externally supplied points; freshly constructed
 # points are held to the tighter construction tolerance.
 TOL_ORTH = 1e-8
-TOL_TANGENT = 1e-8
 _TOL_CONSTRUCT = 1e-10
 
 
@@ -95,9 +94,7 @@ def polar_retract(U: np.ndarray, D: np.ndarray) -> np.ndarray:
 def random_stiefel(d: int, r: int, seed: int = 0) -> np.ndarray:
     """Draw the orthonormal (polar) factor of a seeded standard Gaussian d x r matrix."""
     check_count("d", d, 1)
-    check_count("r", r, 1)
-    if r > d:
-        raise DimensionError(f"need 1 <= r <= d, got d={d}, r={r}")
+    check_rank("r", r, d)
     rng = np.random.default_rng(check_count("seed", seed, 0))
     A = rng.standard_normal((d, r))
     W, _, Vt = np.linalg.svd(A, full_matrices=False)
@@ -134,12 +131,12 @@ def tangency_error(U: np.ndarray, D: np.ndarray) -> float:
     return float(np.linalg.norm(S + S.T))
 
 
-def validate_stiefel(U: np.ndarray, tol: float = TOL_ORTH) -> np.ndarray:
-    """Check that U lies on the manifold within tol; return it as a float array."""
+def validate_stiefel(U: np.ndarray) -> np.ndarray:
+    """Check that U lies on the manifold within TOL_ORTH; return it as a float array."""
     U = _as_point_shape(U)
     err = orthonormality_error(U)
-    if not err <= tol:
-        raise ValueError(f"point is not orthonormal within {tol:g}: residual {err:.3e}")
+    if not err <= TOL_ORTH:
+        raise ValueError(f"point is not orthonormal within {TOL_ORTH:g}: residual {err:.3e}")
     return U
 
 

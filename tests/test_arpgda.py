@@ -17,10 +17,12 @@ from fairpca import (
     NumericalError,
     REPORT_SCHEMA,
     SmoothnessConstants,
+    gen_synthetic_blocks,
     random_stiefel,
     recommended_params,
     smoothness_constants,
     solve_arpgda,
+    stationarity_measure,
     uniform_weights,
 )
 from fairpca import arpgda as arpgda_module
@@ -209,7 +211,7 @@ class TestStep:
                 solve_arpgda(data, r, params)
             with pytest.raises(ValueError, match=message):
                 recommended_params(data, r)
-        with pytest.raises(DimensionError, match="need 1 <= r <= d=6, got r=7"):
+        with pytest.raises(DimensionError, match=r"r must lie in \[1, 6\], got 7"):
             solve_arpgda(data, 7, params)
 
     def test_rejects_non_finite_gradient(self, monkeypatch):
@@ -251,7 +253,7 @@ class TestSolve:
         base = rng.standard_normal((5, 10))
         data = GroupedDataset(X=np.hstack([base, 3.0 * base]),
                               group_sizes=(10, 10))
-        params = recommended_params(data, 2, max_iters=2000)
+        params = replace(recommended_params(data, 2), max_iters=2000)
         res = solve_arpgda(data, 2, params)
         # group 1 always has the smaller variance, so it carries the weight
         assert res.y[0] > 0.9
@@ -301,6 +303,20 @@ class TestSolve:
         row = res.violations[0]
         assert set(row) == {"k", "kind", "lhs", "rhs"}
         assert row["lhs"] > row["rhs"]
+
+    def test_ascent_gap_violation_names_its_trace_row(self, monkeypatch):
+        # With mu = 0 the projection's argument is -values / lambda, so this
+        # puts all the weight on the best-off group and the gap stays large.
+        monkeypatch.setattr(arpgda_module, "project_to_simplex",
+                            lambda z: np.eye(z.size)[np.argmin(z)])
+        data = gen_synthetic_blocks(4, (30, 30, 30), 0)
+        params = ARPGDAParams(epsilon=1e-6, mu=0.0, max_iters=5)
+        with pytest.warns(RuntimeWarning):
+            res = solve_arpgda(data, 2, params)
+        gaps = {row["k"]: row["gap"] for row in res.trace}
+        rows = [v for v in res.violations if v["kind"] == "ascent_gap"]
+        assert [v["k"] for v in rows] == [1, 2, 3, 4, 5]
+        assert all(v["lhs"] == gaps[v["k"]] for v in rows)
 
     def test_numerical_error_on_broken_projection(self, monkeypatch):
         monkeypatch.setattr(arpgda_module, "project_to_simplex",
@@ -352,3 +368,16 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 25
         assert res.trace[-1]["k"] == 25
+
+    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
+    @pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+    def test_stationarity_is_the_public_measure(self, sizes, form, capped):
+        data = small_dataset(seed=3, d=5, sizes=sizes)
+        assert data.evaluation_form == form
+        params = replace(recommended_params(data, 2), max_iters=20_000)
+        if capped:
+            params = replace(params, epsilon=1e-12, max_iters=25)
+        res = solve_arpgda(data, 2, params)
+        assert res.converged is not capped
+        assert res.stationarity == stationarity_measure(data, res.U, res.y)
+        assert res.trace[-1]["E"] == res.stationarity

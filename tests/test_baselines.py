@@ -98,7 +98,7 @@ class TestStep:
                            (True, "r must be an integer, got True")):
             with pytest.raises(ValueError, match=message):
                 solve_rsg(data, r, RSGParams(c=1.0, max_iters=1))
-        with pytest.raises(DimensionError, match="need 1 <= r <= d, got d=6, r=7"):
+        with pytest.raises(DimensionError, match=r"r must lie in \[1, 6\], got 7"):
             solve_rsg(data, 7, RSGParams(c=1.0, max_iters=1))
 
 

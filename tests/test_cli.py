@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -114,8 +115,8 @@ class TestSolve:
                     "--trace-stride", 10, "--out", tmp_path / "a.json"]) == 0
         saved = json.loads((tmp_path / "a.json").read_text())["trace"]
         data = gen_synthetic_gaussian(8, 8, 1)
-        result = solve_arpgda(data, 2, recommended_params(data, 2, seed=3, max_iters=500,
-                                                          trace_stride=10))
+        params = replace(recommended_params(data, 2, seed=3), max_iters=500, trace_stride=10)
+        result = solve_arpgda(data, 2, params)
         strip = lambda trace: [{**row, "ms": None} for row in trace]
         assert strip(saved) == strip(result.trace)
         for row in saved:
@@ -213,9 +214,43 @@ class TestSolve:
         assert run(["solve", "arpgda", "--gen", "gaussian:d=3", "--r", 1,
                     "--out", tmp_path]) == 1
 
-    def test_r_out_of_range(self, tmp_path):
-        assert run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0",
-                    "--r", 9, "--out", tmp_path]) == 1
+    def test_r_out_of_range(self, tmp_path, capsys, monkeypatch):
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("solved with r > d")
+
+        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        out = tmp_path / "out"
+        for argv in (["solve", "arpgda", "--r", 5], ["compare", "--r", "1,5", "--seeds", 1]):
+            assert run([*argv, "--gen", "gaussian:d=4,n=4,seed=0", "--out", out]) == 1
+            assert "error: --r must lie in [1, 4], got 5" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("head, flags, config, unread", [
+        (["solve", "rsg", "--c", 0.1], ["--mu", 5, "--rho", 9], None, "--mu, --rho"),
+        (["solve", "rsg"], [], {"c": 0.1, "mu": 5, "rho": 9}, "--mu, --rho"),
+        (["solve", "arpgda"], ["--c", 0.1, "--ref-phi", 3], None, "--c, --ref-phi"),
+        (["solve", "arpgda"], ["--ref-phi", 3], {"c": 0.1}, "--c, --ref-phi"),
+        (["compare", "--algs", "rsg", "--seeds", 1],
+         ["--eps", 0.5, "--mu", 3, "--trace-stride", 5], None, "--eps, --mu, --trace-stride"),
+        (["compare", "--seeds", 1], [], {"algs": "rsg", "eps": 0.5, "mu": 3, "trace_stride": 5},
+         "--eps, --mu, --trace-stride"),
+    ], ids=["solve_rsg-flag", "solve_rsg-config", "solve_arpgda-flag", "solve_arpgda-config",
+            "compare_rsg-flag", "compare_rsg-config"])
+    def test_unread_solver_flags_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         head, flags, config, unread):
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("solved with a flag that no solver reads")
+
+        for name in ("arpgda_mod.solve_arpgda", "solve_rsg", "rsg_sweep"):
+            monkeypatch.setattr(f"fairpca.cli.{name}", solve_must_not_run)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", tmp_path / "cfg.json"]
+        out = tmp_path / "out"
+        assert run([*head, "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1, *flags,
+                    "--out", out]) == 1
+        assert f"error: no solver of this run reads {unread}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_input_csv_is_not_mutated(self, tmp_path):
         csv_path = tmp_path / "d.csv"
@@ -352,6 +387,20 @@ class TestMetrics:
         assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
                     "--checkpoint", bad]) == 1
 
+    @pytest.mark.parametrize("scale, code", [(1.0 + 2e-9, 0), (1.0 + 1.1e-8, 1)],
+                             ids=["residual_5.7e-9", "residual_3.1e-8"])
+    def test_checkpoint_is_held_to_tol_orth(self, tmp_path, capsys, scale, code):
+        # U^T U - I = (scale^2 - 1) I_2, so the residual is about 2 sqrt(2) (scale - 1)
+        ckpt = tmp_path / "u.csv"
+        np.savetxt(ckpt, scale * np.eye(6)[:, :2], delimiter=",", fmt="%.17e")
+        argv = ["metrics", "--gen", "gaussian:d=6,n=6,seed=2", "--checkpoint", ckpt]
+        assert run(argv) == code
+        if code:
+            assert "not orthonormal within 1e-08" in capsys.readouterr().err
+        # the tolerance is not an option
+        assert run([*argv, "--tol-orth", 1e-6]) == 1
+        assert "unrecognized arguments: --tol-orth" in capsys.readouterr().err
+
     def test_metrics_rejects_negative_rel_threshold(self, tmp_path, capsys):
         ckpt = self.setup_checkpoint(tmp_path)
         capsys.readouterr()
@@ -426,6 +475,13 @@ class TestCompare:
                     "--seeds", 1, "--max-iters", 20, "--out", tmp_path, *extra]) == 1
         assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "cells").exists()
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_rejects_seeds_below_one(self, tmp_path, capsys, seeds):
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
+                    "--seeds", seeds, "--out", tmp_path / "out"]) == 1
+        assert f"error: --seeds must be at least 1, got {seeds}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_c_grid_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def solve_must_not_run(*args, **kwargs):

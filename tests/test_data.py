@@ -110,6 +110,10 @@ class TestCsvRoundtrip:
         np.testing.assert_array_equal(loaded.X, original.X)
         assert loaded.group_sizes == original.group_sizes
 
+    def test_unlabelled_groups_are_written_as_group_numbers(self):
+        data = GroupedDataset(np.eye(2), (1, 1))
+        assert dataset_csv_text(data).splitlines()[1:] == ["1.0,0.0,g0", "0.0,1.0,g1"]
+
     def test_rendering_is_byte_deterministic(self, tmp_path):
         data = gen_synthetic_gaussian(3, 4, seed=9)
         text = dataset_csv_text(data)
@@ -141,6 +145,12 @@ class TestCsvRoundtrip:
         path = tmp_path / "bad.csv"
         path.write_text("x,group\n1,a\noops,a\n3,b\nnan,b\n")
         with pytest.raises(DataError, match="rows 2, 4"):
+            load_csv_grouped(path)
+
+    def test_rows_longer_than_the_header_are_reported(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("a,b,group\n1,2,g0\n1,2,g0,5\n3,4,g1\n5,6,g1,,\n")
+        with pytest.raises(DataError, match=r"extra values in rows 2, 4$"):
             load_csv_grouped(path)
 
     def test_empty_variants(self, tmp_path):

@@ -1,5 +1,5 @@
-"""The package's public names and the checks of the counts they take, the
-README's examples and the independence of the test oracles."""
+"""The package's public names and the checks of the counts and ranks they
+take, the README's examples and the independence of the test oracles."""
 
 import ast
 import re
@@ -11,15 +11,20 @@ import pytest
 
 import fairpca
 from fairpca import (
+    ARPGDAParams,
     DimensionError,
     GroupedDataset,
+    RSGParams,
     evaluate,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
     ky_fan_norm,
     random_stiefel,
     random_tangent,
+    recommended_params,
     smoothness_constants,
+    solve_arpgda,
+    solve_rsg,
     uniform_weights,
 )
 
@@ -58,7 +63,6 @@ _COUNTS = [
     ("ky_fan_norm-r", lambda v: ky_fan_norm(np.eye(3), v), "r", 1),
     ("smoothness_constants-r", lambda v: smoothness_constants(_BLOCKS, v), "r", 1),
     ("group", lambda v: _BLOCKS.group(v), "group index", 0),
-    ("group_slice", lambda v: _BLOCKS.group_slice(v), "group index", 0),
     ("group_gradient-covariance", lambda v: evaluate(_BLOCKS, np.eye(3, 2)).group_gradient(v),
      "group index", 0),
     ("group_gradient-sample", lambda v: evaluate(_SINGLETONS, np.eye(3, 2)).group_gradient(v),
@@ -73,6 +77,27 @@ def test_bad_counts_are_rejected_by_name(call, name, minimum, bad):
     value = minimum - 1 if bad == "below" else bad
     with pytest.raises(DimensionError, match=rf"^{name}\b"):
         call(value)
+
+
+# Every public function that takes a rank r, as (label, call with r, d).  The
+# solvers reach the check through smoothness_constants and random_stiefel;
+# the CLI's --r is tested in test_cli.py.
+_RANKS = [
+    ("random_stiefel", lambda r: random_stiefel(3, r, 0), 3),
+    ("ky_fan_norm", lambda r: ky_fan_norm(np.eye(4), r), 4),
+    ("smoothness_constants-covariance", lambda r: smoothness_constants(_BLOCKS, r), 3),
+    ("smoothness_constants-sample", lambda r: smoothness_constants(_SINGLETONS, r), 3),
+    ("recommended_params", lambda r: recommended_params(_SINGLETONS, r), 3),
+    ("solve_arpgda", lambda r: solve_arpgda(_BLOCKS, r, ARPGDAParams(epsilon=0.1, mu=1.0)), 3),
+    ("solve_rsg", lambda r: solve_rsg(_BLOCKS, r, RSGParams(c=1.0)), 3),
+]
+
+
+@pytest.mark.parametrize("call, d", [case[1:] for case in _RANKS],
+                         ids=[case[0] for case in _RANKS])
+def test_rank_above_d_is_rejected_by_name(call, d):
+    with pytest.raises(DimensionError, match=rf"^r must lie in \[1, {d}\], got {d + 1}$"):
+        call(d + 1)
 
 
 def test_readme_python_blocks_run():

@@ -62,7 +62,7 @@ class TestGroupedDataset:
         X = np.arange(12.0).reshape(3, 4)
         data = GroupedDataset(X=X, group_sizes=(1, 3), labels=("a", "b"))
         assert (data.d, data.num_samples, data.num_groups) == (3, 4, 2)
-        assert data.group_slice(1) == slice(1, 4)
+        assert data.labels == ("a", "b")
         np.testing.assert_array_equal(data.group(0), X[:, :1])
         np.testing.assert_array_equal(data.group(1), X[:, 1:])
         np.testing.assert_allclose(data.sample_norms(),
@@ -71,9 +71,14 @@ class TestGroupedDataset:
     @pytest.mark.parametrize("i", [-1, 2])
     def test_group_index_out_of_range_rejected(self, i):
         data = GroupedDataset(X=np.ones((3, 4)), group_sizes=(1, 3))
-        for accessor in (data.group, data.group_slice):
-            with pytest.raises(DimensionError, match=rf"group index {i} out of range \[0, 2\)"):
-                accessor(i)
+        with pytest.raises(DimensionError, match=rf"group index {i} out of range \[0, 2\)"):
+            data.group(i)
+
+    def test_labels_default_to_group_numbers(self):
+        data = GroupedDataset(X=np.ones((2, 4)), group_sizes=(1, 2, 1))
+        assert data.labels == ("g0", "g1", "g2")
+        with pytest.raises(DimensionError, match="got 1 labels for 3 groups"):
+            GroupedDataset(X=np.ones((2, 4)), group_sizes=(1, 2, 1), labels=("a",))
 
     def test_array_is_copied_and_frozen(self):
         X = np.ones((2, 3))
