@@ -153,8 +153,13 @@ def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     """Guard every iterate of both solvers, the start included: raise
     NumericalError, naming the iterate by its step count k, when a group value
     is not finite or U is off the manifold by more than TOL_ORTH; else return
-    max(max_orth_error, orthonormality_error(U))."""
-    if not np.isfinite(ev.values).all():
+    max(max_orth_error, orthonormality_error(U)).
+
+    The values are tested through their sum, one numpy call: a NaN or an
+    infinite entry makes the sum NaN or infinite (+inf and -inf together give
+    NaN).  The test is stricter than an entrywise one only when finite values
+    sum past the largest double, about 1.8e308; that also raises."""
+    if not math.isfinite(ev.values.sum()):
         raise NumericalError(f"non-finite group objectives at iteration {k}")
     orth = orthonormality_error(ev.U)
     if orth > TOL_ORTH:
@@ -243,12 +248,15 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     """Run ARPGDA from a seeded random start until E(U, y) <= epsilon or the
     iteration cap.
 
-    Every iterate passes check_iterate, and the per-iteration
-    sufficient-decrease and ascent-gap inequalities are evaluated with
-    INEQUALITY_SLACK; failures are collected on the result (and surfaced as
-    warnings), never silenced.  The trace keeps every trace_stride-th
-    iteration and the last; a row's ms is the wall time since the previous
-    row, or since the solve started for the first.
+    Every iterate passes check_iterate, and each descent direction must have
+    a finite norm ||grad||, which the loop computes anyway: a NaN or infinite
+    entry raises NumericalError, and so do finite entries whose squares sum
+    past the largest double (entries near 1e154 or larger).  The
+    per-iteration sufficient-decrease and ascent-gap inequalities are
+    evaluated with INEQUALITY_SLACK; failures are collected on the result
+    (and surfaced as warnings), never silenced.  The trace keeps every
+    trace_stride-th iteration and the last; a row's ms is the wall time
+    since the previous row, or since the solve started for the first.
     """
     t0 = time.perf_counter()
     constants = smoothness_constants(data, r)
@@ -280,14 +288,16 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         beta_k = mu * k**-rho
         beta_next = mu * (k + 1) ** -rho
         zeta_k = theta / (L1 + L2_sq / (lam + beta_k + beta_next))
-        if not np.isfinite(grad).all():
+        if not math.isfinite(grad_norm):
             raise NumericalError(f"non-finite gradient entering iteration {k}")
         ev = Evaluation(data, polar_retract(ev.U, -zeta_k * grad))
         # U_{k+1} passes check_iterate before the ascent step reads its values
         max_orth = check_iterate(ev, k, max_orth)
         values = ev.values
-        # grad_y f(U_{k+1}, y_k) = -values, independent of y
-        y_next = project_to_simplex(y + (-values - lam * y) / (lam + beta_k))
+        # grad_y f(U_{k+1}, y_k) = -values, independent of y; the ascent
+        # y + (-values - lam y) / (lam + beta_k), with the negation moved
+        # out, which IEEE rounding makes exact
+        y_next = project_to_simplex(y - (values + lam * y) / (lam + beta_k))
         max_simplex = max(max_simplex, *simplex_violation(y_next))
         prev_grad_norm = grad_norm
         grad = project_to_tangent(ev.U, ev.gradient(y_next))

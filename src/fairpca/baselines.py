@@ -61,7 +61,10 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     either Phi >= (1 - 1e-4) * reference_phi held (converged, including at
     the very first iterate with zero steps taken) or exactly max_iters steps
     were applied.  iterations counts the steps actually taken, and every
-    iterate passes check_iterate.  The trace records Phi at the start, every
+    iterate passes check_iterate.  Each subgradient g must have a finite
+    ||g||^2, one dot product: a NaN or infinite entry raises NumericalError,
+    and so do finite entries whose squares sum past the largest double
+    (entries near 1e154 or larger).  The trace records Phi at the start, every
     trace_stride steps and at the final iterate; a row's ms is the wall time
     since the previous row, or since the solve started for the first.
     """
@@ -101,7 +104,7 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
             break
         steps += 1
         g = project_to_tangent(ev.U, ev._group_gradient(i))
-        if not np.isfinite(g).all():
+        if not math.isfinite(np.vdot(g, g)):
             raise NumericalError(f"non-finite subgradient at iteration {steps}")
         U = polar_retract(ev.U, (params.c / math.sqrt(steps)) * g)
         ev = Evaluation(data, U)

@@ -296,7 +296,7 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str
 # its flag or config entry.
 _SOLVER_FLAGS = {"epsilon": "--eps", "mu": "--mu", "rho": "--rho", "theta": "--theta",
                  "max_iters": "--max-iters", "trace_stride": "--trace-stride",
-                 "c": "--c", "ref_phi": "--ref-phi"}
+                 "c": "--c", "ref_phi": "--ref-phi", "c_grid": "--c-grid"}
 _ARPGDA_FIELDS = ("epsilon", "mu", "rho", "theta", "max_iters", "trace_stride")
 _RSG_FIELDS = ("c", "ref_phi", "max_iters", "trace_stride")
 
@@ -355,6 +355,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     seeds = _unique(_parse_int_list(args.seed, "--seed"))
     if not seeds:
         raise _UsageError("--seed must name at least one seed")
+    for seed in seeds:
+        check_count("seed", seed, 0)
     out = Path(args.out)
     if out.suffix == ".json":
         if len(seeds) > 1:
@@ -465,14 +467,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise _UsageError(f"unknown algorithm {alg!r} (use arpgda and/or rsg)")
     if not algs:
         raise _UsageError("--algs must name at least one algorithm")
-    c_grid = _unique(_parse_float_list(args.c_grid, "--c-grid"))
-    if "rsg" in algs and not c_grid:
-        raise _UsageError("--c-grid must name at least one stepsize scale")
-    # the RSG sweep of compare reads only --max-iters
-    _reject_unread(args, _ARPGDA_FIELDS if "arpgda" in algs else ("max_iters",))
+    # the RSG sweep of compare reads only --max-iters and --c-grid
+    read = _ARPGDA_FIELDS if "arpgda" in algs else ("max_iters",)
+    _reject_unread(args, (*read, "c_grid") if "rsg" in algs else read)
     check_count("--jobs", args.jobs, 1)
     max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
+    c_grid = None
     if "rsg" in algs:
+        c_grid = (list(DEFAULT_C_GRID) if args.c_grid is None
+                  else _unique(_parse_float_list(args.c_grid, "--c-grid")))
+        if not c_grid:
+            raise _UsageError("--c-grid must name at least one stepsize scale")
         for c in c_grid:  # a bad scale exits here, before any solve
             RSGParams(c=c, max_iters=max_iters)
 
@@ -485,7 +490,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "r": r,
                     "seed": seed,
                     "arpgda_params": params if "arpgda" in algs else None,
-                    "c_grid": c_grid if "rsg" in algs else None,
+                    "c_grid": c_grid,
                     "rsg_max_iters": max_iters,
                 }
             )
@@ -627,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", type=int, default=10, help="number of seeds (0..k-1)")
     p_cmp.add_argument("--algs", default="arpgda,rsg", help="comma list from {arpgda, rsg}")
     p_cmp.add_argument(
-        "--c-grid", default=",".join(map(str, DEFAULT_C_GRID)), help="rsg stepsize sweep, comma list"
+        "--c-grid", default=None,
+        help=f"rsg stepsize sweep, comma list (default: {','.join(map(str, DEFAULT_C_GRID))})",
     )
     p_cmp.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
     p_cmp.add_argument("--out", default=".", help="output directory")

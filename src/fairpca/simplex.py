@@ -33,12 +33,22 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     The floating-point residual of the sum is folded back uniformly over the
     support once, so the result sums to 1 exactly up to a final rounding.
 
+    For one entry the simplex is the single point {1}, returned without the
+    pass.  That is the pass's own result wherever it has one: for finite
+    |z| < 2^53 the rounding error of z - 1 is at most ulp(z) / 2 <= 1 / 2,
+    so y = z - (z - 1) lies in [1/2, 3/2]; then y - 1 is exact by Sterbenz's
+    lemma and the sum correction y - (y - 1) gives exactly 1.  For
+    |z| >= 2^53, z - 1 can round to z, no index passes the threshold test
+    and the pass would raise IndexError.
+
     Internal: z is not checked; callers pass a non-empty, finite 1-d float
     array.
     """
+    if z.size == 1:
+        return np.ones(1)
     s = np.sort(z)[::-1]
     shifted = s.cumsum() - 1.0
-    # index 0 always qualifies: z_(1) - (z_(1) - 1) = 1 > 0
+    # index 0 qualifies while |z_(1)| < 2^53, as z_(1) - (z_(1) - 1) >= 1/2
     last = np.flatnonzero(s - shifted / np.arange(1, z.size + 1) > 0)[-1]
     y = z - shifted[last] / (last + 1.0)
     np.maximum(y, 0.0, out=y)

@@ -76,8 +76,34 @@ def euclidean_gradient_by_loops(X, group_sizes, U, y):
 
 
 def tangent_projection_by_formula(U, G):
+    """G - U sym(U^T G), operation for operation as the package's tangent
+    projection forms it."""
     S = U.T @ G
     return G - U @ ((S + S.T) / 2.0)
+
+
+def orthonormality_error_by_diagonal(U):
+    """||U^T U - I||_F with 1 subtracted from the diagonal entries only,
+    then the square root of the Frobenius dot product."""
+    G = U.T @ U
+    G.flat[:: G.shape[0] + 1] -= 1.0
+    return math.sqrt(np.vdot(G, G))
+
+
+def simplex_projection_by_sort(z):
+    """The sort-and-threshold projection onto the simplex with its sum
+    correction, operation for operation, for any number of entries: the
+    largest m with z_(m) > (sum_{j<=m} z_(j) - 1) / m sets the threshold,
+    and the residual of the sum is folded back once over the support."""
+    s = np.sort(z)[::-1]
+    shifted = s.cumsum() - 1.0
+    last = np.flatnonzero(s - shifted / np.arange(1, z.size + 1) > 0)[-1]
+    y = z - shifted[last] / (last + 1.0)
+    np.maximum(y, 0.0, out=y)
+    support = y > 0
+    y[support] -= (y.sum() - 1.0) / np.count_nonzero(support)
+    np.maximum(y, 0.0, out=y)
+    return y
 
 
 def polar_retraction_via_svd(U, D):

@@ -32,6 +32,14 @@ from fairpca import arpgda as arpgda_module
 TRACE_KEYS = {"k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
 
 
+def filled_like(A, fill):
+    """An array of A's shape holding fill, or alternating +inf and -inf
+    entries for fill = "mixed"."""
+    if fill == "mixed":
+        return np.where(np.arange(A.size).reshape(A.shape) % 2 == 0, np.inf, -np.inf)
+    return np.full_like(A, fill)
+
+
 def small_dataset(seed=0, d=6, sizes=(2, 3, 2)):
     rng = np.random.default_rng(seed)
     return GroupedDataset(X=rng.standard_normal((d, sum(sizes))),
@@ -220,6 +228,16 @@ class TestStep:
         with pytest.raises(NumericalError, match="non-finite gradient entering iteration 1"):
             solve_arpgda(small_dataset(), 2, ARPGDAParams(epsilon=0.05, mu=2.0))
 
+    @pytest.mark.parametrize("fill", [np.inf, -np.inf, "mixed", 1e200],
+                             ids=["inf", "neg_inf", "mixed_inf", "overflow"])
+    def test_rejects_infinite_gradient(self, monkeypatch, fill):
+        # the guard reads ||grad||: an infinite entry, and finite entries
+        # whose squares overflow, make it infinite
+        monkeypatch.setattr(arpgda_module, "project_to_tangent",
+                            lambda U, G: filled_like(G, fill))
+        with pytest.raises(NumericalError, match="non-finite gradient entering iteration 1"):
+            solve_arpgda(small_dataset(), 2, ARPGDAParams(epsilon=0.05, mu=2.0))
+
 
 class TestSolve:
     def test_deterministic_given_seed(self):
@@ -329,12 +347,17 @@ class TestSolve:
     @pytest.mark.parametrize("retract, cause", [
         (lambda U, D: np.full_like(U, np.nan), "non-finite group objectives at iteration 1"),
         (lambda U, D: 2.0 * U, "iterate left the manifold at iteration 1"),
-    ], ids=["nan", "scaled"])
+        (lambda U, D: filled_like(U, np.inf), "non-finite group objectives at iteration 1"),
+        (lambda U, D: filled_like(U, -np.inf), "non-finite group objectives at iteration 1"),
+        (lambda U, D: filled_like(U, "mixed"), "non-finite group objectives at iteration 1"),
+    ], ids=["nan", "scaled", "inf", "neg_inf", "mixed_inf"])
     def test_bad_retraction_raises_numerical_error(self, monkeypatch, retract, cause):
         monkeypatch.setattr(arpgda_module, "polar_retract", retract)
         data = small_dataset(seed=9)
         params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
-        with pytest.raises(NumericalError, match=cause):
+        # an infinite entry makes the evaluation's matmul warn before the
+        # guard raises
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=cause):
             solve_arpgda(data, 2, params)
 
     def test_trace_ms_counts_from_previous_row(self, monkeypatch, clock):

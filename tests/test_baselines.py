@@ -19,10 +19,19 @@ from fairpca import (
     solve_rsg,
 )
 from fairpca import baselines as baselines_module
+from fairpca.stiefel import project_to_tangent
 
 
 # The keys of a trace row, which are those of a report's trace rows.
 TRACE_KEYS = {"k", "phi", "E", "grad_norm", "gap", "lambda", "beta", "zeta", "ms"}
+
+
+def filled_like(A, fill):
+    """An array of A's shape holding fill, or alternating +inf and -inf
+    entries for fill = "mixed"."""
+    if fill == "mixed":
+        return np.where(np.arange(A.size).reshape(A.shape) % 2 == 0, np.inf, -np.inf)
+    return np.full_like(A, fill)
 
 
 def two_group_dataset(seed=0, d=6, sizes=(8, 8)):
@@ -204,11 +213,32 @@ class TestSolve:
     @pytest.mark.parametrize("retract, cause", [
         (lambda U, D: np.full_like(U, np.nan), "non-finite group objectives at iteration 1"),
         (lambda U, D: 2.0 * U, "iterate left the manifold at iteration 1"),
-    ], ids=["nan", "scaled"])
+        (lambda U, D: filled_like(U, np.inf), "non-finite group objectives at iteration 1"),
+        (lambda U, D: filled_like(U, -np.inf), "non-finite group objectives at iteration 1"),
+        (lambda U, D: filled_like(U, "mixed"), "non-finite group objectives at iteration 1"),
+    ], ids=["nan", "scaled", "inf", "neg_inf", "mixed_inf"])
     def test_bad_retraction_raises_numerical_error(self, monkeypatch, retract, cause):
         monkeypatch.setattr(baselines_module, "polar_retract", retract)
         data = two_group_dataset(seed=7)
-        with pytest.raises(NumericalError, match=cause):
+        # an infinite entry makes the evaluation's matmul warn before the
+        # guard raises
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=cause):
+            solve_rsg(data, 2, RSGParams(c=0.1, max_iters=10, seed=3))
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, "mixed", 1e200],
+                             ids=["nan", "inf", "neg_inf", "mixed_inf", "overflow"])
+    def test_non_finite_subgradient_raises_numerical_error(self, monkeypatch, fill):
+        # the guard reads g . g: a NaN or infinite entry, and finite entries
+        # whose squares overflow, make it non-finite
+        steps = []
+
+        def project(U, G):
+            steps.append(1)
+            return filled_like(G, fill) if len(steps) == 3 else project_to_tangent(U, G)
+
+        monkeypatch.setattr(baselines_module, "project_to_tangent", project)
+        data = two_group_dataset(seed=7)
+        with pytest.raises(NumericalError, match="non-finite subgradient at iteration 3"):
             solve_rsg(data, 2, RSGParams(c=0.1, max_iters=10, seed=3))
 
     def test_evaluates_each_iterate_once(self, monkeypatch):

@@ -19,7 +19,7 @@ from fairpca import (
     recommended_params,
     solve_arpgda,
 )
-from fairpca.cli import main
+from fairpca.cli import DEFAULT_C_GRID, main
 
 
 def run(argv):
@@ -125,10 +125,12 @@ class TestSolve:
         assert iterations_to_reach(saved, 2.0 * saved[-1]["phi"]) is None
 
     def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "newdir"
         assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
-                    "--r", 1, "--seed=-1", "--out", tmp_path]) == 1
+                    "--r", 1, "--seed", "0,-1", "--out", out]) == 1
         assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
-        assert not list(tmp_path.glob("report_*.json"))
+        # checked with the other flags, before any directory is made
+        assert not out.exists()
 
     def test_single_json_out_path(self, tmp_path):
         target = tmp_path / "one.json"
@@ -234,8 +236,11 @@ class TestSolve:
          ["--eps", 0.5, "--mu", 3, "--trace-stride", 5], None, "--eps, --mu, --trace-stride"),
         (["compare", "--seeds", 1], [], {"algs": "rsg", "eps": 0.5, "mu": 3, "trace_stride": 5},
          "--eps, --mu, --trace-stride"),
+        (["compare", "--algs", "arpgda", "--seeds", 1], ["--c-grid", 0.5], None, "--c-grid"),
+        (["compare", "--seeds", 1], [], {"algs": "arpgda", "c_grid": [0.5]}, "--c-grid"),
     ], ids=["solve_rsg-flag", "solve_rsg-config", "solve_arpgda-flag", "solve_arpgda-config",
-            "compare_rsg-flag", "compare_rsg-config"])
+            "compare_rsg-flag", "compare_rsg-config", "compare_arpgda-flag",
+            "compare_arpgda-config"])
     def test_unread_solver_flags_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                          head, flags, config, unread):
         def solve_must_not_run(*args, **kwargs):
@@ -452,17 +457,20 @@ class TestCompare:
     def test_single_algorithm(self, tmp_path, alg):
         out = tmp_path / "solo"
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
-                    "--r", "1", "--seeds", 1, "--algs", alg,
-                    "--c-grid", "0.1,1.0", "--max-iters", 200,
+                    "--r", "1", "--seeds", 1, "--algs", alg, "--max-iters", 200,
                     "--out", out]) == 0
         rows = read_csv_rows(out / "compare.csv")
         assert {row[0] for row in rows[1:]} == {alg}
         cell = json.loads((out / "cells" / "cell_r1_seed0.json").read_text())
         assert set(cell) == {"r", "seed", alg}
+        summary = json.loads((out / "compare_summary.json").read_text())
         if alg == "rsg":
             # no reference: every run of the sweep takes the full cap
             assert cell["rsg"]["iterations"] == 200
-            assert cell["rsg"]["c"] in (0.1, 1.0)
+            assert cell["rsg"]["c"] in DEFAULT_C_GRID
+            assert summary["c_grid"] == list(DEFAULT_C_GRID)
+        else:
+            assert summary["c_grid"] is None
 
     @pytest.mark.parametrize("jobs, source", [(0, "flag"), (-2, "flag"), (0, "config")])
     def test_rejects_jobs_below_one(self, tmp_path, capsys, jobs, source):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fairpca import DimensionError, uniform_weights, validate_weights
@@ -73,6 +75,27 @@ def test_translation_invariance():
 def test_single_entry_projects_to_one():
     np.testing.assert_array_equal(project_to_simplex(np.array([-7.3])),
                                   np.array([1.0]))
+
+
+@settings(max_examples=300)
+@given(exponent=st.floats(-300.0, 300.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_single_entry_is_one_at_every_scale(exponent, sign):
+    # the simplex in R^1 is the point {1}, whatever the magnitude of z
+    z = np.array([sign * 10.0 ** exponent])
+    y = project_to_simplex(z)
+    assert y.dtype == np.float64
+    assert y.tolist() == [1.0]
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**31 - 1),
+       exponent=st.floats(-3.0, 3.0), ties=st.booleans())
+def test_equals_sort_and_threshold_transcription_exactly(n, seed, exponent, ties):
+    rng = np.random.default_rng(seed)
+    z = 10.0 ** exponent * rng.standard_normal(n)
+    if ties:  # repeated entries, as on a face of the simplex
+        z = np.round(z, 1)
+    assert np.array_equal(project_to_simplex(z.copy()), oracles.simplex_projection_by_sort(z))
 
 
 def test_uniform_weights():

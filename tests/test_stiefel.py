@@ -170,6 +170,24 @@ def test_orthonormality_error_matches_dense_norm(d, draw):
     assert orthonormality_error(U) == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=200)
+@given(d=st.integers(1, 30), draw=st.data())
+def test_kernels_equal_their_transcriptions_exactly(d, draw):
+    # the cached identity changes no rounding, and the tangent projection
+    # keeps its operation order
+    r = draw.draw(st.integers(1, d))
+    seed = draw.draw(st.integers(0, 2**31 - 1))
+    scale = 10.0 ** draw.draw(st.floats(-12.0, 6.0))
+    rng = np.random.default_rng(seed)
+    U = random_stiefel(d, r, seed=seed)
+    G = scale * rng.standard_normal((d, r))
+    assert np.array_equal(project_to_tangent(U, G), oracles.tangent_projection_by_formula(U, G))
+    # near the manifold and far from it
+    V = U + scale * rng.standard_normal((d, r))
+    assert orthonormality_error(V) == oracles.orthonormality_error_by_diagonal(V)
+    assert orthonormality_error(U) == oracles.orthonormality_error_by_diagonal(U)
+
+
 def test_validate_stiefel_rejects_bad_inputs():
     with pytest.raises(DimensionError):
         validate_stiefel(np.zeros((2, 5)))  # more columns than rows
