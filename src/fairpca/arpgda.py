@@ -221,7 +221,7 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
     """
     check_rank("r", r, data.d)
     n = data.num_groups
-    if n == data.num_samples:
+    if data._singletons:
         epsilon = 1e-3 * float((data.sample_norms() ** 2).max())
         rho, theta, mu_scale = 1.1, 1.5, 30.0
     else:
@@ -241,7 +241,7 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
 def _regularized_value(weighted: float, y: np.ndarray, lam: float) -> float:
     # f_k(U, y) = f(U, y) - (lam / 2) ||y||^2 with f(U, y) = -weighted,
     # weighted = y . values
-    return -weighted - 0.5 * lam * float(y @ y)
+    return -weighted - 0.5 * lam * float(y.dot(y))
 
 
 def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveResult:
@@ -279,7 +279,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     violations: list[dict[str, Any]] = []
     max_simplex = max(simplex_violation(y))
     initial_phi = float(ev.values.min())
-    value = _regularized_value(float(y @ ev.values), y, lam)
+    value = _regularized_value(float(y.dot(ev.values)), y, lam)
     step_sq = 0.0  # ||y_k - y_{k-1}||^2, zero at the start
     converged = False
     last = t0
@@ -304,7 +304,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         grad_norm = _norm(grad)
 
         phi = float(values.min())
-        weighted = float(y_next @ values)
+        weighted = float(y_next.dot(values))
         gap = max(weighted - phi, 0.0)
         E = max(grad_norm, gap)
 
@@ -312,7 +312,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         prev_value, value = value, _regularized_value(weighted, y_next, lam)
         lhs = value - prev_value
         step = y_next - y
-        step_sq_prev, step_sq = step_sq, float(step @ step)
+        step_sq_prev, step_sq = step_sq, float(step.dot(step))
         y = y_next
         rhs = (
             -decrease * zeta_k * prev_grad_norm**2

@@ -12,7 +12,13 @@ which is linear in y; its y-gradient is the vector (-f_1(U), ..., -f_n(U)).
 
 Solvers evaluate each iterate once through evaluate(data, U), in sample form
 (X^T U, for singleton groups) or covariance form (C_i U, for block groups
-with n d < N), as GroupedDataset.evaluation_form decides.
+with n d < N), as GroupedDataset.evaluation_form decides.  Their 2-d and
+1-d products go through ndarray.dot, which makes the same BLAS call as the
+@ operator, so the results are bit-identical, without the matmul ufunc's
+dispatch (see the stiefel module).  The covariance stack product C U stays
+a batched @: np.dot has other semantics for 3-d operands, and one flattened
+(n d, d) x (d, r) product, though cheaper, changed bits in 198 of 300 trials
+(d = 23, n = 4, six ranks from 1 to 23, 50 starts each).
 """
 
 from __future__ import annotations
@@ -113,6 +119,12 @@ class GroupedDataset:
         return slice(start, start + self.group_sizes[i])
 
     @cached_property
+    def _singletons(self) -> bool:
+        # every group is one sample (n = N): the regime recommended_params
+        # tunes for, and where the evaluation's per-group sums are copies
+        return self.num_groups == self.num_samples
+
+    @cached_property
     def evaluation_form(self) -> str:
         """Which form evaluates the group variances and gradients, by cost.
 
@@ -164,7 +176,8 @@ def _check_group_index(data: GroupedDataset, i: int) -> None:
 class Evaluation:
     """Group variances values = (f_1(U), ..., f_n(U)) and gradients at one
     iterate U.  evaluate(data, U) picks the form; each form adds its cache,
-    gradient(y) and the unchecked _group_gradient(i)."""
+    gradient(y) and the unchecked _group_gradient(i).  gradient reads y as
+    given, a float array of shape (n,)."""
 
     __slots__ = ("data", "U", "values")
 
@@ -187,18 +200,21 @@ class SampleEvaluation(Evaluation):
     def __init__(self, data: GroupedDataset, U: np.ndarray) -> None:
         self.data = data
         self.U = U
-        self.P = P = data.X.T @ U
-        self.values = np.add.reduceat(np.einsum("ij,ij->i", P, P), data.starts)
+        self.P = P = data.X.T.dot(U)
+        sq = np.einsum("ij,ij->i", P, P)
+        # a one-sample group's sum is its one entry, so singletons skip it
+        self.values = sq if data._singletons else np.add.reduceat(sq, data.starts)
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Ambient gradient of f(., y): -2 sum_i y_i X_i X_i^T U."""
-        w = np.repeat(y, self.data.sizes_array)
-        return -2.0 * (self.data.X @ (w[:, None] * self.P))
+        data = self.data
+        w = y if data._singletons else np.repeat(y, data.sizes_array)
+        return -2.0 * data.X.dot(w[:, None] * self.P)
 
     def _group_gradient(self, i: int) -> np.ndarray:
         # 2 X_i X_i^T U, unchecked, for solve_rsg's argmin
         sl = self.data._slice(i)
-        return 2.0 * (self.data.X[:, sl] @ self.P[sl])
+        return 2.0 * self.data.X[:, sl].dot(self.P[sl])
 
 
 class CovarianceEvaluation(Evaluation):
@@ -221,7 +237,7 @@ class CovarianceEvaluation(Evaluation):
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Ambient gradient of f(., y): -2 sum_i y_i C_i U."""
         CU = self.CU
-        return -2.0 * (y @ CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
+        return -2.0 * y.dot(CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
 
     def _group_gradient(self, i: int) -> np.ndarray:
         # 2 C_i U, unchecked, for solve_rsg's argmin

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError, check_count
+from .exceptions import DimensionError, NumericalError, check_count
 
 # Allowed drift of sum(y) from 1 when validating weight vectors.
 TOL_SUM = 1e-12
@@ -37,9 +37,11 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     pass.  That is the pass's own result wherever it has one: for finite
     |z| < 2^53 the rounding error of z - 1 is at most ulp(z) / 2 <= 1 / 2,
     so y = z - (z - 1) lies in [1/2, 3/2]; then y - 1 is exact by Sterbenz's
-    lemma and the sum correction y - (y - 1) gives exactly 1.  For
-    |z| >= 2^53, z - 1 can round to z, no index passes the threshold test
-    and the pass would raise IndexError.
+    lemma and the sum correction y - (y - 1) gives exactly 1.
+
+    For two or more entries with largest |z| >= 2^53, z_(1) - 1 can round to
+    z_(1), so no index passes the threshold test: the step that produced z
+    has lost every digit below 1, and NumericalError says so.
 
     Internal: z is not checked; callers pass a non-empty, finite 1-d float
     array.
@@ -49,7 +51,12 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     s = np.sort(z)[::-1]
     shifted = s.cumsum() - 1.0
     # index 0 qualifies while |z_(1)| < 2^53, as z_(1) - (z_(1) - 1) >= 1/2
-    last = np.flatnonzero(s - shifted / np.arange(1, z.size + 1) > 0)[-1]
+    try:
+        last = np.flatnonzero(s - shifted / np.arange(1, z.size + 1) > 0)[-1]
+    except IndexError:
+        raise NumericalError(
+            f"simplex projection lost precision: largest |z| is {np.abs(z).max():.3e} >= 2^53"
+        ) from None
     y = z - shifted[last] / (last + 1.0)
     np.maximum(y, 0.0, out=y)
     support = y > 0

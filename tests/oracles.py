@@ -75,6 +75,37 @@ def euclidean_gradient_by_loops(X, group_sizes, U, y):
     return grad
 
 
+def evaluation_by_matmul(X, group_sizes, U, form):
+    """The group variances, gradient(y) and group_gradient(i) in the named
+    form ("sample" or "covariance"), through the @ operator, with the
+    per-group sum and the weight repeat run for every group size.  X is
+    first copied to C order, as GroupedDataset stores it."""
+    X = np.ascontiguousarray(X, dtype=float)
+    sizes = np.asarray(group_sizes, dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    if form == "sample":
+        P = X.T @ U
+        values = np.add.reduceat(np.einsum("ij,ij->i", P, P), starts)
+
+        def gradient(y):
+            return -2.0 * (X @ (np.repeat(y, sizes)[:, None] * P))
+
+        def group_gradient(i):
+            sl = slice(starts[i], starts[i] + sizes[i])
+            return 2.0 * (X[:, sl] @ P[sl])
+    else:
+        C = np.stack([X[:, s:s + n] @ X[:, s:s + n].T for s, n in zip(starts, sizes)])
+        CU = C @ U
+        values = (CU * U).sum(axis=(1, 2))
+
+        def gradient(y):
+            return -2.0 * (y @ CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
+
+        def group_gradient(i):
+            return 2.0 * CU[i]
+    return values, gradient, group_gradient
+
+
 def tangent_projection_by_formula(U, G):
     """G - U sym(U^T G), operation for operation as the package's tangent
     projection forms it."""

@@ -7,7 +7,7 @@ Each check prints one always-visible line of the form
 so the verdicts are readable straight from the pytest output.  The heavy
 fixtures (forty solver cells at d = n = 200 plus the best-stepsize baseline
 sweep over them) are module-scoped and shared by checks 2, 3, 4, and 8; the
-full module takes about five minutes with one BLAS thread (301 s run alone
+full module takes about five minutes with one BLAS thread (277 s run alone
 on a 2-core machine).
 
 Checks 5, 6, and 7 certify the mathematics against independent oracles.

@@ -344,6 +344,14 @@ class TestSolve:
         with pytest.raises(NumericalError):
             solve_arpgda(data, 2, params)
 
+    def test_overflowing_dual_step_raises_numerical_error(self):
+        # at this scale the dual step's entries pass 2^53 within a few
+        # iterations, past the digits the simplex projection needs
+        data = gen_synthetic_blocks(6, (20, 20), 0)
+        data = GroupedDataset(1e8 * data.X, data.group_sizes)
+        with pytest.raises(NumericalError, match=r"simplex projection lost precision"):
+            solve_arpgda(data, 2, recommended_params(data, 2))
+
     @pytest.mark.parametrize("retract, cause", [
         (lambda U, D: np.full_like(U, np.nan), "non-finite group objectives at iteration 1"),
         (lambda U, D: 2.0 * U, "iterate left the manifold at iteration 1"),
@@ -355,7 +363,7 @@ class TestSolve:
         monkeypatch.setattr(arpgda_module, "polar_retract", retract)
         data = small_dataset(seed=9)
         params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
-        # an infinite entry makes the evaluation's matmul warn before the
+        # an infinite entry makes the evaluation's products warn before the
         # guard raises
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=cause):
             solve_arpgda(data, 2, params)

@@ -220,7 +220,7 @@ class TestSolve:
     def test_bad_retraction_raises_numerical_error(self, monkeypatch, retract, cause):
         monkeypatch.setattr(baselines_module, "polar_retract", retract)
         data = two_group_dataset(seed=7)
-        # an infinite entry makes the evaluation's matmul warn before the
+        # an infinite entry makes the evaluation's products warn before the
         # guard raises
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=cause):
             solve_rsg(data, 2, RSGParams(c=0.1, max_iters=10, seed=3))

@@ -184,6 +184,36 @@ class TestEvaluationForms:
             np.testing.assert_allclose(cov.group_gradient(i), sample.group_gradient(i),
                                        rtol=0, atol=atol)
 
+    @settings(max_examples=200)
+    @given(groups=st.sampled_from(["singletons", "sample", "covariance"]),
+           order=st.sampled_from(["C", "F"]), draw=st.data())
+    def test_equals_matmul_transcription_exactly(self, groups, order, draw):
+        # dot makes the BLAS call that @ makes, and singleton groups skip
+        # only a sum and a repeat that copy their input
+        d = draw.draw(st.integers(2, 12))
+        if groups == "singletons":
+            sizes = (1,) * draw.draw(st.integers(1, 3 * d))
+        elif groups == "sample":  # n d >= N, with a group of two or more
+            sizes = tuple(draw.draw(st.lists(st.integers(1, d), min_size=1, max_size=5)))
+            sizes = (draw.draw(st.integers(2, d)), *sizes)
+        else:  # n d < N
+            sizes = tuple(draw.draw(st.lists(st.integers(d + 1, 3 * d), min_size=1, max_size=4)))
+        r = draw.draw(st.one_of(st.just(1), st.just(d), st.integers(1, d)))
+        seed = draw.draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, sum(sizes)))
+        data = GroupedDataset(X=np.asfortranarray(X) if order == "F" else X, group_sizes=sizes)
+        assert data.evaluation_form == ("covariance" if groups == "covariance" else "sample")
+        U = random_stiefel(d, r, seed=seed)
+        y = rng.dirichlet(np.ones(len(sizes)))
+        ev = evaluate(data, U)
+        values, gradient, group_gradient = oracles.evaluation_by_matmul(
+            X, sizes, U, data.evaluation_form)
+        assert np.array_equal(ev.values, values)
+        assert np.array_equal(ev.gradient(y), gradient(y))
+        for i in range(len(sizes)):
+            assert np.array_equal(ev._group_gradient(i), group_gradient(i))
+
     def test_cost_rule_picks_the_form(self):
         singletons = gen_synthetic_gaussian(200, 200, 0)
         spectrum = GroupedDataset(np.random.default_rng(0).standard_normal((50, 50)), (50,))

@@ -1,12 +1,14 @@
 """Simplex projection against brute force, plus feasibility helpers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fairpca import DimensionError, uniform_weights, validate_weights
+from fairpca import DimensionError, NumericalError, uniform_weights, validate_weights
 from fairpca.simplex import project_to_simplex, simplex_violation
 
 
@@ -85,6 +87,23 @@ def test_single_entry_is_one_at_every_scale(exponent, sign):
     y = project_to_simplex(z)
     assert y.dtype == np.float64
     assert y.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("z, largest", [
+    ([-1e17, -2e17], "2.000e+17"),
+    ([1e17, 3e16, -4.0], "1.000e+17"),
+], ids=["negative", "mixed"])
+def test_lost_precision_is_a_numerical_error(z, largest):
+    # from |z| = 2^53 on, z - 1 can round to z and no entry passes the
+    # threshold test
+    message = f"simplex projection lost precision: largest |z| is {largest} >= 2^53"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        project_to_simplex(np.array(z))
+
+
+def test_just_below_two_to_the_53_projects():
+    z = np.array([2.0**53 - 1.0, 0.0])
+    assert project_to_simplex(z).tolist() == [1.0, 0.0]
 
 
 @settings(max_examples=300)
