@@ -13,7 +13,7 @@ from .arpgda import (
     recommended_params,
     solve_arpgda,
 )
-from .baselines import RSGParams, iterations_to_reach, rsg_sweep, solve_rsg
+from .baselines import RSGParams, compare_cell, iterations_to_reach, solve_rsg
 from .data import (
     dataset_csv_text,
     describe,
@@ -67,6 +67,7 @@ __all__ = [
     "RSGParams",
     "SmoothnessConstants",
     "SolveResult",
+    "compare_cell",
     "dataset_csv_text",
     "describe",
     "dist_to_subgradient",
@@ -84,7 +85,6 @@ __all__ = [
     "random_tangent",
     "recommended_params",
     "riemannian_gradient_U",
-    "rsg_sweep",
     "smoothness_constants",
     "solve_arpgda",
     "solve_rsg",

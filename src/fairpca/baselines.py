@@ -11,25 +11,28 @@ A run stops once Phi(U) >= (1 - 1e-4) * reference_phi (the reference is
 typically another solver's final value) or after max_iters steps.  Ties in
 the worst group go to the lowest index.  solve_rsg's loop is the only
 implementation of the step, so a run with max_iters = k and no reference
-ends at U_k.
+ends at U_k.  compare_cell runs one cell of the comparison with ARPGDA.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arpgda import SolveResult, check_iterate
+from .arpgda import ARPGDAParams, SolveResult, check_iterate, solve_arpgda
 from .exceptions import NumericalError, check_count
 from .problem import GroupedDataset, evaluate
 from .stiefel import polar_retract, project_to_tangent, random_stiefel
 
 # Relative slack of the reference stopping rule.
 REFERENCE_SLACK = 1e-4
+
+# The stepsize scales compare_cell sweeps RSG over by default.
+DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1)
 
 
 @dataclass(frozen=True)
@@ -137,31 +140,47 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     )
 
 
-def rsg_sweep(
-    data: GroupedDataset,
-    r: int,
-    c_grid: Sequence[float],
-    *,
-    seed: int,
-    max_iters: int,
-    reference_phi: float | None,
-) -> list[SolveResult]:
-    """One solve_rsg run per stepsize scale c, in grid order, all from the
-    same seeded start; each trace keeps only the first and final iterates.
-    The best run is max(runs, key=lambda run: run.phi), the first with the
-    largest Phi; its scale is best.info["c"]."""
-    return [
-        solve_rsg(data, r, RSGParams(c=c, max_iters=max_iters, seed=seed,
-                                     reference_phi=reference_phi, trace_stride=max_iters or 1))
+@dataclass(frozen=True)
+class Comparison:
+    """One cell of the comparison, as compare_cell runs it: ARPGDA's run
+    (None if it did not run), the RSG runs in grid order and the best of
+    them, the first with the largest Phi (None for an empty grid); the first
+    recorded ARPGDA iteration that reaches the best run's Phi, and whether
+    that is strictly fewer iterations than the best run took."""
+
+    arpgda: SolveResult | None
+    rsg_runs: list[SolveResult]
+    rsg: SolveResult | None
+    arpgda_iters_to_rsg_phi: int | None
+    arpgda_dominates: bool
+
+
+def compare_cell(data: GroupedDataset, r: int, seed: int, *,
+                 arpgda_params: ARPGDAParams | None,
+                 c_grid: Sequence[float] = DEFAULT_C_GRID, rsg_max_iters: int) -> Comparison:
+    """Run one (r, seed) cell of the comparison: ARPGDA at
+    replace(arpgda_params, seed=seed), unless arpgda_params is None, then
+    solve_rsg once per stepsize scale c, in grid order, from the same seeded
+    start, capped at rsg_max_iters and referenced to ARPGDA's final Phi (to
+    none without ARPGDA); each RSG trace keeps only its first and final rows."""
+    arpgda = None if arpgda_params is None else solve_arpgda(
+        data, r, replace(arpgda_params, seed=seed))
+    reference = None if arpgda is None else arpgda.phi
+    runs = [
+        solve_rsg(data, r, RSGParams(c=c, max_iters=rsg_max_iters, seed=seed,
+                                     reference_phi=reference, trace_stride=rsg_max_iters or 1))
         for c in c_grid
     ]
+    best = max(runs, key=lambda run: run.phi, default=None)
+    reached = (None if arpgda is None or best is None
+               else iterations_to_reach(arpgda.trace, best.phi))
+    return Comparison(arpgda, runs, best, reached,
+                      reached is not None and reached < best.iterations)
 
 
 def iterations_to_reach(trace: Sequence[Mapping[str, Any]], phi: float) -> int | None:
     """The first recorded k with Phi >= (1 - REFERENCE_SLACK) * phi, or None.
 
-    trace is a result's trace or the trace of a saved run report.  A run
-    dominates a baseline run when it reaches the baseline's final Phi in
-    fewer iterations than the baseline took."""
+    trace is a result's trace or the trace of a saved run report."""
     target = (1.0 - REFERENCE_SLACK) * phi
     return next((rec["k"] for rec in trace if rec["phi"] >= target), None)

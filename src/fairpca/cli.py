@@ -34,7 +34,7 @@ import numpy as np
 
 from . import arpgda as arpgda_mod
 from . import data as data_mod
-from .baselines import RSGParams, iterations_to_reach, rsg_sweep, solve_rsg
+from .baselines import DEFAULT_C_GRID, RSGParams, compare_cell, solve_rsg
 from .exceptions import (
     DataError,
     DegenerateProblemError,
@@ -51,8 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-DEFAULT_C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1)
 
 
 class _UsageError(Exception):
@@ -144,7 +142,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 # stands for the flag of the same name (max_iters for --max-iters).
 _SHARED_KEYS = ("eps", "mu", "rho", "theta", "max_iters", "trace_stride")
 _CONFIG_KEYS = {
-    "solve": frozenset((*_SHARED_KEYS, "c")),
+    "solve": frozenset((*_SHARED_KEYS, "c", "ref_phi")),
     "compare": frozenset((*_SHARED_KEYS, "r", "seeds", "algs", "c_grid", "jobs")),
 }
 
@@ -396,46 +394,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _run_compare_cell(dataset: GroupedDataset, spec: dict[str, Any]) -> dict[str, Any]:
-    """One (r, seed) cell: ARPGDA first (unless its params are None), then
-    the RSG sweep (unless its c_grid is None) referenced to ARPGDA's final
-    value, reported by its best run."""
-    r = spec["r"]
-    seed = spec["seed"]
-    cell: dict[str, Any] = {"r": r, "seed": seed}
-
-    arpgda_result = None
-    if spec["arpgda_params"] is not None:
-        params = replace(spec["arpgda_params"], seed=seed)
-        arpgda_result = arpgda_mod.solve_arpgda(dataset, r, params)
-        cell["arpgda"] = {
-            "phi": arpgda_result.phi,
-            "iterations": arpgda_result.iterations,
-            "converged": arpgda_result.converged,
-            "time_ms": arpgda_result.time_ms,
-            "stationarity": arpgda_result.stationarity,
-            "violations": len(arpgda_result.violations),
-        }
-    if spec["c_grid"] is not None:
-        runs = rsg_sweep(
-            dataset,
-            r,
-            spec["c_grid"],
-            seed=seed,
-            max_iters=spec["rsg_max_iters"],
-            reference_phi=arpgda_result.phi if arpgda_result is not None else None,
-        )
-        best = max(runs, key=lambda run: run.phi)
-        cell["rsg"] = {
-            "phi": best.phi,
-            "iterations": best.iterations,
-            "converged": best.converged,
-            "time_ms": best.time_ms,
-            "c": best.info["c"],
-        }
-        if arpgda_result is not None:
-            reached = iterations_to_reach(arpgda_result.trace, best.phi)
-            cell["arpgda_iters_to_rsg_phi"] = reached
-            cell["arpgda_dominates"] = reached is not None and reached < best.iterations
+    """One (r, seed) cell, run by compare_cell with spec as its arguments,
+    as the dict compare writes: each solver that ran (RSG by its best run)
+    and, when both ran, the dominance fields."""
+    result = compare_cell(dataset, **spec)
+    cell: dict[str, Any] = {"r": spec["r"], "seed": spec["seed"]}
+    arpgda, rsg = result.arpgda, result.rsg
+    if arpgda is not None:
+        cell["arpgda"] = {"phi": arpgda.phi, "iterations": arpgda.iterations,
+                          "converged": arpgda.converged, "time_ms": arpgda.time_ms,
+                          "stationarity": arpgda.stationarity,
+                          "violations": len(arpgda.violations)}
+    if rsg is not None:
+        cell["rsg"] = {"phi": rsg.phi, "iterations": rsg.iterations, "converged": rsg.converged,
+                       "time_ms": rsg.time_ms, "c": rsg.info["c"]}
+    if arpgda is not None and rsg is not None:
+        cell["arpgda_iters_to_rsg_phi"] = result.arpgda_iters_to_rsg_phi
+        cell["arpgda_dominates"] = result.arpgda_dominates
     return cell
 
 
@@ -490,13 +465,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "r": r,
                     "seed": seed,
                     "arpgda_params": params if "arpgda" in algs else None,
-                    "c_grid": c_grid,
+                    "c_grid": c_grid or (),
                     "rsg_max_iters": max_iters,
                 }
             )
 
     out_dir = Path(args.out)
-    _make_dir(out_dir / "cells")
+    _make_dir(out_dir)
     if args.jobs > 1:
         with ProcessPoolExecutor(
             max_workers=args.jobs, initializer=_init_compare_worker, initargs=(dataset,)
@@ -504,9 +479,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cells = list(pool.map(_run_worker_cell, specs))
     else:
         cells = [_run_compare_cell(dataset, spec) for spec in specs]
-
-    for cell in cells:
-        _atomic_write_json(out_dir / "cells" / f"cell_r{cell['r']}_seed{cell['seed']}.json", cell)
 
     rows = []
     for cell in cells:

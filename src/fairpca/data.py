@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -112,16 +113,19 @@ def _text_lines(handle: Iterable[str], path) -> Iterator[str]:
 def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
     """Read a one-row-per-sample CSV into a GroupedDataset.
 
-    Raises DataError when the file is not text, the group column is missing,
-    a row has more values than the header, any feature value is absent or
-    non-numeric or non-finite (reporting the offending rows), or the table
-    has no samples or no feature columns.
+    Raises DataError when the file is not text, the header repeats a name,
+    the group column is missing, a row has more values than the header, any
+    feature value is absent or non-numeric or non-finite (reporting the
+    offending rows), or the table has no samples or no feature columns.
     """
     with open(path, newline="") as handle:
         reader = csv.DictReader(_text_lines(handle, path))
         columns = reader.fieldnames
         if columns is None:
             raise DataError(f"{path}: empty file, expected a CSV header")
+        repeated = sorted(c for c, count in Counter(columns).items() if count > 1)
+        if repeated:
+            raise DataError(f"{path}: the header repeats column name(s) {repeated}")
         if group_column not in columns:
             raise DataError(
                 f"{path}: missing group column {group_column!r}; columns are {columns}"

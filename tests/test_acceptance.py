@@ -4,18 +4,16 @@ Each check prints one always-visible line of the form
 
     ACCEPTANCE <k> <PASS|FAIL> - <measured detail>
 
-so the verdicts are readable straight from the pytest output.  The heavy
-fixtures (forty solver cells at d = n = 200 plus the best-stepsize baseline
-sweep over them) are module-scoped and shared by checks 2, 3, 4, and 8; the
-full module takes about five minutes with one BLAS thread (277 s run alone
-on a 2-core machine).
+so the verdicts are readable straight from the pytest output.  One heavy
+fixture, forty compare_cell runs at d = n = 200, is module-scoped and shared
+by checks 2, 3, 4, and 8, so any one of them runs every solve; the module
+takes about four minutes with one BLAS thread (226-242 s on 2 cores).
 
 Checks 5, 6, and 7 certify the mathematics against independent oracles.
 Checks 1, 2, and 9 exercise the solver's convergence contract on three
 instance families, and 3 and 9 compare against the subgradient baseline.
 """
 
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -26,16 +24,15 @@ from fairpca import (
     ARPGDAParams,
     GroupedDataset,
     RSGParams,
+    compare_cell,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
-    iterations_to_reach,
     ky_fan_norm,
     minimax_objective,
     random_stiefel,
     random_tangent,
     recommended_params,
     riemannian_gradient_U,
-    rsg_sweep,
     smoothness_constants,
     solve_arpgda,
     solve_rsg,
@@ -48,7 +45,6 @@ pytestmark = pytest.mark.acceptance
 
 R_GRID = (1, 2, 5, 10)
 N_SEEDS = 10
-C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1)
 RSG_CAP = 10_000
 # five designated (r, seed) cells for the per-iteration inequality check
 DESIGNATED_RUNS = ((1, 0), (2, 0), (2, 1), (5, 2), (10, 3))
@@ -67,32 +63,24 @@ def spectrum_instance(d, seed):
     return GroupedDataset(Q @ np.diag(np.sqrt(w)), (d,)), w
 
 
-@pytest.fixture(scope="module")
-def gaussian_cells():
-    """ARPGDA at default parameters on the d = n = 200 instance, ten seeds
-    per r.  Inequality checks stay on; the trace keeps every 100th row."""
+def comparison_cells(make_data, r_values, rsg_cap):
+    """A comparison cell per (r, seed), ten seeds per r, on make_data(seed):
+    ARPGDA at default parameters, keeping every 100th trace row, then the
+    baseline's default stepsize sweep capped at rsg_cap."""
     cells = {}
-    for r in R_GRID:
+    for r in r_values:
         for seed in range(N_SEEDS):
-            data = gen_synthetic_gaussian(200, 200, seed)
+            data = make_data(seed)
             params = replace(recommended_params(data, r, seed=seed), trace_stride=100)
-            cells[r, seed] = solve_arpgda(data, r, params)
+            cells[r, seed] = compare_cell(data, r, seed, arpgda_params=params,
+                                          rsg_max_iters=rsg_cap)
     return cells
 
 
 @pytest.fixture(scope="module")
-def rsg_best(gaussian_cells):
-    """Best-stepsize baseline run per cell, referenced to the cell's final
-    objective, plus the worst orthonormality drift over every sweep run."""
-    best = {}
-    max_orth = 0.0
-    for (r, seed), a in gaussian_cells.items():
-        data = gen_synthetic_gaussian(200, 200, seed)
-        runs = rsg_sweep(data, r, C_GRID, seed=seed, max_iters=RSG_CAP,
-                         reference_phi=a.phi)
-        max_orth = max(max_orth, *(run.max_orth_error for run in runs))
-        best[r, seed] = max(runs, key=lambda run: run.phi)
-    return best, max_orth
+def gaussian_cells():
+    """The cells on the d = n = 200 instance, the baseline capped at RSG_CAP."""
+    return comparison_cells(lambda seed: gen_synthetic_gaussian(200, 200, seed), R_GRID, RSG_CAP)
 
 
 def test_criterion_1_single_group_pca_sanity(capsys):
@@ -128,7 +116,8 @@ def test_criterion_2_stationarity_contract(gaussian_cells, capsys):
     counts = {r: 0 for r in R_GRID}
     converged_ok = True
     worst_ms = 0.0
-    for (r, seed), res in gaussian_cells.items():
+    for (r, seed), cell in gaussian_cells.items():
+        res = cell.arpgda
         epsilon = 8.0 * res.info["lambda"]
         worst_ms = max(worst_ms, res.time_ms)
         if res.converged:
@@ -148,29 +137,24 @@ def test_criterion_2_stationarity_contract(gaussian_cells, capsys):
         assert counts[r] >= 8, f"only {counts[r]}/10 seeds converged at r={r}"
 
 
-def test_criterion_3_baseline_dominance(gaussian_cells, rsg_best, capsys):
+def test_criterion_3_baseline_dominance(gaussian_cells, capsys):
     """Mean final objective beats the best-stepsize baseline per r, and the
     baseline's final value is reached in strictly fewer iterations in at
     least 75 percent of cells."""
-    best, _ = rsg_best
     mean_rows = []
     means_ok = True
     for r in R_GRID:
-        mean_a = float(np.mean([gaussian_cells[r, s].phi
-                                for s in range(N_SEEDS)]))
-        mean_b = float(np.mean([best[r, s].phi for s in range(N_SEEDS)]))
+        cells = [gaussian_cells[r, s] for s in range(N_SEEDS)]
+        mean_a = float(np.mean([cell.arpgda.phi for cell in cells]))
+        mean_b = float(np.mean([cell.rsg.phi for cell in cells]))
         means_ok = means_ok and mean_a >= mean_b
         mean_rows.append(f"r={r}: {mean_a:.3f} vs {mean_b:.3f}")
-    dominant = 0
-    for (r, seed), run in best.items():
-        reached = iterations_to_reach(gaussian_cells[r, seed].trace, run.phi)
-        if reached is not None and reached < run.iterations:
-            dominant += 1
-    needed = int(np.ceil(0.75 * len(best)))
+    dominant = sum(cell.arpgda_dominates for cell in gaussian_cells.values())
+    needed = int(np.ceil(0.75 * len(gaussian_cells)))
     ok = means_ok and dominant >= needed
     report(capsys, 3, ok,
            f"mean phi (ours vs baseline) {'; '.join(mean_rows)}; faster to "
-           f"the baseline's value in {dominant}/{len(best)} cells "
+           f"the baseline's value in {dominant}/{len(gaussian_cells)} cells "
            f"(need >= {needed})")
     assert means_ok
     assert dominant >= needed
@@ -182,7 +166,7 @@ def test_criterion_4_per_iteration_inequalities(gaussian_cells, capsys):
     total_iters = 0
     violations = []
     for key in DESIGNATED_RUNS:
-        res = gaussian_cells[key]
+        res = gaussian_cells[key].arpgda
         total_iters += res.iterations
         violations.extend(res.violations)
     ok = not violations
@@ -314,14 +298,13 @@ def test_criterion_7_gradient_finite_differences(capsys):
     assert worst <= 1e-4
 
 
-def test_criterion_8_feasibility_throughout(gaussian_cells, rsg_best, capsys):
+def test_criterion_8_feasibility_throughout(gaussian_cells, capsys):
     """Orthonormality stays within 1e-8 across every iteration of every run,
     and the weight iterates never leave the simplex."""
-    _, rsg_orth = rsg_best
-    arpgda_orth = max(res.max_orth_error for res in gaussian_cells.values())
-    simplex_err = max(res.info["max_simplex_error"]
-                      for res in gaussian_cells.values())
-    worst_orth = max(arpgda_orth, rsg_orth)
+    worst_orth = max(run.max_orth_error for cell in gaussian_cells.values()
+                     for run in (cell.arpgda, *cell.rsg_runs))
+    simplex_err = max(cell.arpgda.info["max_simplex_error"]
+                      for cell in gaussian_cells.values())
     ok = worst_orth <= 1e-8 and simplex_err <= 1e-12
     report(capsys, 8, ok,
            f"max orthonormality error {worst_orth:.1e} over all runs "
@@ -335,27 +318,16 @@ def test_criterion_9_block_group_regime(capsys):
     """On the 23-feature four-group instance (750 samples each), at least
     8/10 seeds converge per r, and the final objective is at least
     (1 - 1e-4) of the best baseline value in 75 percent of cells."""
-    counts = {}
-    phi_wins = 0
-    cells = 0
-    for r in (2, 5):
-        counts[r] = 0
-        for seed in range(N_SEEDS):
-            data = gen_synthetic_blocks(23, (750, 750, 750, 750), seed)
-            params = replace(recommended_params(data, r, seed=seed), trace_stride=100)
-            a = solve_arpgda(data, r, params)
-            counts[r] += a.converged
-            runs = rsg_sweep(data, r, C_GRID, seed=seed, max_iters=20_000,
-                             reference_phi=a.phi)
-            top = max(runs, key=lambda run: run.phi)
-            cells += 1
-            phi_wins += a.phi >= (1.0 - 1e-4) * top.phi
-    needed = int(np.ceil(0.75 * cells))
+    cells = comparison_cells(lambda seed: gen_synthetic_blocks(23, (750,) * 4, seed),
+                             (2, 5), 20_000)
+    counts = {r: sum(cells[r, s].arpgda.converged for s in range(N_SEEDS)) for r in (2, 5)}
+    phi_wins = sum(c.arpgda.phi >= (1.0 - 1e-4) * c.rsg.phi for c in cells.values())
+    needed = int(np.ceil(0.75 * len(cells)))
     count_text = ", ".join(f"r={r}: {counts[r]}/{N_SEEDS}" for r in counts)
     ok = all(v >= 8 for v in counts.values()) and phi_wins >= needed
     report(capsys, 9, ok,
            f"converged {count_text} (need >= 8/10 each); objective at least "
-           f"(1 - 1e-4) of the best baseline in {phi_wins}/{cells} cells "
+           f"(1 - 1e-4) of the best baseline in {phi_wins}/{len(cells)} cells "
            f"(need >= {needed})")
     for r, v in counts.items():
         assert v >= 8, f"only {v}/10 seeds converged at r={r}"

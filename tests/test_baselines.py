@@ -1,5 +1,7 @@
 """The Riemannian subgradient ascent baseline."""
 
+from dataclasses import replace
+
 import jsonschema
 import numpy as np
 import pytest
@@ -9,13 +11,15 @@ from fairpca import (
     DimensionError,
     GroupedDataset,
     NumericalError,
+    compare_cell,
     evaluate,
     iterations_to_reach,
     ky_fan_norm,
     random_stiefel,
+    recommended_params,
     REPORT_SCHEMA,
     RSGParams,
-    rsg_sweep,
+    solve_arpgda,
     solve_rsg,
 )
 from fairpca import baselines as baselines_module
@@ -38,6 +42,13 @@ def two_group_dataset(seed=0, d=6, sizes=(8, 8)):
     rng = np.random.default_rng(seed)
     return GroupedDataset(X=rng.standard_normal((d, sum(sizes))),
                           group_sizes=sizes)
+
+
+def same_run(a, b):
+    """Bit-identical results, apart from the wall times."""
+    rest = lambda run: (run.phi, run.iterations, run.converged, run.info,
+                        [{**row, "ms": None} for row in run.trace])
+    return np.array_equal(a.U, b.U) and np.array_equal(a.y, b.y) and rest(a) == rest(b)
 
 
 def hand_iterates(data, r, c, seed, steps):
@@ -150,12 +161,7 @@ class TestSolve:
     def test_deterministic_given_seed(self):
         data = two_group_dataset(seed=2)
         params = RSGParams(c=0.1, max_iters=150, seed=4, trace_stride=25)
-        a = solve_rsg(data, 2, params)
-        b = solve_rsg(data, 2, params)
-        np.testing.assert_array_equal(a.U, b.U)
-        assert a.phi == b.phi
-        assert [t["k"] for t in a.trace] == [t["k"] for t in b.trace]
-        assert [t["phi"] for t in a.trace] == [t["phi"] for t in b.trace]
+        assert same_run(solve_rsg(data, 2, params), solve_rsg(data, 2, params))
 
     def test_reference_already_met_stops_before_stepping(self):
         data = two_group_dataset(seed=3)
@@ -265,35 +271,48 @@ class TestSolve:
         jsonschema.validate(report, REPORT_SCHEMA)
 
 
-class TestSweep:
-    def test_one_run_per_scale_in_grid_order(self):
-        data = two_group_dataset(seed=10)
+class TestCompareCell:
+    @pytest.mark.parametrize("form", ["sample", "covariance"])
+    def test_runs_equal_a_hand_loop(self, form):
+        data = two_group_dataset(seed=10, sizes=(3, 3) if form == "sample" else (8, 8))
+        assert data.evaluation_form == form
         grid = (1.0, 0.01, 0.1)
-        runs = rsg_sweep(data, 2, grid, seed=3, max_iters=80,
-                         reference_phi=None)
-        assert [run.info["c"] for run in runs] == list(grid)
-        for c, run in zip(grid, runs):
-            direct = solve_rsg(data, 2, RSGParams(c=c, max_iters=80, seed=3,
-                                                  trace_stride=80))
-            assert np.array_equal(run.U, direct.U)
-            assert np.array_equal(run.phi, direct.phi)
-            assert np.array_equal(run.iterations, direct.iterations)
-            assert [t["k"] for t in run.trace] == [0, 80]
+        params = replace(recommended_params(data, 2), max_iters=300, trace_stride=7)
+        cell = compare_cell(data, 2, 3, arpgda_params=params, c_grid=grid, rsg_max_iters=300)
+        arpgda = solve_arpgda(data, 2, replace(params, seed=3))
+        hand = [solve_rsg(data, 2, RSGParams(c=c, max_iters=300, seed=3, trace_stride=300,
+                                             reference_phi=arpgda.phi)) for c in grid]
+        assert same_run(cell.arpgda, arpgda)
+        assert len(cell.rsg_runs) == len(grid) and all(map(same_run, cell.rsg_runs, hand))
+        best = int(np.argmax([run.phi for run in hand]))
+        reached = iterations_to_reach(arpgda.trace, hand[best].phi)
+        assert cell.rsg is cell.rsg_runs[best] and cell.arpgda_iters_to_rsg_phi == reached
+        assert cell.arpgda_dominates == (reached is not None and reached < hand[best].iterations)
 
-    def test_reference_reaches_every_run(self):
-        data = two_group_dataset(seed=11)
-        start_phi = float(evaluate(data, random_stiefel(6, 2, seed=5)).values.min())
-        runs = rsg_sweep(data, 2, (0.1, 1.0), seed=5, max_iters=50,
-                         reference_phi=start_phi)
-        assert all(run.converged and run.iterations == 0 for run in runs)
-        assert all(run.info["reference_phi"] == start_phi for run in runs)
+    def test_repeated_scale_makes_the_first_run_best(self):
+        cell = compare_cell(two_group_dataset(seed=11), 2, 0, arpgda_params=None,
+                            c_grid=(0.1, 0.1), rsg_max_iters=30)
+        assert same_run(*cell.rsg_runs) and cell.rsg is cell.rsg_runs[0]
 
-    def test_zero_cap_keeps_stride_valid(self):
+    @pytest.mark.parametrize("reached, dominates", [(19, True), (20, False), (None, False)])
+    def test_dominance_needs_strictly_fewer_iterations(self, monkeypatch, reached, dominates):
+        monkeypatch.setattr(baselines_module, "iterations_to_reach", lambda trace, phi: reached)
         data = two_group_dataset(seed=12)
-        (run,) = rsg_sweep(data, 2, (0.1,), seed=0, max_iters=0,
-                           reference_phi=None)
-        assert run.iterations == 0
-        assert [t["k"] for t in run.trace] == [0]
+        params = replace(recommended_params(data, 2), max_iters=300)
+        cell = compare_cell(data, 2, 0, arpgda_params=params, c_grid=(1e-3,), rsg_max_iters=20)
+        assert (cell.rsg.iterations, cell.rsg.converged) == (20, False)
+        assert (cell.arpgda_iters_to_rsg_phi, cell.arpgda_dominates) == (reached, dominates)
+
+    @pytest.mark.parametrize("cap, rows", [(40, [0, 40]), (0, [0])], ids=["cap_40", "cap_0"])
+    def test_without_arpgda_no_reference_and_no_dominance(self, cap, rows):
+        cell = compare_cell(two_group_dataset(seed=13), 2, 5, arpgda_params=None,
+                            rsg_max_iters=cap)
+        assert [run.info["c"] for run in cell.rsg_runs] == list(baselines_module.DEFAULT_C_GRID)
+        for run in cell.rsg_runs:
+            assert (run.info["reference_phi"], run.iterations) == (None, cap)
+            assert [row["k"] for row in run.trace] == rows
+        assert cell.arpgda is None and cell.arpgda_iters_to_rsg_phi is None
+        assert not cell.arpgda_dominates
 
 
 def record(k, phi):

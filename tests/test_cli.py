@@ -246,7 +246,7 @@ class TestSolve:
         def solve_must_not_run(*args, **kwargs):
             raise AssertionError("solved with a flag that no solver reads")
 
-        for name in ("arpgda_mod.solve_arpgda", "solve_rsg", "rsg_sweep"):
+        for name in ("arpgda_mod.solve_arpgda", "solve_rsg", "compare_cell"):
             monkeypatch.setattr(f"fairpca.cli.{name}", solve_must_not_run)
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -336,20 +336,20 @@ class TestSolve:
         argv = (["solve", "arpgda", "--r", 1] if command == "solve" else
                 ["compare", "--r", 1, "--c-grid", 0.1, "--max-iters", 20])
         assert run([*argv, "--gen", "gaussian:d=6,n=6,seed=0", "--config", cfg,
-                    "--out", tmp_path]) == 1
+                    "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert f"error: argument {flag}" in err
         assert f"(from config file {cfg})" in err
-        assert not list(tmp_path.glob("report_*.json"))
-        assert not (tmp_path / "cells").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_rsg_config_takes_c(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"c": 0.1, "max_iters": 30, "trace_stride": 10}))
+        cfg.write_text(json.dumps({"c": 0.1, "ref_phi": 1e9, "max_iters": 30, "trace_stride": 10}))
         assert run(["solve", "rsg", "--gen", "gaussian:d=6,n=6,seed=0",
                     "--r", 1, "--config", cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "report_rsg_r1_seed0.json").read_text())
-        assert (report["params"]["c"], report["iterations"]) == (0.1, 30)
+        params = report["params"]
+        assert (params["c"], params["reference_phi"], report["iterations"]) == (0.1, 1e9, 30)
         assert [row["k"] for row in report["trace"]] == [0, 10, 20, 30]
 
     @pytest.mark.parametrize("flag", [
@@ -457,10 +457,8 @@ class TestCompare:
         assert summary["algorithms"] == ["arpgda", "rsg"]
         assert set(summary["aggregates"]) == {
             "arpgda_r1", "arpgda_r2", "rsg_r1", "rsg_r2"}
-        for cell in summary["cells"]:
-            assert (out1 / "cells" /
-                    f"cell_r{cell['r']}_seed{cell['seed']}.json").exists()
-            assert "arpgda_dominates" in cell
+        assert all("arpgda_dominates" in cell for cell in summary["cells"])
+        assert {path.name for path in out1.iterdir()} == {"compare.csv", "compare_summary.json"}
 
     @pytest.mark.parametrize("alg", ["arpgda", "rsg"])
     def test_single_algorithm(self, tmp_path, alg):
@@ -470,9 +468,9 @@ class TestCompare:
                     "--out", out]) == 0
         rows = read_csv_rows(out / "compare.csv")
         assert {row[0] for row in rows[1:]} == {alg}
-        cell = json.loads((out / "cells" / "cell_r1_seed0.json").read_text())
-        assert set(cell) == {"r", "seed", alg}
         summary = json.loads((out / "compare_summary.json").read_text())
+        (cell,) = summary["cells"]
+        assert set(cell) == {"r", "seed", alg}
         if alg == "rsg":
             # no reference: every run of the sweep takes the full cap
             assert cell["rsg"]["iterations"] == 200
@@ -489,9 +487,9 @@ class TestCompare:
             (tmp_path / "cfg.json").write_text(json.dumps({"jobs": jobs}))
             extra = ["--config", tmp_path / "cfg.json"]
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
-                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path, *extra]) == 1
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path / "out", *extra]) == 1
         assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-        assert not (tmp_path / "cells").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_rejects_seeds_below_one(self, tmp_path, capsys, seeds):
@@ -504,11 +502,11 @@ class TestCompare:
         def solve_must_not_run(*args, **kwargs):
             raise AssertionError("solved before --c-grid was checked")
 
-        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        monkeypatch.setattr("fairpca.cli.compare_cell", solve_must_not_run)
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
-                    "--seeds", 1, "--c-grid", "0.1,-1", "--out", tmp_path]) == 1
+                    "--seeds", 1, "--c-grid", "0.1,-1", "--out", tmp_path / "out"]) == 1
         assert "error: c must be positive and finite, got -1.0" in capsys.readouterr().err
-        assert not (tmp_path / "cells").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_unknown_algorithm(self, tmp_path):
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
@@ -544,10 +542,10 @@ class TestCompare:
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"r": "1", "algs": "arpgda", "c": 0.1, "tol_orth": 1e-6}))
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
-                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path,
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path / "out",
                     "--config", tmp_path / "cfg.json"]) == 1
         assert "unknown key(s) c, tol_orth;" in capsys.readouterr().err
-        assert not (tmp_path / "cells").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_values_run_once(self, tmp_path):
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
@@ -609,6 +607,7 @@ class TestTopLevel:
             raise AssertionError("a solve ran before --out was checked")
 
         monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        monkeypatch.setattr("fairpca.cli.compare_cell", solve_must_not_run)
         assert run([*argv, "--gen", "gaussian:d=4,n=4,seed=1"]) == 1
         err = capsys.readouterr().err
         assert "error: cannot write" in err
@@ -625,8 +624,9 @@ class TestTopLevel:
         ([*METRICS, "letters.csv"], "letters.csv", 2),
         ([*METRICS, "wide.csv"], "wide.csv", 2),
         ([*METRICS, "empty.csv"], "empty.csv", 2),
+        ([*SOLVE, "--data", "dup.csv"], "dup.csv", 2),
     ], ids=["data_is_dir", "data_not_text", "config_is_dir", "checkpoint_is_dir",
-            "checkpoint_not_numeric", "checkpoint_too_wide", "checkpoint_empty"])
+            "checkpoint_not_numeric", "checkpoint_too_wide", "checkpoint_empty", "dup_header"])
     def test_unreadable_inputs_exit_with_their_code(self, tmp_path, monkeypatch, capsys,
                                                     argv, path, code):
         monkeypatch.chdir(tmp_path)
@@ -635,6 +635,7 @@ class TestTopLevel:
         np.savetxt("wide.csv", np.eye(4, 5), delimiter=",")
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "bytes.csv").write_bytes(b"a,group\n\xff\xfe,g\n")
+        (tmp_path / "dup.csv").write_text("a,a,group\n1,2,g\n")
         assert run(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("data error:" if code == 2 else "error:")

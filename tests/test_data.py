@@ -135,6 +135,13 @@ class TestCsvRoundtrip:
         with pytest.raises(DataError, match="group"):
             load_csv_grouped(path)
 
+    @pytest.mark.parametrize("header, name", [("a,a,group", "a"), ("a,group,group", "group")])
+    def test_repeated_column_names(self, tmp_path, header, name):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n1,2,g0\n3,4,g1\n")
+        with pytest.raises(DataError, match=rf"repeats column name\(s\) \['{name}'\]$"):
+            load_csv_grouped(path)
+
     def test_no_feature_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("group\na\n")
