@@ -138,15 +138,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise _UsageError(f"cannot parse group sizes {text!r}") from None
 
 
-# The config keys each command reads; any other key is rejected.  Each key
-# stands for the flag of the same name (max_iters for --max-iters).
-_SHARED_KEYS = ("eps", "mu", "rho", "theta", "max_iters", "trace_stride")
-_CONFIG_KEYS = {
-    "solve": frozenset((*_SHARED_KEYS, "c", "ref_phi")),
-    "compare": frozenset((*_SHARED_KEYS, "r", "seeds", "algs", "c_grid", "jobs")),
-}
-
-
 def _load_config(path: str, known: frozenset[str]) -> dict[str, Any]:
     try:
         with open(path) as handle:
@@ -289,14 +280,29 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str
 # solver plumbing
 
 
-# The solver flags by the args field each sets, and the fields each solver
-# reads.  Every one defaults to None, so a field that is not None was set by
-# its flag or config entry.
+# The solver flags by the args field each sets.  Every one defaults to None,
+# so a field that is not None was set by its flag or config entry.
 _SOLVER_FLAGS = {"epsilon": "--eps", "mu": "--mu", "rho": "--rho", "theta": "--theta",
                  "max_iters": "--max-iters", "trace_stride": "--trace-stride",
-                 "c": "--c", "ref_phi": "--ref-phi", "c_grid": "--c-grid"}
-_ARPGDA_FIELDS = ("epsilon", "mu", "rho", "theta", "max_iters", "trace_stride")
-_RSG_FIELDS = ("c", "ref_phi", "max_iters", "trace_stride")
+                 "c": "--c", "reference_phi": "--ref-phi", "c_grid": "--c-grid"}
+
+# The fields each solver of each command reads, stated once: a run rejects
+# every other solver flag, and a command's config keys are the flag names of
+# these fields (max_iters for --max-iters), plus compare's own r, seeds, algs
+# and jobs.  compare's ARPGDA keeps ARPGDAParams' own cap, so its --max-iters
+# caps only the RSG sweep, which keeps one trace row per run.
+_READS = {
+    "solve": {"arpgda": ("epsilon", "mu", "rho", "theta", "max_iters", "trace_stride"),
+              "rsg": ("c", "reference_phi", "max_iters", "trace_stride")},
+    "compare": {"arpgda": ("epsilon", "mu", "rho", "theta", "trace_stride"),
+                "rsg": ("max_iters", "c_grid")},
+}
+_CONFIG_KEYS = {
+    command: frozenset(_SOLVER_FLAGS[field][2:].replace("-", "_")
+                       for fields in reads.values() for field in fields)
+    for command, reads in _READS.items()
+}
+_CONFIG_KEYS["compare"] |= {"r", "seeds", "algs", "jobs"}
 
 
 def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
@@ -304,26 +310,26 @@ def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
     return {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
 
 
-def _reject_unread(args: argparse.Namespace, read: Sequence[str]) -> None:
-    """Exit 1 naming every solver flag that was set but whose field is not in read."""
+def _reject_unread(args: argparse.Namespace, solvers: Sequence[str]) -> None:
+    """Exit 1 naming every solver flag that was set but that no solver of
+    solvers reads in this command."""
+    read = {field for solver in solvers for field in _READS[args.command][solver]}
     unread = [flag for field, flag in _SOLVER_FLAGS.items()
               if field not in read and getattr(args, field, None) is not None]
     if unread:
         raise _UsageError(f"no solver of this run reads {', '.join(unread)}")
 
 
-def _arpgda_params(
-    data: GroupedDataset, r: int, seed: int, args: argparse.Namespace
-) -> arpgda_mod.ARPGDAParams:
-    given = _given(args, *_ARPGDA_FIELDS)
+def _arpgda_params(data: GroupedDataset, r: int, seed: int,
+                   args: argparse.Namespace) -> arpgda_mod.ARPGDAParams:
+    given = _given(args, *_READS[args.command]["arpgda"])
     return replace(arpgda_mod.recommended_params(data, r, seed=seed), **given)
 
 
 def _rsg_params(seed: int, args: argparse.Namespace) -> RSGParams:
     if args.c is None:
         raise _UsageError("rsg needs --c (or 'c' in the config file)")
-    given = _given(args, "max_iters", "trace_stride")
-    return RSGParams(c=args.c, seed=seed, reference_phi=args.ref_phi, **given)
+    return RSGParams(seed=seed, **_given(args, *_READS["solve"]["rsg"]))
 
 
 def _report_path(out: Path, algorithm: str, r: int, seed: int) -> Path:
@@ -349,7 +355,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     dataset, meta = _resolve_dataset(args)
     r = check_rank("--r", args.r, dataset.d)
-    _reject_unread(args, _ARPGDA_FIELDS if args.algorithm == "arpgda" else _RSG_FIELDS)
+    _reject_unread(args, [args.algorithm])
     seeds = _unique(_parse_int_list(args.seed, "--seed"))
     if not seeds:
         raise _UsageError("--seed must name at least one seed")
@@ -442,33 +448,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise _UsageError(f"unknown algorithm {alg!r} (use arpgda and/or rsg)")
     if not algs:
         raise _UsageError("--algs must name at least one algorithm")
-    # the RSG sweep of compare reads only --max-iters and --c-grid
-    read = _ARPGDA_FIELDS if "arpgda" in algs else ("max_iters",)
-    _reject_unread(args, (*read, "c_grid") if "rsg" in algs else read)
+    _reject_unread(args, algs)
     check_count("--jobs", args.jobs, 1)
-    max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
-    c_grid = None
+    arpgda_params = ({r: _arpgda_params(dataset, r, 0, args) for r in r_list}
+                     if "arpgda" in algs else {})
+    rsg_max_iters = c_grid = None
     if "rsg" in algs:
+        rsg_max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
         c_grid = (list(DEFAULT_C_GRID) if args.c_grid is None
                   else _unique(_parse_float_list(args.c_grid, "--c-grid")))
         if not c_grid:
             raise _UsageError("--c-grid must name at least one stepsize scale")
         for c in c_grid:  # a bad scale exits here, before any solve
-            RSGParams(c=c, max_iters=max_iters)
+            RSGParams(c=c, max_iters=rsg_max_iters)
 
-    specs = []
-    for r in r_list:
-        params = _arpgda_params(dataset, r, 0, args)
-        for seed in range(n_seeds):
-            specs.append(
-                {
-                    "r": r,
-                    "seed": seed,
-                    "arpgda_params": params if "arpgda" in algs else None,
-                    "c_grid": c_grid or (),
-                    "rsg_max_iters": max_iters,
-                }
-            )
+    specs = [{"r": r, "seed": seed, "arpgda_params": arpgda_params.get(r),
+              "c_grid": c_grid or (), "rsg_max_iters": rsg_max_iters}
+             for r in r_list for seed in range(n_seeds)]
 
     out_dir = Path(args.out)
     _make_dir(out_dir)
@@ -516,7 +512,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "n_seeds": n_seeds,
         "algorithms": algs,
         "c_grid": c_grid,
-        "max_iters": max_iters,
+        "rsg_max_iters": rsg_max_iters,
+        "arpgda_params": {r: {k: v for k, v in asdict(params).items() if k != "seed"}
+                          for r, params in arpgda_params.items()} or None,
         "cells": cells,
         "aggregates": aggregates,
     }
@@ -579,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_solver.add_argument("--rho", type=float, default=None)
     common_solver.add_argument("--theta", type=float, default=None)
     common_solver.add_argument("--mu", type=float, default=None)
-    common_solver.add_argument("--max-iters", type=int, default=None)
+    common_solver.add_argument("--max-iters", type=int, default=None,
+                               help="iteration cap (compare: of each RSG run only)")
     common_solver.add_argument("--trace-stride", type=int, default=None)
     common_solver.add_argument("--config", help="JSON config file (flags win; unknown keys fail)")
 
@@ -591,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--r", type=int, required=True, help="number of basis columns")
     p_solve.add_argument("--seed", default="0", help="seed or comma list, e.g. 0,1,2")
     p_solve.add_argument("--c", type=float, default=None, help="rsg stepsize scale")
-    p_solve.add_argument("--ref-phi", type=float, default=None, help="rsg stopping reference")
+    p_solve.add_argument("--ref-phi", dest="reference_phi", type=float, default=None,
+                         help="rsg stopping reference")
     p_solve.add_argument("--out", default=".", help="report directory (or single .json path)")
     p_solve.add_argument("--save-u", default=None, help="directory for final basis CSVs")
     p_solve.set_defaults(func=cmd_solve)

@@ -188,9 +188,12 @@ def preprocess(
     dropped first.  Then, in order: per-feature standardization across the
     dataset (off by default), per-sample centering to zero mean across the
     sample's entries, per-sample scaling to unit norm.  Groups left empty are
-    removed with a warning; dropping everything raises DataError.  Re-running
+    removed with a warning; dropping everything raises DataError.  A
+    min_norm_threshold that is NaN or negative raises ValueError.  Re-running
     with the same settings is the identity.
     """
+    if not min_norm_threshold >= 0.0:
+        raise ValueError(f"min_norm_threshold must be non-negative, got {min_norm_threshold!r}")
     keep = data.sample_norms() >= float(min_norm_threshold)
     if not keep.any():
         raise DataError("preprocessing dropped every sample")

@@ -47,8 +47,8 @@ class GroupedDataset:
 
     X has shape (d, N); group i owns group_sizes[i] consecutive columns.
     labels names the groups, "g0", ..., "g{n-1}" when none are given, so it
-    is always a tuple of n strings.  The array is copied and frozen at
-    construction, so datasets can be shared between concurrent solver runs
+    is always a tuple of n distinct strings.  The array is copied and frozen
+    at construction, so datasets can be shared between concurrent solver runs
     without locking.  Equality and hashing go by identity: a dataset can key
     a dict, and == never compares arrays.
     """
@@ -78,6 +78,9 @@ class GroupedDataset:
         labels = tuple(map(str, labels))
         if len(labels) != len(sizes):
             raise DimensionError(f"got {len(labels)} labels for {len(sizes)} groups")
+        if len(set(labels)) != len(labels):
+            repeated = sorted({label for label in labels if labels.count(label) > 1})
+            raise ValueError(f"group labels must be distinct, got repeated {repeated}")
         object.__setattr__(self, "labels", labels)
         X.setflags(write=False)
         object.__setattr__(self, "X", X)

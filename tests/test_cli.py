@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import jsonschema
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 
 from fairpca import (
     REPORT_SCHEMA,
+    compare_cell,
     gen_synthetic_gaussian,
     iterations_to_reach,
     recommended_params,
@@ -238,9 +239,12 @@ class TestSolve:
          "--eps, --mu, --trace-stride"),
         (["compare", "--algs", "arpgda", "--seeds", 1], ["--c-grid", 0.5], None, "--c-grid"),
         (["compare", "--seeds", 1], [], {"algs": "arpgda", "c_grid": [0.5]}, "--c-grid"),
+        (["compare", "--algs", "arpgda", "--seeds", 1], ["--max-iters", 5], None, "--max-iters"),
+        (["compare", "--seeds", 1], [], {"algs": "arpgda", "max_iters": 5}, "--max-iters"),
     ], ids=["solve_rsg-flag", "solve_rsg-config", "solve_arpgda-flag", "solve_arpgda-config",
             "compare_rsg-flag", "compare_rsg-config", "compare_arpgda-flag",
-            "compare_arpgda-config"])
+            "compare_arpgda-config", "compare_arpgda-max_iters-flag",
+            "compare_arpgda-max_iters-config"])
     def test_unread_solver_flags_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                          head, flags, config, unread):
         def solve_must_not_run(*args, **kwargs):
@@ -256,6 +260,14 @@ class TestSolve:
                     "--out", out]) == 1
         assert f"error: no solver of this run reads {unread}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", -1])
+    def test_bad_min_norm_threshold_exits_1(self, tmp_path, capsys, threshold):
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1,
+                    "--min-norm-threshold", threshold, "--out", tmp_path / "out"]) == 1
+        assert ("error: min_norm_threshold must be non-negative, got"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_dual_step_exits_3(self, tmp_path, capsys):
         csv_path = tmp_path / "big.csv"
@@ -463,9 +475,10 @@ class TestCompare:
     @pytest.mark.parametrize("alg", ["arpgda", "rsg"])
     def test_single_algorithm(self, tmp_path, alg):
         out = tmp_path / "solo"
+        # --max-iters caps only the RSG sweep, so an ARPGDA-only run rejects it
+        cap = ["--max-iters", 200] if alg == "rsg" else []
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
-                    "--r", "1", "--seeds", 1, "--algs", alg, "--max-iters", 200,
-                    "--out", out]) == 0
+                    "--r", "1", "--seeds", 1, "--algs", alg, *cap, "--out", out]) == 0
         rows = read_csv_rows(out / "compare.csv")
         assert {row[0] for row in rows[1:]} == {alg}
         summary = json.loads((out / "compare_summary.json").read_text())
@@ -476,8 +489,35 @@ class TestCompare:
             assert cell["rsg"]["iterations"] == 200
             assert cell["rsg"]["c"] in DEFAULT_C_GRID
             assert summary["c_grid"] == list(DEFAULT_C_GRID)
+            assert summary["rsg_max_iters"] == 200
+            assert summary["arpgda_params"] is None
         else:
             assert summary["c_grid"] is None
+            assert summary["rsg_max_iters"] is None
+            params = asdict(recommended_params(gen_synthetic_gaussian(6, 6, 1), 1))
+            expected = {k: v for k, v in params.items() if k != "seed"}
+            assert summary["arpgda_params"] == {"1": expected}
+            assert expected["max_iters"] == 100_000
+
+    def test_max_iters_caps_only_the_rsg_sweep(self, tmp_path):
+        out = tmp_path / "cell"
+        assert run(["compare", "--gen", "gaussian:d=8,n=8,seed=5", "--r", 2, "--seeds", 1,
+                    "--c-grid", 0.1, "--max-iters", 50, "--out", out]) == 0
+        summary = json.loads((out / "compare_summary.json").read_text())
+        (cell,) = summary["cells"]
+        data = gen_synthetic_gaussian(8, 8, 5)
+        expected = compare_cell(data, 2, 0, arpgda_params=recommended_params(data, 2),
+                                c_grid=(0.1,), rsg_max_iters=50)
+        for alg in ("arpgda", "rsg"):
+            result = getattr(expected, alg)
+            assert (cell[alg]["phi"], cell[alg]["iterations"], cell[alg]["converged"]) == (
+                result.phi, result.iterations, result.converged)
+        # ARPGDA runs to E <= epsilon under its own cap; the sweep stops at 50
+        assert cell["arpgda"]["converged"] and cell["arpgda"]["iterations"] > 50
+        assert cell["rsg"]["iterations"] == 50
+        assert cell["arpgda_dominates"] == expected.arpgda_dominates
+        assert summary["rsg_max_iters"] == 50
+        assert summary["arpgda_params"]["2"]["max_iters"] == 100_000
 
     @pytest.mark.parametrize("jobs, source", [(0, "flag"), (-2, "flag"), (0, "config")])
     def test_rejects_jobs_below_one(self, tmp_path, capsys, jobs, source):
@@ -612,6 +652,33 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert "error: cannot write" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, text, expected", [
+        ("--r", "1:3", [1, 2, 3]),
+        ("--seed", "0:4:2", [0, 2, 4]),
+        ("--r", "3:1", None),
+        ("--seed", "1:5:0", None),
+        ("--r", "1:2:3:4", None),
+    ], ids=["compare_r_range", "solve_seed_step", "descending", "zero_step", "four_parts"])
+    def test_int_list_ranges(self, tmp_path, capsys, flag, text, expected):
+        # --r of compare and --seed of solve both take lo:hi and lo:hi:step, inclusive
+        head = (["compare", "--algs", "rsg", "--seeds", 1, "--c-grid", 0.1] if flag == "--r"
+                else ["solve", "rsg", "--r", 1, "--c", 0.1])
+        out = tmp_path / "out"
+        code = run([*head, flag, text, "--max-iters", 5, "--gen", "gaussian:d=4,n=4,seed=0",
+                    "--out", out])
+        if expected is None:
+            assert code == 1
+            assert f"error: cannot parse {flag} list {text!r}" in capsys.readouterr().err
+            assert not out.exists()
+        elif flag == "--r":
+            assert code == 0
+            summary = json.loads((out / "compare_summary.json").read_text())
+            assert summary["r_values"] == [cell["r"] for cell in summary["cells"]] == expected
+        else:
+            assert code == 0
+            assert sorted(path.name for path in out.glob("report_*.json")) == [
+                f"report_rsg_r1_seed{seed}.json" for seed in expected]
 
     SOLVE = ["solve", "arpgda", "--r", 1, "--max-iters", 5]
     METRICS = ["metrics", "--gen", "gaussian:d=4,n=4,seed=1", "--checkpoint"]

@@ -223,6 +223,14 @@ class TestPreprocess:
         with pytest.raises(DataError):
             preprocess(data, min_norm_threshold=1.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, -1e-6])
+    def test_bad_norm_threshold_is_rejected(self, threshold):
+        data = gen_synthetic_blocks(3, (4,), seed=0)
+        with pytest.raises(ValueError, match="min_norm_threshold must be non-negative") as exc:
+            preprocess(data, min_norm_threshold=threshold)
+        # a bad argument, not a data error
+        assert not isinstance(exc.value, DataError)
+
     def test_rerunning_is_identity(self):
         data = gen_synthetic_blocks(5, (6, 6), seed=4)
         once = preprocess(data, normalize=True, center=True,

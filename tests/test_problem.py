@@ -80,6 +80,11 @@ class TestGroupedDataset:
         with pytest.raises(DimensionError, match="got 1 labels for 3 groups"):
             GroupedDataset(X=np.ones((2, 4)), group_sizes=(1, 2, 1), labels=("a",))
 
+    def test_repeated_labels_rejected(self):
+        # dataset_csv_text and load_csv_grouped would merge the two "a" groups
+        with pytest.raises(ValueError, match=r"labels must be distinct, got repeated \['a'\]"):
+            GroupedDataset(X=np.ones((2, 6)), group_sizes=(2, 2, 2), labels=("a", "b", "a"))
+
     def test_array_is_copied_and_frozen(self):
         X = np.ones((2, 3))
         data = GroupedDataset(X=X, group_sizes=(3,))
