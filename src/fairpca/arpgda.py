@@ -14,11 +14,11 @@ and couple the U-stepsize to both smoothness constants:
 
     zeta_k = theta / (L1 + L2^2 / (lambda_k + beta_k + beta_{k+1})),  theta in (0, 2).
 
-Runs stop once the stationarity measure E(U, y) drops to epsilon or the
-iteration cap is reached.  solve_arpgda's loop is the only implementation
-of the update: it computes lambda_k, beta_k, beta_{k+1} and zeta_k once per
-iteration and records them in the trace, and a run with max_iters = k ends
-at (U_k, y_k) unless it converged sooner.
+Runs stop once the stationarity measure E(U, y), tested before each step,
+is at most epsilon, or at the iteration cap.  solve_arpgda's loop is the
+only implementation of the update: it computes lambda_k, beta_k, beta_{k+1}
+and zeta_k once per iteration and records them in the trace, and a run with
+max_iters = k ends at (U_k, y_k) unless it converged sooner.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -47,6 +47,9 @@ from .stiefel import (
     random_stiefel,
 )
 
+if TYPE_CHECKING:
+    from .baselines import RSGParams
+
 # Numerical slack granted when asserting the per-iteration inequalities.
 INEQUALITY_SLACK = 1e-8
 
@@ -55,6 +58,18 @@ DUAL_RADIUS = 1.0
 
 # JSON schema for run reports produced by SolveResult.to_report (both solvers).
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
+# The keys of a trace row, in _Recorder.row's order, all required.
+_TRACE_ROW = {
+    "k": {"type": "integer", "minimum": 0},
+    "phi": {"type": "number"},
+    "E": _NULLABLE_NUMBER,
+    "grad_norm": _NULLABLE_NUMBER,
+    "gap": _NULLABLE_NUMBER,
+    "lambda": _NULLABLE_NUMBER,
+    "beta": _NULLABLE_NUMBER,
+    "zeta": _NULLABLE_NUMBER,
+    "ms": {"type": "number"},
+}
 REPORT_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -84,28 +99,8 @@ REPORT_SCHEMA: dict[str, Any] = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "k",
-                    "phi",
-                    "E",
-                    "grad_norm",
-                    "gap",
-                    "lambda",
-                    "beta",
-                    "zeta",
-                    "ms",
-                ],
-                "properties": {
-                    "k": {"type": "integer", "minimum": 0},
-                    "phi": {"type": "number"},
-                    "E": _NULLABLE_NUMBER,
-                    "grad_norm": _NULLABLE_NUMBER,
-                    "gap": _NULLABLE_NUMBER,
-                    "lambda": _NULLABLE_NUMBER,
-                    "beta": _NULLABLE_NUMBER,
-                    "zeta": _NULLABLE_NUMBER,
-                    "ms": {"type": "number"},
-                },
+                "required": list(_TRACE_ROW),
+                "properties": _TRACE_ROW,
                 "additionalProperties": True,
             },
         },
@@ -139,7 +134,7 @@ class ARPGDAParams:
             raise ValueError(f"rho must exceed 1 and be finite, got {self.rho!r}")
         if not 0 < self.theta < 2:
             raise ValueError(f"theta must lie in (0, 2), got {self.theta!r}")
-        check_count("max_iters", self.max_iters, 1)
+        check_count("max_iters", self.max_iters, 0)
         check_count("seed", self.seed, 0)
         check_count("trace_stride", self.trace_stride, 1)
 
@@ -167,15 +162,40 @@ def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     return max(max_orth_error, orth)
 
 
+class _Recorder:
+    """The run record both solvers keep: made as a solve starts, it starts
+    the clock, appends the trace rows, each stamped with ms, and gives
+    time_ms."""
+
+    def __init__(self) -> None:
+        self.trace: list[dict[str, Any]] = []
+        self._start = self._last = time.perf_counter()
+
+    def row(self, k: int, phi: float, E: float | None = None, grad_norm: float | None = None,
+            gap: float | None = None, lam: float | None = None, beta: float | None = None,
+            zeta: float | None = None) -> None:
+        now = time.perf_counter()
+        self.trace.append({"k": k, "phi": phi, "E": E, "grad_norm": grad_norm, "gap": gap,
+                           "lambda": lam, "beta": beta, "zeta": zeta,
+                           "ms": (now - self._last) * 1e3})
+        self._last = now
+
+    def time_ms(self) -> float:
+        return (time.perf_counter() - self._start) * 1e3
+
+
 @dataclass
 class SolveResult:
     """Outcome of one solver run.
 
     trace and violations hold the rows of the run report as they are, so a
-    report loaded back from JSON reads the same.  A trace row has the keys
-    k, phi, E, grad_norm, gap, lambda, beta, zeta and ms, with None for a
-    key that does not apply to the algorithm; a violation has k, kind, lhs
-    and rhs.
+    report loaded back from JSON reads the same.  The trace starts with the
+    row k = 0 of the start and ends with the row k = iterations.  A row has
+    the keys k, phi, E, grad_norm, gap, lambda, beta, zeta and ms, with None
+    for a key that does not apply to the algorithm or to the start; ms is
+    the wall time since the previous row or, for the first, since the solve
+    started.  A violation has k, kind, lhs and rhs.  params is the params
+    dataclass the run took; info holds what neither it nor the trace does.
     """
 
     algorithm: str
@@ -189,13 +209,15 @@ class SolveResult:
     violations: list[dict[str, Any]]
     max_orth_error: float
     time_ms: float
+    params: ARPGDAParams | RSGParams
     info: dict[str, Any] = field(default_factory=dict)
 
-    def to_report(self, params: dict[str, Any], dataset_meta: dict[str, Any]) -> dict[str, Any]:
-        """Assemble the JSON run report; validates against REPORT_SCHEMA."""
+    def to_report(self, dataset_meta: dict[str, Any]) -> dict[str, Any]:
+        """Assemble the JSON run report, which echoes asdict(params);
+        validates against REPORT_SCHEMA."""
         return {
             "algorithm": self.algorithm,
-            "params": params,
+            "params": asdict(self.params),
             "dataset_meta": dataset_meta,
             "r": int(self.U.shape[1]),
             "iterations": int(self.iterations),
@@ -248,17 +270,18 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     """Run ARPGDA from a seeded random start until E(U, y) <= epsilon or the
     iteration cap.
 
-    Every iterate passes check_iterate, and each descent direction must have
-    a finite norm ||grad||, which the loop computes anyway: a NaN or infinite
-    entry raises NumericalError, and so do finite entries whose squares sum
-    past the largest double (entries near 1e154 or larger).  The
-    per-iteration sufficient-decrease and ascent-gap inequalities are
-    evaluated with INEQUALITY_SLACK; failures are collected on the result
-    (and surfaced as warnings), never silenced.  The trace keeps every
-    trace_stride-th iteration and the last; a row's ms is the wall time
-    since the previous row, or since the solve started for the first.
+    The stopping rule is checked at each iterate before stepping, so a start
+    with E <= epsilon returns after zero iterations.  Every iterate passes
+    check_iterate, and each descent direction must have a finite norm
+    ||grad||, which the loop computes anyway: a NaN or infinite entry raises
+    NumericalError, and so do finite entries whose squares sum past the
+    largest double (entries near 1e154 or larger).  The per-iteration
+    sufficient-decrease and ascent-gap inequalities are evaluated with
+    INEQUALITY_SLACK; failures are collected on the result (and surfaced as
+    warnings), never silenced.  The trace keeps the start, every
+    trace_stride-th iteration and the last.
     """
-    t0 = time.perf_counter()
+    run = _Recorder()
     constants = smoothness_constants(data, r)
     L1, L2_sq = constants.L1, constants.L2**2
     if L1 <= 0.0:
@@ -275,16 +298,20 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     grad = project_to_tangent(ev.U, ev.gradient(y))
     grad_norm = _norm(grad)
 
-    trace: list[dict[str, Any]] = []
     violations: list[dict[str, Any]] = []
     max_simplex = max(simplex_violation(y))
-    initial_phi = float(ev.values.min())
-    value = _regularized_value(float(y.dot(ev.values)), y, lam)
+    phi = float(ev.values.min())
+    weighted = float(y.dot(ev.values))
+    gap = max(weighted - phi, 0.0)
+    E = max(grad_norm, gap)
+    value = _regularized_value(weighted, y, lam)
     step_sq = 0.0  # ||y_k - y_{k-1}||^2, zero at the start
-    converged = False
-    last = t0
+    run.row(0, phi, E, grad_norm, gap)
 
-    for k in range(1, params.max_iters + 1):
+    # a NaN E fails the test, so a NaN gradient reaches the guard below
+    k = 0
+    while not E <= params.epsilon and k < params.max_iters:
+        k += 1
         beta_k = mu * k**-rho
         beta_next = mu * (k + 1) ** -rho
         zeta_k = theta / (L1 + L2_sq / (lam + beta_k + beta_next))
@@ -327,16 +354,8 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         if gap > bound + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "ascent_gap", "lhs": gap, "rhs": bound})
 
-        stop = E <= params.epsilon
-        if stop or k % params.trace_stride == 0 or k == params.max_iters:
-            now = time.perf_counter()
-            trace.append({"k": k, "phi": phi, "E": E, "grad_norm": grad_norm,
-                          "gap": gap, "lambda": lam, "beta": beta_k, "zeta": zeta_k,
-                          "ms": (now - last) * 1e3})
-            last = now
-        if stop:
-            converged = True
-            break
+        if E <= params.epsilon or k % params.trace_stride == 0 or k == params.max_iters:
+            run.row(k, phi, E, grad_norm, gap, lam, beta_k, zeta_k)
 
     if violations:
         warnings.warn(
@@ -351,16 +370,15 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         phi=phi,
         stationarity=E,
         iterations=k,
-        converged=converged,
-        trace=trace,
+        converged=E <= params.epsilon,
+        trace=run.trace,
         violations=violations,
         max_orth_error=max_orth,
-        time_ms=(time.perf_counter() - t0) * 1e3,
+        time_ms=run.time_ms(),
+        params=params,
         info={
             "L1": L1,
             "L2": constants.L2,
-            "lambda": lam,
-            "initial_phi": initial_phi,
             "max_simplex_error": max_simplex,
             "evaluation": data.evaluation_form,
         },

@@ -17,13 +17,12 @@ ends at U_k.  compare_cell runs one cell of the comparison with ARPGDA.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arpgda import ARPGDAParams, SolveResult, check_iterate, solve_arpgda
+from .arpgda import ARPGDAParams, SolveResult, _Recorder, check_iterate, solve_arpgda
 from .exceptions import NumericalError, check_count
 from .problem import GroupedDataset, evaluate
 from .stiefel import polar_retract, project_to_tangent, random_stiefel
@@ -67,76 +66,48 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     iterate passes check_iterate.  Each subgradient g must have a finite
     ||g||^2, one dot product: a NaN or infinite entry raises NumericalError,
     and so do finite entries whose squares sum past the largest double
-    (entries near 1e154 or larger).  The trace records Phi at the start, every
-    trace_stride steps and at the final iterate; a row's ms is the wall time
-    since the previous row, or since the solve started for the first.
+    (entries near 1e154 or larger).  The trace keeps the start, every
+    trace_stride-th step and the last.
     """
-    t0 = time.perf_counter()
-    U = random_stiefel(data.d, r, params.seed)
-    ev = evaluate(data, U)
+    run = _Recorder()
+    ev = evaluate(data, random_stiefel(data.d, r, params.seed))
     Evaluation = type(ev)
-    target = (
-        math.inf
-        if params.reference_phi is None
-        else (1.0 - REFERENCE_SLACK) * params.reference_phi
-    )
+    reference = params.reference_phi
+    target = math.inf if reference is None else (1.0 - REFERENCE_SLACK) * reference
     max_orth = check_iterate(ev, 0)
     # the worst group, lowest index on ties, and its value Phi(U)
     i = ev.values.argmin()
     phi = float(ev.values[i])
-    trace: list[dict[str, Any]] = []
-    last = t0
+    run.row(0, phi)
 
-    def record(steps: int) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        trace.append({"k": steps, "phi": phi, "E": None, "grad_norm": None, "gap": None,
-                      "lambda": None, "beta": None,
-                      "zeta": params.c / math.sqrt(steps) if steps >= 1 else None,
-                      "ms": (now - last) * 1e3})
-        last = now
-
-    record(0)
-    steps = 0
-    converged = False
-    while True:
-        if phi >= target:
-            converged = True
-            break
-        if steps >= params.max_iters:
-            break
-        steps += 1
+    k = 0
+    while phi < target and k < params.max_iters:
+        k += 1
         g = project_to_tangent(ev.U, ev._group_gradient(i))
         if not math.isfinite(np.vdot(g, g)):
-            raise NumericalError(f"non-finite subgradient at iteration {steps}")
-        U = polar_retract(ev.U, (params.c / math.sqrt(steps)) * g)
-        ev = Evaluation(data, U)
-        max_orth = check_iterate(ev, steps, max_orth)
+            raise NumericalError(f"non-finite subgradient at iteration {k}")
+        zeta = params.c / math.sqrt(k)
+        ev = Evaluation(data, polar_retract(ev.U, zeta * g))
+        max_orth = check_iterate(ev, k, max_orth)
         i = ev.values.argmin()
         phi = float(ev.values[i])
-        if steps % params.trace_stride == 0:
-            record(steps)
+        if phi >= target or k % params.trace_stride == 0 or k == params.max_iters:
+            run.row(k, phi, zeta=zeta)
 
-    if trace[-1]["k"] != steps:
-        record(steps)
     return SolveResult(
         algorithm="rsg",
-        U=U,
+        U=ev.U,
         y=None,
         phi=phi,
         stationarity=None,
-        iterations=steps,
-        converged=converged,
-        trace=trace,
+        iterations=k,
+        converged=phi >= target,
+        trace=run.trace,
         violations=[],
         max_orth_error=max_orth,
-        time_ms=(time.perf_counter() - t0) * 1e3,
-        info={
-            "c": params.c,
-            "reference_phi": params.reference_phi,
-            "reference_slack": REFERENCE_SLACK,
-            "evaluation": data.evaluation_form,
-        },
+        time_ms=run.time_ms(),
+        params=params,
+        info={"evaluation": data.evaluation_form},
     )
 
 
@@ -145,8 +116,9 @@ class Comparison:
     """One cell of the comparison, as compare_cell runs it: ARPGDA's run
     (None if it did not run), the RSG runs in grid order and the best of
     them, the first with the largest Phi (None for an empty grid); the first
-    recorded ARPGDA iteration that reaches the best run's Phi, and whether
-    that is strictly fewer iterations than the best run took."""
+    recorded ARPGDA iteration that reaches the best run's Phi, 0 when the
+    start already does, and whether that is strictly fewer iterations than
+    the best run took."""
 
     arpgda: SolveResult | None
     rsg_runs: list[SolveResult]
@@ -179,7 +151,8 @@ def compare_cell(data: GroupedDataset, r: int, seed: int, *,
 
 
 def iterations_to_reach(trace: Sequence[Mapping[str, Any]], phi: float) -> int | None:
-    """The first recorded k with Phi >= (1 - REFERENCE_SLACK) * phi, or None.
+    """The first recorded k with Phi >= (1 - REFERENCE_SLACK) * phi, or None;
+    0 when the start, a trace's first row, already reaches it.
 
     trace is a result's trace or the trace of a saved run report."""
     target = (1.0 - REFERENCE_SLACK) * phi

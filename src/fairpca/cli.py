@@ -289,12 +289,13 @@ _SOLVER_FLAGS = {"epsilon": "--eps", "mu": "--mu", "rho": "--rho", "theta": "--t
 # The fields each solver of each command reads, stated once: a run rejects
 # every other solver flag, and a command's config keys are the flag names of
 # these fields (max_iters for --max-iters), plus compare's own r, seeds, algs
-# and jobs.  compare's ARPGDA keeps ARPGDAParams' own cap, so its --max-iters
-# caps only the RSG sweep, which keeps one trace row per run.
+# and jobs.  compare's ARPGDA keeps ARPGDAParams' own cap and stride: its
+# --max-iters caps only the RSG sweep, and arpgda_iters_to_rsg_phi counts
+# every iteration.
 _READS = {
     "solve": {"arpgda": ("epsilon", "mu", "rho", "theta", "max_iters", "trace_stride"),
               "rsg": ("c", "reference_phi", "max_iters", "trace_stride")},
-    "compare": {"arpgda": ("epsilon", "mu", "rho", "theta", "trace_stride"),
+    "compare": {"arpgda": ("epsilon", "mu", "rho", "theta"),
                 "rsg": ("max_iters", "c_grid")},
 }
 _CONFIG_KEYS = {
@@ -374,12 +375,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _make_dir(Path(args.save_u))
     for seed in seeds:
         if args.algorithm == "arpgda":
-            params = _arpgda_params(dataset, r, seed, args)
-            result = arpgda_mod.solve_arpgda(dataset, r, params)
+            result = arpgda_mod.solve_arpgda(dataset, r, _arpgda_params(dataset, r, seed, args))
         else:
-            params = _rsg_params(seed, args)
-            result = solve_rsg(dataset, r, params)
-        report = result.to_report(asdict(params), meta)
+            result = solve_rsg(dataset, r, _rsg_params(seed, args))
+        report = result.to_report(meta)
         path = _report_path(out, args.algorithm, r, seed)
         _atomic_write_json(path, report)
         if args.save_u is not None:
@@ -413,7 +412,7 @@ def _run_compare_cell(dataset: GroupedDataset, spec: dict[str, Any]) -> dict[str
                           "violations": len(arpgda.violations)}
     if rsg is not None:
         cell["rsg"] = {"phi": rsg.phi, "iterations": rsg.iterations, "converged": rsg.converged,
-                       "time_ms": rsg.time_ms, "c": rsg.info["c"]}
+                       "time_ms": rsg.time_ms, "c": rsg.params.c}
     if arpgda is not None and rsg is not None:
         cell["arpgda_iters_to_rsg_phi"] = result.arpgda_iters_to_rsg_phi
         cell["arpgda_dominates"] = result.arpgda_dominates

@@ -278,13 +278,18 @@ def ky_fan_norm(M: np.ndarray, r: int) -> float:
     """Sum of the r largest eigenvalues of a symmetric PSD matrix.
 
     Symmetry and positive semidefiniteness are validated within a residual of
-    1e-8 relative to max(1, ||M||_F).
+    1e-8 relative to max(1, ||M||_F).  A non-finite ||M||_F raises: a NaN or
+    infinite entry, or finite entries whose squares sum past the largest
+    double.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"M must be square, got shape {M.shape}")
     check_rank("r", r, M.shape[0])
-    tol = _TOL_PSD * max(1.0, float(np.linalg.norm(M)))
+    norm = float(np.linalg.norm(M))
+    if not math.isfinite(norm):
+        raise ValueError("M must be finite")
+    tol = _TOL_PSD * max(1.0, norm)
     sym_residual = float(np.linalg.norm(M - M.T))
     if sym_residual > tol:
         raise ValueError(f"M must be symmetric, residual {sym_residual:.3e}")

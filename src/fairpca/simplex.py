@@ -81,11 +81,13 @@ def simplex_violation(y: np.ndarray) -> tuple[float, float]:
 
 
 def validate_weights(y: np.ndarray) -> np.ndarray:
-    """Check membership of the simplex (non-negative, sum within TOL_SUM of 1)."""
+    """Check membership of the simplex (non-negative, sum within TOL_SUM of
+    1).  A NaN entry makes the sum NaN, which fails the sum test."""
     y = _as_vector(y, "y")
     neg, drift = simplex_violation(y)
     if neg > 0.0:
         raise ValueError(f"weights must be non-negative, smallest entry {y.min():.3e}")
-    if drift > TOL_SUM:
-        raise ValueError(f"weights must sum to 1 within {TOL_SUM:g}, got sum {y.sum()!r}")
+    if not drift <= TOL_SUM:
+        raise ValueError(f"weights must be finite and sum to 1 within {TOL_SUM:g}, "
+                         f"got sum {y.sum()!r}")
     return y

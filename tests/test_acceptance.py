@@ -118,7 +118,7 @@ def test_criterion_2_stationarity_contract(gaussian_cells, capsys):
     worst_ms = 0.0
     for (r, seed), cell in gaussian_cells.items():
         res = cell.arpgda
-        epsilon = 8.0 * res.info["lambda"]
+        epsilon = res.params.epsilon
         worst_ms = max(worst_ms, res.time_ms)
         if res.converged:
             counts[r] += 1

@@ -2,7 +2,7 @@
 full runs, each step taken through solve_arpgda."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import jsonschema
 import numpy as np
@@ -58,9 +58,10 @@ class TestParams:
         with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, theta=2.0)
         with pytest.raises(ValueError):
-            ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=0)
+            ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=-1)
         with pytest.raises(ValueError):
             ARPGDAParams(epsilon=0.1, mu=1.0, trace_stride=0)
+        assert ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=0).max_iters == 0
 
     @pytest.mark.parametrize("field", ["epsilon", "mu", "rho"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -119,7 +120,8 @@ class TestSchedules:
         constants_patch(monkeypatch, L1=2.0, L2=3.0)
         data = GroupedDataset(X=np.array([[0.3, -0.2], [0.1, 0.4]]), group_sizes=(1, 1))
         params = ARPGDAParams(epsilon=0.008, mu=7.0, rho=1.1, theta=1.5, max_iters=2)
-        first, second = solve_arpgda(data, 1, params).trace
+        start, first, second = solve_arpgda(data, 1, params).trace
+        assert (start["lambda"], start["beta"], start["zeta"]) == (None, None, None)
         assert first["lambda"] == second["lambda"] == pytest.approx(0.001, rel=1e-15)
         assert first["beta"] == pytest.approx(7.0, rel=1e-15)
         assert second["beta"] == pytest.approx(3.265615470378826, rel=1e-13)
@@ -129,8 +131,8 @@ class TestSchedules:
     def test_monotonicity(self):
         params = ARPGDAParams(epsilon=1e-9, mu=50.0, rho=1.3, theta=1.2, max_iters=30)
         res = solve_arpgda(small_dataset(seed=3, d=5, sizes=(40, 40)), 2, params)
-        betas = [row["beta"] for row in res.trace]
-        zetas = [row["zeta"] for row in res.trace]
+        betas = [row["beta"] for row in res.trace[1:]]
+        zetas = [row["zeta"] for row in res.trace[1:]]
         assert len(betas) == 30
         assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
         assert all(z1 > z2 for z1, z2 in zip(zetas, zetas[1:]))
@@ -303,9 +305,9 @@ class TestSolve:
         params = ARPGDAParams(epsilon=1e-3, mu=10.0, max_iters=50, seed=2,
                               trace_stride=10)
         res = solve_arpgda(data, 2, params)
-        report = res.to_report(params={"epsilon": params.epsilon},
-                               dataset_meta={"name": data.name})
+        report = res.to_report({"name": data.name})
         jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["params"] == asdict(params)
         json.dumps(report)  # must be serializable as-is
 
     def test_violations_are_detected_and_warned(self, monkeypatch):
@@ -375,19 +377,22 @@ class TestSolve:
             monkeypatch.setattr(arpgda_module, name, clock.ticking(getattr(arpgda_module, name)))
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=60, seed=1, trace_stride=25)
         res = solve_arpgda(small_dataset(seed=4), 2, params)
-        assert [t["k"] for t in res.trace] == [25, 50, 60]
-        assert [t["ms"] for t in res.trace] == [26e3, 25e3, 10e3]
+        assert [t["k"] for t in res.trace] == [0, 25, 50, 60]
+        assert [t["ms"] for t in res.trace] == [1e3, 25e3, 25e3, 10e3]
         assert res.time_ms == 61e3
 
     @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
     def test_trace_schedules_are_the_schedules(self, sizes, form):
-        # every row holds the paper's step-size rule at its k, exactly
+        # every step's row holds the paper's step-size rule at its k, exactly;
+        # the start's row has none
         data = small_dataset(seed=3, d=5, sizes=sizes)
         assert data.evaluation_form == form
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=40, seed=1)
         res = solve_arpgda(data, 2, params)
-        assert [rec["k"] for rec in res.trace] == list(range(1, 41))
-        for rec in res.trace:
+        assert [rec["k"] for rec in res.trace] == list(range(41))
+        assert (res.trace[0]["lambda"], res.trace[0]["beta"], res.trace[0]["zeta"]) == (
+            None, None, None)
+        for rec in res.trace[1:]:
             assert (rec["lambda"], rec["beta"], rec["zeta"]) == oracles.arpgda_schedule_by_hand(
                 params.epsilon, params.mu, params.rho, params.theta,
                 res.info["L1"], res.info["L2"], rec["k"])

@@ -1,6 +1,6 @@
 """The Riemannian subgradient ascent baseline."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import jsonschema
 import numpy as np
@@ -8,11 +8,13 @@ import pytest
 
 import oracles
 from fairpca import (
+    ARPGDAParams,
     DimensionError,
     GroupedDataset,
     NumericalError,
     compare_cell,
     evaluate,
+    gen_synthetic_blocks,
     iterations_to_reach,
     ky_fan_norm,
     random_stiefel,
@@ -21,7 +23,10 @@ from fairpca import (
     RSGParams,
     solve_arpgda,
     solve_rsg,
+    stationarity_measure,
+    uniform_weights,
 )
+from fairpca import arpgda as arpgda_module
 from fairpca import baselines as baselines_module
 from fairpca.stiefel import project_to_tangent
 
@@ -205,8 +210,9 @@ class TestSolve:
         assert res.phi <= cap + 1e-9
 
     def test_trace_ms_counts_from_previous_row(self, monkeypatch, clock):
-        # on the fake clock the start takes one second and each retraction one
-        monkeypatch.setattr(baselines_module, "time", clock)
+        # on the fake clock the start takes one second and each retraction
+        # one; the solvers' shared recorder reads the clock
+        monkeypatch.setattr(arpgda_module, "time", clock)
         for name in ("random_stiefel", "polar_retract"):
             monkeypatch.setattr(baselines_module, name,
                                 clock.ticking(getattr(baselines_module, name)))
@@ -267,8 +273,66 @@ class TestSolve:
         data = two_group_dataset(seed=8)
         res = solve_rsg(data, 2, RSGParams(c=0.1, max_iters=40, seed=0,
                                            trace_stride=10))
-        report = res.to_report(params={"c": 0.1}, dataset_meta={})
+        report = res.to_report({})
         jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["params"] == asdict(res.params)
+        assert report["params"]["c"] == 0.1
+
+
+# Both solvers at settings under which ARPGDA records no violation and neither
+# stops before its cap of 30 steps.
+SOLVERS = {
+    "arpgda": lambda data: solve_arpgda(data, 2, ARPGDAParams(
+        epsilon=1e-9, mu=5.0, max_iters=30, seed=1, trace_stride=7)),
+    "rsg": lambda data: solve_rsg(data, 2, RSGParams(c=0.1, max_iters=30, seed=1,
+                                                     trace_stride=7)),
+}
+
+
+class TestRunRecord:
+    """The run record both solvers keep through one recorder."""
+
+    @pytest.mark.parametrize("form", ["sample", "covariance"])
+    @pytest.mark.parametrize("algorithm", ["arpgda", "rsg"])
+    def test_one_record(self, monkeypatch, clock, algorithm, form):
+        data = two_group_dataset(seed=3, d=5, sizes=(1,) * 8 if form == "sample" else (40, 40))
+        assert data.evaluation_form == form
+        start_phi = float(evaluate(data, random_stiefel(5, 2, 1)).values.min())
+        # on the fake clock the start takes one second and each retraction
+        # one; patching the clock of the recorder's module drives both solvers
+        monkeypatch.setattr(arpgda_module, "time", clock)
+        for module in (arpgda_module, baselines_module):
+            for name in ("random_stiefel", "polar_retract"):
+                monkeypatch.setattr(module, name, clock.ticking(getattr(module, name)))
+        res = SOLVERS[algorithm](data)
+        assert (res.trace[0]["k"], res.trace[0]["phi"]) == (0, start_phi)
+        assert [row["k"] for row in res.trace] == [0, 7, 14, 21, 28, 30]
+        assert res.trace[-1]["k"] == res.iterations
+        required = REPORT_SCHEMA["properties"]["trace"]["items"]["required"]
+        assert all(list(row) == required for row in res.trace)
+        assert [row["ms"] for row in res.trace] == [1e3, 7e3, 7e3, 7e3, 7e3, 2e3]
+        assert res.time_ms == 31e3
+        assert res.to_report({"name": data.name})["params"] == asdict(res.params)
+
+    def test_stationary_start_takes_no_step(self):
+        # one group and r = d: every start is stationary, E about 4e-15
+        data = gen_synthetic_blocks(3, (10,), 0)
+        cell = compare_cell(data, 3, 0, arpgda_params=recommended_params(data, 3),
+                            rsg_max_iters=100)
+        for run in (cell.arpgda, *cell.rsg_runs):
+            assert (run.iterations, run.converged, len(run.trace)) == (0, True, 1)
+        assert cell.arpgda.stationarity <= cell.arpgda.params.epsilon
+        assert (cell.arpgda_iters_to_rsg_phi, cell.arpgda_dominates) == (0, False)
+
+    def test_arpgda_cap_zero_returns_the_start(self):
+        data = two_group_dataset(seed=3)
+        res = solve_arpgda(data, 2, ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=0, seed=7))
+        U, y = random_stiefel(6, 2, 7), uniform_weights(2)
+        assert (res.iterations, res.converged) == (0, False)
+        np.testing.assert_array_equal(res.U, U)
+        np.testing.assert_array_equal(res.y, y)
+        assert res.stationarity == stationarity_measure(data, U, y)
+        assert [row["k"] for row in res.trace] == [0]
 
 
 class TestCompareCell:
@@ -307,9 +371,9 @@ class TestCompareCell:
     def test_without_arpgda_no_reference_and_no_dominance(self, cap, rows):
         cell = compare_cell(two_group_dataset(seed=13), 2, 5, arpgda_params=None,
                             rsg_max_iters=cap)
-        assert [run.info["c"] for run in cell.rsg_runs] == list(baselines_module.DEFAULT_C_GRID)
+        assert [run.params.c for run in cell.rsg_runs] == list(baselines_module.DEFAULT_C_GRID)
         for run in cell.rsg_runs:
-            assert (run.info["reference_phi"], run.iterations) == (None, cap)
+            assert (run.params.reference_phi, run.iterations) == (None, cap)
             assert [row["k"] for row in run.trace] == rows
         assert cell.arpgda is None and cell.arpgda_iters_to_rsg_phi is None
         assert not cell.arpgda_dominates

@@ -235,16 +235,16 @@ class TestSolve:
         (["solve", "arpgda"], ["--ref-phi", 3], {"c": 0.1}, "--c, --ref-phi"),
         (["compare", "--algs", "rsg", "--seeds", 1],
          ["--eps", 0.5, "--mu", 3, "--trace-stride", 5], None, "--eps, --mu, --trace-stride"),
-        (["compare", "--seeds", 1], [], {"algs": "rsg", "eps": 0.5, "mu": 3, "trace_stride": 5},
-         "--eps, --mu, --trace-stride"),
+        (["compare", "--seeds", 1], [], {"algs": "rsg", "eps": 0.5, "mu": 3}, "--eps, --mu"),
         (["compare", "--algs", "arpgda", "--seeds", 1], ["--c-grid", 0.5], None, "--c-grid"),
         (["compare", "--seeds", 1], [], {"algs": "arpgda", "c_grid": [0.5]}, "--c-grid"),
         (["compare", "--algs", "arpgda", "--seeds", 1], ["--max-iters", 5], None, "--max-iters"),
         (["compare", "--seeds", 1], [], {"algs": "arpgda", "max_iters": 5}, "--max-iters"),
+        (["compare", "--seeds", 1], ["--trace-stride", 5], None, "--trace-stride"),
     ], ids=["solve_rsg-flag", "solve_rsg-config", "solve_arpgda-flag", "solve_arpgda-config",
             "compare_rsg-flag", "compare_rsg-config", "compare_arpgda-flag",
             "compare_arpgda-config", "compare_arpgda-max_iters-flag",
-            "compare_arpgda-max_iters-config"])
+            "compare_arpgda-max_iters-config", "compare-trace_stride-flag"])
     def test_unread_solver_flags_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                          head, flags, config, unread):
         def solve_must_not_run(*args, **kwargs):
@@ -444,7 +444,7 @@ class TestCompare:
         out = tmp_path / name
         code = run(["compare", "--gen", "gaussian:d=8,n=8,seed=5",
                     "--r", "1,2", "--seeds", 2, "--c-grid", "0.1,1.0",
-                    "--max-iters", 400, "--trace-stride", 20, "--jobs", jobs,
+                    "--max-iters", 400, "--jobs", jobs,
                     "--out", out])
         assert code == 0
         return out
@@ -580,11 +580,11 @@ class TestCompare:
 
     def test_config_rejects_unknown_keys(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(
-            {"r": "1", "algs": "arpgda", "c": 0.1, "tol_orth": 1e-6}))
+            {"r": "1", "algs": "arpgda", "c": 0.1, "tol_orth": 1e-6, "trace_stride": 5}))
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
                     "--seeds", 1, "--max-iters", 20, "--out", tmp_path / "out",
                     "--config", tmp_path / "cfg.json"]) == 1
-        assert "unknown key(s) c, tol_orth;" in capsys.readouterr().err
+        assert "unknown key(s) c, tol_orth, trace_stride;" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_repeated_values_run_once(self, tmp_path):

@@ -331,6 +331,16 @@ class TestKyFan:
         with pytest.raises(ValueError):
             ky_fan_norm(-np.eye(2), 1)
 
+    @pytest.mark.parametrize("M", [np.full((2, 2), np.nan), [[1.0, np.inf], [np.inf, 1.0]],
+                                   [[1.0, 0.0], [0.0, -np.inf]], np.full((2, 2), 1e200)],
+                             ids=["nan", "inf", "neg_inf", "overflow"])
+    def test_rejects_non_finite_matrices(self, M):
+        # the Frobenius norm the tolerance needs is not finite, so the
+        # symmetry residual, which would warn on inf - inf, is never formed;
+        # numpy warns when the squares of finite entries overflow
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="M must be finite"):
+            ky_fan_norm(M, 1)
+
 
 class TestSmoothnessConstants:
     def test_orthonormal_singleton_groups(self):
@@ -466,6 +476,10 @@ class TestStationarity:
             stationarity_measure(data, 1.5 * U, y)
         with pytest.raises(ValueError):
             stationarity_measure(data, U, 2.0 * y)
+        y_nan = y.copy()
+        y_nan[0] = np.nan
+        with pytest.raises(ValueError, match="weights must be finite"):
+            stationarity_measure(data, U, y_nan)
 
 
 class TestSubgradientDistance:

@@ -135,3 +135,11 @@ def test_violation_and_validation():
         validate_weights(np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         validate_weights(np.array([0.6, 0.6]))
+
+
+@pytest.mark.parametrize("y", [[np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5], [np.inf, 1.0]],
+                         ids=["nan", "nan_alone", "nan_between", "inf"])
+def test_validation_rejects_non_finite_weights(y):
+    # a NaN entry passes the sign test, as -min is NaN, and fails the sum test
+    with pytest.raises(ValueError, match="weights must be"):
+        validate_weights(np.array(y))
