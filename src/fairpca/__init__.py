@@ -12,6 +12,7 @@ from .arpgda import (
     SolveResult,
     recommended_params,
     solve_arpgda,
+    stationarity_measure,
 )
 from .baselines import RSGParams, compare_cell, iterations_to_reach, solve_rsg
 from .data import (
@@ -38,7 +39,6 @@ from .problem import (
     minimax_objective,
     riemannian_gradient_U,
     smoothness_constants,
-    stationarity_measure,
 )
 from .simplex import (
     uniform_weights,

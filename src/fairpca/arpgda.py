@@ -19,6 +19,8 @@ is at most epsilon, or at the iteration cap.  solve_arpgda's loop is the
 only implementation of the update: it computes lambda_k, beta_k, beta_{k+1}
 and zeta_k once per iteration and records them in the trace, and a run with
 max_iters = k ends at (U_k, y_k) unless it converged sooner.
+stationarity_measure computes E with the loop's own code.  _Run holds what
+both solvers share: the start, the iterate guard, the trace cadence and the result.
 """
 
 from __future__ import annotations
@@ -32,20 +34,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .exceptions import DegenerateProblemError, NumericalError, check_count, check_rank
-from .problem import (
-    Evaluation,
-    GroupedDataset,
-    evaluate,
-    smoothness_constants,
-)
-from .simplex import project_to_simplex, simplex_violation, uniform_weights
-from .stiefel import (
-    TOL_ORTH,
-    orthonormality_error,
-    polar_retract,
-    project_to_tangent,
-    random_stiefel,
-)
+from .problem import Evaluation, GroupedDataset, _check_weights_size, evaluate, smoothness_constants
+from .simplex import project_to_simplex, simplex_violation, uniform_weights, validate_weights
+from .stiefel import (TOL_ORTH, orthonormality_error, polar_retract, project_to_tangent,
+                      random_stiefel, validate_stiefel)
 
 if TYPE_CHECKING:
     from .baselines import RSGParams
@@ -58,7 +50,7 @@ DUAL_RADIUS = 1.0
 
 # JSON schema for run reports produced by SolveResult.to_report (both solvers).
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
-# The keys of a trace row, in _Recorder.row's order, all required.
+# The keys of a trace row, in _Run.row's order, all required.
 _TRACE_ROW = {
     "k": {"type": "integer", "minimum": 0},
     "phi": {"type": "number"},
@@ -139,11 +131,6 @@ class ARPGDAParams:
         check_count("trace_stride", self.trace_stride, 1)
 
 
-def _norm(G: np.ndarray) -> float:
-    # the dot product numpy's Frobenius norm takes, without its dispatch
-    return math.sqrt(np.vdot(G, G))
-
-
 def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     """Guard every iterate of both solvers, the start included: raise
     NumericalError, naming the iterate by its step count k, when a group value
@@ -160,28 +147,6 @@ def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     if orth > TOL_ORTH:
         raise NumericalError(f"iterate left the manifold at iteration {k}: residual {orth:.3e}")
     return max(max_orth_error, orth)
-
-
-class _Recorder:
-    """The run record both solvers keep: made as a solve starts, it starts
-    the clock, appends the trace rows, each stamped with ms, and gives
-    time_ms."""
-
-    def __init__(self) -> None:
-        self.trace: list[dict[str, Any]] = []
-        self._start = self._last = time.perf_counter()
-
-    def row(self, k: int, phi: float, E: float | None = None, grad_norm: float | None = None,
-            gap: float | None = None, lam: float | None = None, beta: float | None = None,
-            zeta: float | None = None) -> None:
-        now = time.perf_counter()
-        self.trace.append({"k": k, "phi": phi, "E": E, "grad_norm": grad_norm, "gap": gap,
-                           "lambda": lam, "beta": beta, "zeta": zeta,
-                           "ms": (now - self._last) * 1e3})
-        self._last = now
-
-    def time_ms(self) -> float:
-        return (time.perf_counter() - self._start) * 1e3
 
 
 @dataclass
@@ -233,6 +198,57 @@ class SolveResult:
         }
 
 
+class _Run:
+    """What both solvers share around their own step.  Made as a solve
+    starts, it starts the clock, then evaluates and guards the seeded start
+    random_stiefel(d, r, params.seed); step evaluates and guards each later
+    iterate in the start's form, row records the trace rows that are due,
+    and result builds the SolveResult.  ev is the current iterate only:
+    keeping the start's evaluation alive made ARPGDA 5 % slower per
+    iteration on perfbench's blocks-compare (10 pairs, 2-core machine)."""
+
+    def __init__(self, data: GroupedDataset, r: int, params: ARPGDAParams | RSGParams) -> None:
+        self._start = self._last = time.perf_counter()
+        self.data, self.params = data, params
+        self.trace: list[dict[str, Any]] = []
+        self.ev = evaluate(data, random_stiefel(data.d, r, params.seed))
+        self._Evaluation = type(self.ev)
+        self.max_orth_error = check_iterate(self.ev, 0)
+
+    def step(self, U: np.ndarray, k: int) -> Evaluation:
+        """Evaluate U, the iterate after step k, guard it and make it ev."""
+        ev = self._Evaluation(self.data, U)
+        self.max_orth_error = check_iterate(ev, k, self.max_orth_error)
+        self.ev = ev
+        return ev
+
+    def row(self, k: int, phi: float, E: float | None = None, grad_norm: float | None = None,
+            gap: float | None = None, lam: float | None = None, beta: float | None = None,
+            zeta: float | None = None, *, stop: bool = False) -> None:
+        """Record the row of iterate k if it is due: the start, every
+        trace_stride-th step, the cap, and the iterate where the run stops."""
+        params = self.params
+        if not (stop or k % params.trace_stride == 0 or k == params.max_iters):
+            return
+        now = time.perf_counter()
+        self.trace.append({"k": k, "phi": phi, "E": E, "grad_norm": grad_norm, "gap": gap,
+                           "lambda": lam, "beta": beta, "zeta": zeta,
+                           "ms": (now - self._last) * 1e3})
+        self._last = now
+
+    def result(self, algorithm: str, y: np.ndarray | None, phi: float,
+               stationarity: float | None, iterations: int, converged: bool,
+               violations: list[dict[str, Any]], **info: Any) -> SolveResult:
+        """The run's SolveResult at the final iterate ev; info gets the
+        evaluation form last."""
+        return SolveResult(
+            algorithm=algorithm, U=self.ev.U, y=y, phi=phi, stationarity=stationarity,
+            iterations=iterations, converged=converged, trace=self.trace,
+            violations=violations, max_orth_error=self.max_orth_error,
+            time_ms=(time.perf_counter() - self._start) * 1e3, params=self.params,
+            info={**info, "evaluation": self.data.evaluation_form})
+
+
 def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDAParams:
     """Default driving parameters, tuned separately for the two regimes.
 
@@ -266,22 +282,49 @@ def _regularized_value(weighted: float, y: np.ndarray, lam: float) -> float:
     return -weighted - 0.5 * lam * float(y.dot(y))
 
 
+def _stationarity(ev: Evaluation, y: np.ndarray) -> tuple[np.ndarray, float, float, float,
+                                                          float, float]:
+    # E(U, y) at the evaluation ev of U, with what it is made of: (grad,
+    # ||grad||, Phi, weighted = y . values, gap, E); grad is the Riemannian
+    # gradient of f(., y) and ||grad|| is the dot product numpy's Frobenius
+    # norm takes, without its dispatch
+    grad = project_to_tangent(ev.U, ev.gradient(y))
+    grad_norm = math.sqrt(np.vdot(grad, grad))
+    phi = float(ev.values.min())
+    weighted = float(y.dot(ev.values))
+    gap = max(weighted - phi, 0.0)
+    return grad, grad_norm, phi, weighted, gap, max(grad_norm, gap)
+
+
+def stationarity_measure(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> float:
+    """Stationarity of a feasible pair (U, y), the measure solve_arpgda stops
+    on, computed by the same code:
+
+        E(U, y) = max(||grad_U f(U, y)||_F,
+                      max_{y' in simplex} <grad_y f(U, y), y' - y>).
+
+    The inner maximum has the closed form sum_i y_i f_i(U) - min_i f_i(U).
+    """
+    ev = evaluate(data, validate_stiefel(U))
+    return _stationarity(ev, validate_weights(_check_weights_size(data, y)))[-1]
+
+
 def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveResult:
     """Run ARPGDA from a seeded random start until E(U, y) <= epsilon or the
     iteration cap.
 
     The stopping rule is checked at each iterate before stepping, so a start
     with E <= epsilon returns after zero iterations.  Every iterate passes
-    check_iterate, and each descent direction must have a finite norm
-    ||grad||, which the loop computes anyway: a NaN or infinite entry raises
-    NumericalError, and so do finite entries whose squares sum past the
-    largest double (entries near 1e154 or larger).  The per-iteration
-    sufficient-decrease and ascent-gap inequalities are evaluated with
-    INEQUALITY_SLACK; failures are collected on the result (and surfaced as
-    warnings), never silenced.  The trace keeps the start, every
-    trace_stride-th iteration and the last.
+    check_iterate, the start before the smoothness constants are computed,
+    and each descent direction must have a finite norm ||grad||, which the
+    loop computes anyway: a NaN or infinite entry raises NumericalError, and
+    so do finite entries whose squares sum past the largest double (entries
+    near 1e154 or larger).  The per-iteration sufficient-decrease and
+    ascent-gap inequalities are evaluated with INEQUALITY_SLACK; failures are
+    collected on the result (and surfaced as warnings), never silenced.  The
+    trace keeps the start, every trace_stride-th iteration and the last.
     """
-    run = _Recorder()
+    run = _Run(data, r, params)
     constants = smoothness_constants(data, r)
     L1, L2_sq = constants.L1, constants.L2**2
     if L1 <= 0.0:
@@ -289,21 +332,13 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     mu, rho, theta = params.mu, params.rho, params.theta
     lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
     decrease = (2.0 - theta) / (2.0 * theta)
-    y = uniform_weights(data.num_groups)
-    ev = evaluate(data, random_stiefel(data.d, r, params.seed))
-    Evaluation = type(ev)
-    max_orth = check_iterate(ev, 0)
+    ev, y = run.ev, uniform_weights(data.num_groups)
     # the Riemannian gradient of f(., y) at U certifies (U, y) in E, then
     # serves as the next descent direction
-    grad = project_to_tangent(ev.U, ev.gradient(y))
-    grad_norm = _norm(grad)
+    grad, grad_norm, phi, weighted, gap, E = _stationarity(ev, y)
 
     violations: list[dict[str, Any]] = []
     max_simplex = max(simplex_violation(y))
-    phi = float(ev.values.min())
-    weighted = float(y.dot(ev.values))
-    gap = max(weighted - phi, 0.0)
-    E = max(grad_norm, gap)
     value = _regularized_value(weighted, y, lam)
     step_sq = 0.0  # ||y_k - y_{k-1}||^2, zero at the start
     run.row(0, phi, E, grad_norm, gap)
@@ -317,9 +352,8 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         zeta_k = theta / (L1 + L2_sq / (lam + beta_k + beta_next))
         if not math.isfinite(grad_norm):
             raise NumericalError(f"non-finite gradient entering iteration {k}")
-        ev = Evaluation(data, polar_retract(ev.U, -zeta_k * grad))
         # U_{k+1} passes check_iterate before the ascent step reads its values
-        max_orth = check_iterate(ev, k, max_orth)
+        ev = run.step(polar_retract(ev.U, -zeta_k * grad), k)
         values = ev.values
         # grad_y f(U_{k+1}, y_k) = -values, independent of y; the ascent
         # y + (-values - lam y) / (lam + beta_k), with the negation moved
@@ -327,13 +361,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         y_next = project_to_simplex(y - (values + lam * y) / (lam + beta_k))
         max_simplex = max(max_simplex, *simplex_violation(y_next))
         prev_grad_norm = grad_norm
-        grad = project_to_tangent(ev.U, ev.gradient(y_next))
-        grad_norm = _norm(grad)
-
-        phi = float(values.min())
-        weighted = float(y_next.dot(values))
-        gap = max(weighted - phi, 0.0)
-        E = max(grad_norm, gap)
+        grad, grad_norm, phi, weighted, gap, E = _stationarity(ev, y_next)
 
         # sufficient decrease of the regularized value, lambda constant
         prev_value, value = value, _regularized_value(weighted, y_next, lam)
@@ -353,9 +381,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
         if gap > bound + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "ascent_gap", "lhs": gap, "rhs": bound})
-
-        if E <= params.epsilon or k % params.trace_stride == 0 or k == params.max_iters:
-            run.row(k, phi, E, grad_norm, gap, lam, beta_k, zeta_k)
+        run.row(k, phi, E, grad_norm, gap, lam, beta_k, zeta_k, stop=E <= params.epsilon)
 
     if violations:
         warnings.warn(
@@ -363,23 +389,5 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
             RuntimeWarning,
             stacklevel=2,
         )
-    return SolveResult(
-        algorithm="arpgda",
-        U=ev.U,
-        y=y,
-        phi=phi,
-        stationarity=E,
-        iterations=k,
-        converged=E <= params.epsilon,
-        trace=run.trace,
-        violations=violations,
-        max_orth_error=max_orth,
-        time_ms=run.time_ms(),
-        params=params,
-        info={
-            "L1": L1,
-            "L2": constants.L2,
-            "max_simplex_error": max_simplex,
-            "evaluation": data.evaluation_form,
-        },
-    )
+    return run.result("arpgda", y, phi, E, k, E <= params.epsilon, violations,
+                      L1=L1, L2=constants.L2, max_simplex_error=max_simplex)

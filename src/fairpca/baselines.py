@@ -22,10 +22,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arpgda import ARPGDAParams, SolveResult, _Recorder, check_iterate, solve_arpgda
+from .arpgda import ARPGDAParams, SolveResult, _Run, solve_arpgda
 from .exceptions import NumericalError, check_count
-from .problem import GroupedDataset, evaluate
-from .stiefel import polar_retract, project_to_tangent, random_stiefel
+from .problem import GroupedDataset
+from .stiefel import polar_retract, project_to_tangent
 
 # Relative slack of the reference stopping rule.
 REFERENCE_SLACK = 1e-4
@@ -69,12 +69,10 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
     (entries near 1e154 or larger).  The trace keeps the start, every
     trace_stride-th step and the last.
     """
-    run = _Recorder()
-    ev = evaluate(data, random_stiefel(data.d, r, params.seed))
-    Evaluation = type(ev)
+    run = _Run(data, r, params)
+    ev = run.ev
     reference = params.reference_phi
     target = math.inf if reference is None else (1.0 - REFERENCE_SLACK) * reference
-    max_orth = check_iterate(ev, 0)
     # the worst group, lowest index on ties, and its value Phi(U)
     i = ev.values.argmin()
     phi = float(ev.values[i])
@@ -87,28 +85,12 @@ def solve_rsg(data: GroupedDataset, r: int, params: RSGParams) -> SolveResult:
         if not math.isfinite(np.vdot(g, g)):
             raise NumericalError(f"non-finite subgradient at iteration {k}")
         zeta = params.c / math.sqrt(k)
-        ev = Evaluation(data, polar_retract(ev.U, zeta * g))
-        max_orth = check_iterate(ev, k, max_orth)
+        ev = run.step(polar_retract(ev.U, zeta * g), k)
         i = ev.values.argmin()
         phi = float(ev.values[i])
-        if phi >= target or k % params.trace_stride == 0 or k == params.max_iters:
-            run.row(k, phi, zeta=zeta)
+        run.row(k, phi, zeta=zeta, stop=phi >= target)
 
-    return SolveResult(
-        algorithm="rsg",
-        U=ev.U,
-        y=None,
-        phi=phi,
-        stationarity=None,
-        iterations=k,
-        converged=phi >= target,
-        trace=run.trace,
-        violations=[],
-        max_orth_error=max_orth,
-        time_ms=run.time_ms(),
-        params=params,
-        info={"evaluation": data.evaluation_form},
-    )
+    return run.result("rsg", None, phi, None, k, phi >= target, [])
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,16 @@ def simplex_violation(y: np.ndarray) -> tuple[float, float]:
 
 
 def validate_weights(y: np.ndarray) -> np.ndarray:
-    """Check membership of the simplex (non-negative, sum within TOL_SUM of
-    1).  A NaN entry makes the sum NaN, which fails the sum test."""
+    """Check membership of the simplex: finite entries, tested first, then
+    non-negative ones whose sum, even one that overflows, is within TOL_SUM
+    of 1; no numpy warning precedes the ValueError."""
     y = _as_vector(y, "y")
-    neg, drift = simplex_violation(y)
-    if neg > 0.0:
-        raise ValueError(f"weights must be non-negative, smallest entry {y.min():.3e}")
-    if not drift <= TOL_SUM:
-        raise ValueError(f"weights must be finite and sum to 1 within {TOL_SUM:g}, "
-                         f"got sum {y.sum()!r}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"weights must be finite, got {y!r}")
+    with np.errstate(over="ignore"):
+        neg, drift = simplex_violation(y)
+        if neg > 0.0:
+            raise ValueError(f"weights must be non-negative, smallest entry {y.min():.3e}")
+        if not drift <= TOL_SUM:
+            raise ValueError(f"weights must sum to 1 within {TOL_SUM:g}, got sum {y.sum()!r}")
     return y

@@ -15,6 +15,7 @@ from fairpca import (
     compare_cell,
     evaluate,
     gen_synthetic_blocks,
+    gen_synthetic_gaussian,
     iterations_to_reach,
     ky_fan_norm,
     random_stiefel,
@@ -211,11 +212,13 @@ class TestSolve:
 
     def test_trace_ms_counts_from_previous_row(self, monkeypatch, clock):
         # on the fake clock the start takes one second and each retraction
-        # one; the solvers' shared recorder reads the clock
+        # one; the solvers' shared run record draws the start and reads the
+        # clock
         monkeypatch.setattr(arpgda_module, "time", clock)
-        for name in ("random_stiefel", "polar_retract"):
-            monkeypatch.setattr(baselines_module, name,
-                                clock.ticking(getattr(baselines_module, name)))
+        monkeypatch.setattr(arpgda_module, "random_stiefel",
+                            clock.ticking(arpgda_module.random_stiefel))
+        monkeypatch.setattr(baselines_module, "polar_retract",
+                            clock.ticking(baselines_module.polar_retract))
         res = solve_rsg(two_group_dataset(seed=7), 2,
                         RSGParams(c=0.1, max_iters=60, seed=3, trace_stride=25))
         assert [t["k"] for t in res.trace] == [0, 25, 50, 60]
@@ -279,18 +282,17 @@ class TestSolve:
         assert report["params"]["c"] == 0.1
 
 
-# Both solvers at settings under which ARPGDA records no violation and neither
-# stops before its cap of 30 steps.
-SOLVERS = {
-    "arpgda": lambda data: solve_arpgda(data, 2, ARPGDAParams(
-        epsilon=1e-9, mu=5.0, max_iters=30, seed=1, trace_stride=7)),
-    "rsg": lambda data: solve_rsg(data, 2, RSGParams(c=0.1, max_iters=30, seed=1,
-                                                     trace_stride=7)),
+# Either solver at r = 2 with the given cap, seed and trace stride, at
+# settings under which ARPGDA records no violation and neither stops before
+# a cap of 30 steps.
+RUN = {
+    "arpgda": lambda data, **kw: solve_arpgda(data, 2, ARPGDAParams(epsilon=1e-9, mu=5.0, **kw)),
+    "rsg": lambda data, **kw: solve_rsg(data, 2, RSGParams(c=0.1, **kw)),
 }
 
 
 class TestRunRecord:
-    """The run record both solvers keep through one recorder."""
+    """The run record both solvers keep through one shared run skeleton."""
 
     @pytest.mark.parametrize("form", ["sample", "covariance"])
     @pytest.mark.parametrize("algorithm", ["arpgda", "rsg"])
@@ -299,12 +301,14 @@ class TestRunRecord:
         assert data.evaluation_form == form
         start_phi = float(evaluate(data, random_stiefel(5, 2, 1)).values.min())
         # on the fake clock the start takes one second and each retraction
-        # one; patching the clock of the recorder's module drives both solvers
+        # one; the run record's module draws the start and reads the clock
+        # for both solvers
         monkeypatch.setattr(arpgda_module, "time", clock)
+        monkeypatch.setattr(arpgda_module, "random_stiefel",
+                            clock.ticking(arpgda_module.random_stiefel))
         for module in (arpgda_module, baselines_module):
-            for name in ("random_stiefel", "polar_retract"):
-                monkeypatch.setattr(module, name, clock.ticking(getattr(module, name)))
-        res = SOLVERS[algorithm](data)
+            monkeypatch.setattr(module, "polar_retract", clock.ticking(module.polar_retract))
+        res = RUN[algorithm](data, max_iters=30, seed=1, trace_stride=7)
         assert (res.trace[0]["k"], res.trace[0]["phi"]) == (0, start_phi)
         assert [row["k"] for row in res.trace] == [0, 7, 14, 21, 28, 30]
         assert res.trace[-1]["k"] == res.iterations
@@ -313,6 +317,22 @@ class TestRunRecord:
         assert [row["ms"] for row in res.trace] == [1e3, 7e3, 7e3, 7e3, 7e3, 2e3]
         assert res.time_ms == 31e3
         assert res.to_report({"name": data.name})["params"] == asdict(res.params)
+
+    @pytest.mark.parametrize("algorithm", ["arpgda", "rsg"])
+    def test_stride_past_the_cap_keeps_the_start_and_the_cap(self, algorithm):
+        res = RUN[algorithm](two_group_dataset(seed=3), max_iters=12, seed=1, trace_stride=50)
+        assert res.iterations == 12
+        assert [row["k"] for row in res.trace] == [0, 12]
+
+    @pytest.mark.parametrize("algorithm", ["arpgda", "rsg"])
+    def test_overflowing_start_raises_at_iteration_0(self, algorithm):
+        # in sample form the squares of the projections overflow to inf; the
+        # start's guard raises before ARPGDA computes its smoothness constants
+        base = gen_synthetic_gaussian(4, 4, 0)
+        data = GroupedDataset(base.X * 1e160, base.group_sizes)
+        assert data.evaluation_form == "sample"
+        with pytest.raises(NumericalError, match="non-finite group objectives at iteration 0"):
+            RUN[algorithm](data)
 
     def test_stationary_start_takes_no_step(self):
         # one group and r = d: every start is stationary, E about 4e-15

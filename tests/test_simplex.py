@@ -137,9 +137,15 @@ def test_violation_and_validation():
         validate_weights(np.array([0.6, 0.6]))
 
 
-@pytest.mark.parametrize("y", [[np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5], [np.inf, 1.0]],
-                         ids=["nan", "nan_alone", "nan_between", "inf"])
+@pytest.mark.parametrize("y", [[np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5], [np.inf, 1.0],
+                               [np.inf, -np.inf]],
+                         ids=["nan", "nan_alone", "nan_between", "inf", "inf_and_neg_inf"])
 def test_validation_rejects_non_finite_weights(y):
-    # a NaN entry passes the sign test, as -min is NaN, and fails the sum test
-    with pytest.raises(ValueError, match="weights must be"):
+    # finiteness is tested before the sum, which warns on inf + -inf
+    with pytest.raises(ValueError, match="weights must be finite"):
         validate_weights(np.array(y))
+
+
+def test_validation_rejects_an_overflowing_sum_without_a_warning():
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        validate_weights(np.array([1e308, 1e308]))
