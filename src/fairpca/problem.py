@@ -29,7 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DiagnosticUnavailableError, DimensionError, check_count, check_rank
+from .exceptions import (
+    DiagnosticUnavailableError,
+    DimensionError,
+    NumericalError,
+    check_count,
+    check_rank,
+)
 from .simplex import _as_vector, project_to_simplex, uniform_weights
 from .stiefel import _as_point_shape, project_to_tangent, validate_stiefel
 
@@ -329,37 +335,49 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     In sample form (singleton groups, or n d >= N) they come from X in
     O(N d^2): singleton groups in one pass, any larger group through its
     Gram X_i^T X_i and an SVD.
+
+    Raises NumericalError, naming the largest sample norm, when the bound
+    overflows, which happens for data of norm near 1e38 or more.
     """
     check_rank("r", r, data.d)
-    if data.evaluation_form == "covariance":
-        C = data.covariances
-        n, d, _ = C.shape
-        top = float(np.linalg.eigvalsh(C)[:, -1].max())
-        if n == 1:
-            return SmoothnessConstants(L1=2.0 * top, L2=0.0)
-        # sum_i C_i C_i as one (d, n d) @ (n d, d) product
-        M = C.transpose(1, 0, 2).reshape(d, n * d) @ C.reshape(n * d, d)
-        row_sums = C.reshape(n, d * d) @ C.sum(axis=0).ravel()
-    else:
-        X = data.X
-        if data.num_groups == 1:
-            sigma = float(np.linalg.norm(X, 2))
-            return SmoothnessConstants(L1=2.0 * sigma * sigma, L2=0.0)
-        sizes = data.sizes_array
-        # Singleton groups in one pass: ||x x^T||_2 = ||x||^2 and
-        # (x x^T)^2 = ||x||^2 x x^T.
-        Xs = X[:, np.repeat(sizes == 1, sizes)]
-        sq = np.einsum("ij,ij->j", Xs, Xs)
-        top = float(sq.max(initial=0.0))
-        M = (Xs * sq) @ Xs.T
-        for i in np.flatnonzero(sizes > 1):
-            Xi = X[:, data._slice(i)]
-            sigma = float(np.linalg.norm(Xi, 2))
-            top = max(top, sigma * sigma)
-            # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T
-            M += Xi @ ((Xi.T @ Xi) @ Xi.T)
-        # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
-        row_sums = np.add.reduceat(np.einsum("ij,ij->j", X, (X @ X.T) @ X), data.starts)
+    # M holds fourth powers of X: for data of norm near 1e38 or more its
+    # Frobenius norm overflows, and near 1e77 the products themselves do.
+    # Either raises NumericalError, without a warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if data.evaluation_form == "covariance":
+            C = data.covariances
+            n, d, _ = C.shape
+            top = float(np.linalg.eigvalsh(C)[:, -1].max())
+            if n == 1:
+                return SmoothnessConstants(L1=2.0 * top, L2=0.0)
+            # sum_i C_i C_i as one (d, n d) @ (n d, d) product
+            M = C.transpose(1, 0, 2).reshape(d, n * d) @ C.reshape(n * d, d)
+            row_sums = C.reshape(n, d * d) @ C.sum(axis=0).ravel()
+        else:
+            X = data.X
+            if data.num_groups == 1:
+                sigma = float(np.linalg.norm(X, 2))
+                return SmoothnessConstants(L1=2.0 * sigma * sigma, L2=0.0)
+            sizes = data.sizes_array
+            # Singleton groups in one pass: ||x x^T||_2 = ||x||^2 and
+            # (x x^T)^2 = ||x||^2 x x^T.
+            Xs = X[:, np.repeat(sizes == 1, sizes)]
+            sq = np.einsum("ij,ij->j", Xs, Xs)
+            top = float(sq.max(initial=0.0))
+            M = (Xs * sq) @ Xs.T
+            for i in np.flatnonzero(sizes > 1):
+                Xi = X[:, data._slice(i)]
+                sigma = float(np.linalg.norm(Xi, 2))
+                top = max(top, sigma * sigma)
+                # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T
+                M += Xi @ ((Xi.T @ Xi) @ Xi.T)
+            # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
+            row_sums = np.add.reduceat(np.einsum("ij,ij->j", X, (X @ X.T) @ X), data.starts)
+        if not (np.isfinite(row_sums).all() and math.isfinite(float(np.linalg.norm(M)))):
+            raise NumericalError(
+                "the smoothness constants overflow: the data's largest sample norm is "
+                f"{float(data.sample_norms().max()):.3e}"
+            )
     bound = min(ky_fan_norm(M, r), float(row_sums.max()))
     return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
 

@@ -2,6 +2,7 @@
 full runs, each step taken through solve_arpgda."""
 
 import json
+import re
 from dataclasses import asdict, replace
 
 import jsonschema
@@ -18,6 +19,7 @@ from fairpca import (
     REPORT_SCHEMA,
     SmoothnessConstants,
     gen_synthetic_blocks,
+    gen_synthetic_gaussian,
     random_stiefel,
     recommended_params,
     smoothness_constants,
@@ -352,6 +354,20 @@ class TestSolve:
         data = gen_synthetic_blocks(6, (20, 20), 0)
         data = GroupedDataset(1e8 * data.X, data.group_sizes)
         with pytest.raises(NumericalError, match=r"simplex projection lost precision"):
+            solve_arpgda(data, 2, recommended_params(data, 2))
+
+    @pytest.mark.parametrize("data, form", [
+        (gen_synthetic_gaussian(4, 4, 0), "sample"),
+        (gen_synthetic_blocks(6, (20, 20), 0), "covariance"),
+    ], ids=["sample", "covariance"])
+    @pytest.mark.parametrize("scale", [1e80, 1e100])
+    def test_overflowing_smoothness_constants_raise_numerical_error(self, data, form, scale):
+        # the start's group values are finite, but sum_i C_i^2 holds fourth
+        # powers of X; no overflow warning comes first
+        data = GroupedDataset(scale * data.X, data.group_sizes)
+        assert data.evaluation_form == form
+        top = f"largest sample norm is {float(data.sample_norms().max()):.3e}"
+        with pytest.raises(NumericalError, match=re.escape(top) + "$"):
             solve_arpgda(data, 2, recommended_params(data, 2))
 
     @pytest.mark.parametrize("retract, cause", [

@@ -278,6 +278,15 @@ class TestSolve:
         assert ("numerical failure: simplex projection lost precision"
                 in capsys.readouterr().err)
 
+    def test_overflowing_smoothness_constants_exit_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "huge.csv"
+        assert run(["gen", "blocks:d=6,sizes=20x2,scales=1e80|1e80,seed=0",
+                    "--out", csv_path]) == 0
+        assert run(["solve", "arpgda", "--data", csv_path, "--r", 2,
+                    "--out", tmp_path / "runs"]) == 3
+        assert ("numerical failure: the smoothness constants overflow: the data's "
+                "largest sample norm is" in capsys.readouterr().err)
+
     def test_input_csv_is_not_mutated(self, tmp_path):
         csv_path = tmp_path / "d.csv"
         assert run(["gen", "gaussian:d=5,n=6,seed=3", "--out", csv_path]) == 0
