@@ -385,7 +385,8 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
 
     if violations:
         warnings.warn(
-            f"{len(violations)} per-iteration inequality violation(s) recorded",
+            f"{len(violations)} per-iteration inequality violation(s) recorded "
+            f"(r = {r}, seed = {params.seed})",
             RuntimeWarning,
             stacklevel=2,
         )

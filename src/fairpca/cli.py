@@ -7,12 +7,13 @@ Commands:
   metrics  evaluate diagnostics for a saved basis checkpoint
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.  An input file that cannot be read is a data error,
-except the config file, which is a configuration error.  Effective parameter
-values (command line over config file over built-in defaults) are echoed
-into every report.  All files are written atomically (temp file in place,
-then rename) by _atomic_write_text; solve and compare make their output
-directories before the first solve.  An output that cannot be written exits 1.
+3 numerical failure, read from the exception's class (see main).  An input
+file that cannot be read is a data error, except the config file, which is
+a configuration error.  Effective parameter values (command line over
+config file over built-in defaults) are echoed into every report.  All
+files are written atomically (temp file in place, then rename) by
+_atomic_write_text; solve and compare make their output directories before
+the first solve.  An output that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -25,25 +26,18 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import arpgda as arpgda_mod
 from . import data as data_mod
 from .baselines import DEFAULT_C_GRID, RSGParams, compare_cell, solve_rsg
-from .exceptions import (
-    DataError,
-    DegenerateProblemError,
-    DiagnosticUnavailableError,
-    DimensionError,
-    NumericalError,
-    check_count,
-    check_rank,
-)
+from .exceptions import DataError, NumericalError, check_count, check_rank
 from .problem import GroupedDataset, dist_to_subgradient, evaluate
 from .stiefel import load_point, orthonormality_error, point_csv_text
 
@@ -54,7 +48,8 @@ EXIT_NUMERIC = 3
 
 
 class _UsageError(Exception):
-    pass
+    """A usage or configuration error (exit 1).  Not a ValueError, so that
+    the except ValueError clauses that reword library errors pass it on."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,34 +91,24 @@ def _atomic_write_json(path: Path, obj: Any) -> None:
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    """Accept '1,2,5', '1:4' (inclusive), or '1:10:3' (with step)."""
+def _parse_list(text: str, flag: str, noun: str, item: Callable[[str], Any] = str) -> list[Any]:
+    """The distinct items of the comma list text, in first-seen order, each
+    stripped and read by item; blank items are skipped.  An int list may
+    also be 'lo:hi' or 'lo:hi:step', inclusive.  Exit 1 if an item does not
+    parse or if no item is left."""
     try:
-        if ":" in text:
+        if item is int and ":" in text:
             parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                lo, hi, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                lo, hi, step = parts
-            else:
-                raise ValueError
+            lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
             if step < 1 or hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1, step))
-        return [int(p) for p in text.split(",") if p != ""]
+            values = list(range(lo, hi + 1, step))
+        else:
+            values = [item(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise _UsageError(f"cannot parse {what} list {text!r}") from None
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise _UsageError(f"cannot parse {what} list {text!r}") from None
-
-
-def _unique(values: list[Any]) -> list[Any]:
-    """values without repeats, in first-seen order."""
+        raise _UsageError(f"cannot parse {flag} list {text!r}") from None
+    if not values:
+        raise _UsageError(f"{flag} must name at least one {noun}")
     return list(dict.fromkeys(values))
 
 
@@ -357,9 +342,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     dataset, meta = _resolve_dataset(args)
     r = check_rank("--r", args.r, dataset.d)
     _reject_unread(args, [args.algorithm])
-    seeds = _unique(_parse_int_list(args.seed, "--seed"))
-    if not seeds:
-        raise _UsageError("--seed must name at least one seed")
+    seeds = _parse_list(args.seed, "--seed", "seed", int)
     for seed in seeds:
         check_count("seed", seed, 0)
     out = Path(args.out)
@@ -384,11 +367,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.save_u is not None:
             u_path = Path(args.save_u) / f"u_{args.algorithm}_r{r}_seed{seed}.csv"
             _atomic_write_text(u_path, point_csv_text(result.U))
-        if result.violations:
-            print(
-                f"warning: {len(result.violations)} inequality violation(s) recorded",
-                file=sys.stderr,
-            )
         stat = "-" if result.stationarity is None else f"{result.stationarity:.6g}"
         print(
             f"{args.algorithm} r={r} seed={seed} converged={result.converged} "
@@ -427,6 +405,7 @@ _worker_dataset: GroupedDataset
 def _init_compare_worker(dataset: GroupedDataset) -> None:
     global _worker_dataset
     _worker_dataset = dataset
+    warnings.showwarning = _show_warning  # for a start method other than fork
 
 
 def _run_worker_cell(spec: dict[str, Any]) -> dict[str, Any]:
@@ -435,18 +414,14 @@ def _run_worker_cell(spec: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     dataset, meta = _resolve_dataset(args)
-    r_list = _unique(_parse_int_list(args.r, "--r"))
-    if not r_list:
-        raise _UsageError("--r must name at least one value")
+    r_list = _parse_list(args.r, "--r", "value", int)
     for r in r_list:
         check_rank("--r", r, dataset.d)
     n_seeds = check_count("--seeds", args.seeds, 1)
-    algs = _unique([a.strip() for a in args.algs.split(",") if a.strip()])
+    algs = _parse_list(args.algs, "--algs", "algorithm")
     for alg in algs:
         if alg not in ("arpgda", "rsg"):
             raise _UsageError(f"unknown algorithm {alg!r} (use arpgda and/or rsg)")
-    if not algs:
-        raise _UsageError("--algs must name at least one algorithm")
     _reject_unread(args, algs)
     check_count("--jobs", args.jobs, 1)
     arpgda_params = ({r: _arpgda_params(dataset, r, 0, args) for r in r_list}
@@ -455,9 +430,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if "rsg" in algs:
         rsg_max_iters = RSGParams.max_iters if args.max_iters is None else args.max_iters
         c_grid = (list(DEFAULT_C_GRID) if args.c_grid is None
-                  else _unique(_parse_float_list(args.c_grid, "--c-grid")))
-        if not c_grid:
-            raise _UsageError("--c-grid must name at least one stepsize scale")
+                  else _parse_list(args.c_grid, "--c-grid", "stepsize scale", float))
         for c in c_grid:  # a bad scale exits here, before any solve
             RSGParams(c=c, max_iters=rsg_max_iters)
 
@@ -620,35 +593,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message: Warning | str, *_: Any) -> None:
+    """Show a warning as the one stderr line 'warning: <message>'."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command that argv names.  The clauses below read the exit
+    code from the class of the exception that ends the run; each warning is
+    shown as one line, under the caller's warning filters."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "func", None) is None:
+                parser.print_usage(sys.stderr)
+                return EXIT_USAGE
+            if getattr(args, "config", None) is not None:
+                # Config entries go in as flags right after the command, so the
+                # command line's own flags, coming later, win.
+                cfg = _load_config(args.config, _CONFIG_KEYS[args.command])
+                try:
+                    args = parser.parse_args([argv[0], *_config_flags(cfg), *argv[1:]])
+                except _UsageError as exc:
+                    raise _UsageError(f"{exc} (from config file {args.config})") from None
+            return args.func(args)
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (DataError, OSError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except (_UsageError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if getattr(args, "config", None) is not None:
-            # Config entries go in as flags right after the command, so the
-            # command line's own flags, coming later, win.
-            cfg = _load_config(args.config, _CONFIG_KEYS[args.command])
-            try:
-                args = parser.parse_args([argv[0], *_config_flags(cfg), *argv[1:]])
-            except _UsageError as exc:
-                raise _UsageError(f"{exc} (from config file {args.config})") from None
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, DegenerateProblemError, DiagnosticUnavailableError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

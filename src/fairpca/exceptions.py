@@ -11,14 +11,16 @@ class DimensionError(ValueError):
 
 
 class DataError(ValueError):
-    """A dataset could not be ingested, or became empty after preprocessing."""
+    """A dataset could not be ingested, or became empty after preprocessing.
+    The base of every error the data is to blame for, which the command line
+    reports as a data error (exit 2)."""
 
 
-class DegenerateProblemError(ValueError):
+class DegenerateProblemError(DataError):
     """The problem instance carries no signal (for example, all-zero data)."""
 
 
-class DiagnosticUnavailableError(ValueError):
+class DiagnosticUnavailableError(DataError):
     """A diagnostic is undefined at the given point (for example, non-positive
     group variances)."""
 

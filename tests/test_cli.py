@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import jsonschema
@@ -14,6 +16,9 @@ import pytest
 
 from fairpca import (
     REPORT_SCHEMA,
+    DataError,
+    DegenerateProblemError,
+    DiagnosticUnavailableError,
     compare_cell,
     gen_synthetic_gaussian,
     iterations_to_reach,
@@ -668,7 +673,9 @@ class TestTopLevel:
         ("--r", "3:1", None),
         ("--seed", "1:5:0", None),
         ("--r", "1:2:3:4", None),
-    ], ids=["compare_r_range", "solve_seed_step", "descending", "zero_step", "four_parts"])
+        ("--r", "1, ,2", [1, 2]),
+    ], ids=["compare_r_range", "solve_seed_step", "descending", "zero_step", "four_parts",
+            "blank_item"])
     def test_int_list_ranges(self, tmp_path, capsys, flag, text, expected):
         # --r of compare and --seed of solve both take lo:hi and lo:hi:step, inclusive
         head = (["compare", "--algs", "rsg", "--seeds", 1, "--c-grid", 0.1] if flag == "--r"
@@ -737,3 +744,88 @@ class TestTopLevel:
         assert report["dataset_meta"]["num_samples"] == 5
         params = report["params"]
         assert (params["epsilon"], params["max_iters"], params["trace_stride"]) == (0.5, 7, 3)
+
+
+def violation_line(count, r, seed):
+    return (f"warning: {count} per-iteration inequality violation(s) recorded "
+            f"(r = {r}, seed = {seed})")
+
+
+class TestStderr:
+    """Each error and each warning reaches stderr as one whole line."""
+
+    @pytest.mark.filterwarnings("default:.*inequality violation:RuntimeWarning")
+    def test_solve_warns_once_per_seed(self, tmp_path, capsys):
+        # on this instance seeds 0 and 1 each record one violation in 200 iterations
+        assert run(["solve", "arpgda", "--gen", "blocks:d=4,sizes=30|30|30,seed=0", "--r", 2,
+                    "--mu", 0, "--eps", 1e-9, "--max-iters", 200, "--seed", "0,1",
+                    "--out", tmp_path]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            violation_line(1, 2, 0), violation_line(1, 2, 1)]
+
+    @pytest.mark.filterwarnings("default:.*inequality violation:RuntimeWarning")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_compare_warns_once_per_cell(self, tmp_path, capfd, monkeypatch, jobs):
+        # with no slack every step fails both inequalities, so every cell warns
+        monkeypatch.setattr("fairpca.arpgda.INEQUALITY_SLACK", -math.inf)
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1,2", "--seeds", 2,
+                    "--algs", "arpgda", "--jobs", jobs, "--out", tmp_path]) == 0
+        cells = json.loads((tmp_path / "compare_summary.json").read_text())["cells"]
+        expected = [violation_line(cell["arpgda"]["violations"], cell["r"], cell["seed"])
+                    for cell in cells]
+        assert len(expected) == 4 and all(cell["arpgda"]["violations"] for cell in cells)
+        # workers finish in any order
+        assert sorted(capfd.readouterr().err.splitlines()) == sorted(expected)
+
+    @pytest.mark.filterwarnings("default:groups emptied:UserWarning")
+    def test_emptied_group_warning_is_one_line(self, tmp_path, capsys):
+        assert run(["solve", "arpgda", "--gen", "blocks:d=3,sizes=5|5,scales=1|0", "--r", 1,
+                    "--max-iters", 5, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: groups emptied by the norm threshold and removed: ['g1']"]
+
+    def test_warning_filters_stay_the_callers(self, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            return np.float64(1e308) * 10.0
+
+        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", overflow)
+        before = (list(warnings.filters), warnings.showwarning)
+        # the suite's filterwarnings = error still turns numpy's warning into a failure
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1,
+                 "--out", tmp_path])
+        assert (list(warnings.filters), warnings.showwarning) == before
+
+    GEN = ["--gen", "gaussian:d=4,n=4,seed=0", "--max-iters", 5]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["gen", "gaussian:d=x,n=3"],
+         "error: generator spec 'gaussian:d=x,n=3': d must be an integer, got 'x'"),
+        (["compare", "--algs", "rsg", "--r", "3:1", *GEN],
+         "error: cannot parse --r list '3:1'"),
+        (["compare", "--algs", "rsg", "--r", 1, "--c-grid", ",", *GEN],
+         "error: --c-grid must name at least one stepsize scale"),
+        (["solve", "rsg", "--c", 0.1, "--r", 1, "--seed", ", ,", *GEN],
+         "error: --seed must name at least one seed"),
+    ], ids=["gen_spec", "unparsable_list", "empty_list", "blank_seeds"])
+    def test_error_is_one_whole_line(self, tmp_path, capsys, argv, line):
+        out = tmp_path / ("x.csv" if argv[0] == "gen" else "out")
+        assert run([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["solve", "arpgda", "--gen", "blocks:d=3,sizes=5|5,scales=0|0", "--r", 1],
+         "data error: all groups have zero variance; the objective is constant"),
+        (["metrics", "--gen", "blocks:d=3,sizes=5|5,scales=1|0", "--min-norm-threshold", 0,
+          "--checkpoint", "e1.csv"],
+         "data error: active set needs min_i f_i > 0, got 0.000e+00"),
+    ], ids=["degenerate_problem", "diagnostic_unavailable"])
+    def test_data_error_subclasses_exit_2(self, tmp_path, monkeypatch, capsys, argv, line):
+        assert issubclass(DegenerateProblemError, DataError)
+        assert issubclass(DiagnosticUnavailableError, DataError)
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("e1.csv", np.eye(3)[:, :1], delimiter=",")
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not list(tmp_path.glob("report_*.json"))
