@@ -8,12 +8,14 @@ Commands:
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure, read from the exception's class (see main).  An input
-file that cannot be read is a data error, except the config file, which is
-a configuration error.  Effective parameter values (command line over
-config file over built-in defaults) are echoed into every report.  All
-files are written atomically (temp file in place, then rename) by
-_atomic_write_text; solve and compare make their output directories before
-the first solve.  An output that cannot be written exits 1.
+file that cannot be read is a data error, except an @FILE of arguments,
+which is a usage error.  @FILE anywhere on the command line stands for
+FILE's lines, one argument a line, read in place, so a later value wins.
+Effective parameter values (flags over built-in defaults) are echoed into
+every report.  All files are written atomically (temp file in place, then
+rename) by _atomic_write_text; solve and compare make their output
+directories before the first solve.  An output that cannot be written
+exits 1.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One @FILE line is one argument, stripped; a blank line is none."""
+        arg = arg_line.strip()
+        return [arg] if arg else []
 
 
 # ---------------------------------------------------------------------------
@@ -121,34 +128,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split("|") if p != "")
     except ValueError:
         raise _UsageError(f"cannot parse group sizes {text!r}") from None
-
-
-def _load_config(path: str, known: frozenset[str]) -> dict[str, Any]:
-    try:
-        with open(path) as handle:
-            cfg = json.load(handle)
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise _UsageError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise _UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - known)
-    if unknown:
-        raise _UsageError(f"config file {path} has unknown key(s) {', '.join(unknown)}; "
-                          f"known keys: {', '.join(sorted(known))}")
-    return cfg
-
-
-def _config_flags(cfg: dict[str, Any]) -> list[str]:
-    """The config entries as the flags they stand for, so that each value is
-    parsed by its flag's own parser: {"max_iters": 10, "r": [1, 2]} gives
-    ["--max-iters=10", "--r=1,2"]."""
-    return [
-        f"--{key.replace('_', '-')}="
-        + (",".join(map(str, value)) if isinstance(value, list) else str(value))
-        for key, value in cfg.items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -266,33 +245,25 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str
 
 
 # The solver flags by the args field each sets.  Every one defaults to None,
-# so a field that is not None was set by its flag or config entry.
+# so a field that is not None was set by its flag.
 _SOLVER_FLAGS = {"epsilon": "--eps", "mu": "--mu", "rho": "--rho", "theta": "--theta",
                  "max_iters": "--max-iters", "trace_stride": "--trace-stride",
                  "c": "--c", "reference_phi": "--ref-phi", "c_grid": "--c-grid"}
 
 # The fields each solver of each command reads, stated once: a run rejects
-# every other solver flag, and a command's config keys are the flag names of
-# these fields (max_iters for --max-iters), plus compare's own r, seeds, algs
-# and jobs.  compare's ARPGDA keeps ARPGDAParams' own cap and stride: its
-# --max-iters caps only the RSG sweep, and arpgda_iters_to_rsg_phi counts
-# every iteration.
+# every other solver flag.  compare's ARPGDA keeps ARPGDAParams' own cap and
+# stride: its --max-iters caps only the RSG sweep, and
+# arpgda_iters_to_rsg_phi counts every iteration.
 _READS = {
     "solve": {"arpgda": ("epsilon", "mu", "rho", "theta", "max_iters", "trace_stride"),
               "rsg": ("c", "reference_phi", "max_iters", "trace_stride")},
     "compare": {"arpgda": ("epsilon", "mu", "rho", "theta"),
                 "rsg": ("max_iters", "c_grid")},
 }
-_CONFIG_KEYS = {
-    command: frozenset(_SOLVER_FLAGS[field][2:].replace("-", "_")
-                       for fields in reads.values() for field in fields)
-    for command, reads in _READS.items()
-}
-_CONFIG_KEYS["compare"] |= {"r", "seeds", "algs", "jobs"}
 
 
 def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
-    """The params fields among fields whose flag (or config entry) was set."""
+    """The params fields among fields whose flag was set."""
     return {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
 
 
@@ -314,7 +285,7 @@ def _arpgda_params(data: GroupedDataset, r: int, seed: int,
 
 def _rsg_params(seed: int, args: argparse.Namespace) -> RSGParams:
     if args.c is None:
-        raise _UsageError("rsg needs --c (or 'c' in the config file)")
+        raise _UsageError("rsg needs --c")
     return RSGParams(seed=seed, **_given(args, *_READS["solve"]["rsg"]))
 
 
@@ -534,7 +505,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fairpca", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="fairpca", description=__doc__.split("\n\n")[0],
+                     fromfile_prefix_chars="@",
+                     epilog="@FILE anywhere stands for FILE's lines, one argument a line.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p_gen = sub.add_parser("gen", help="write a synthetic dataset")
@@ -551,8 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     common_solver.add_argument("--mu", type=float, default=None)
     common_solver.add_argument("--max-iters", type=int, default=None,
                                help="iteration cap (compare: of each RSG run only)")
-    common_solver.add_argument("--trace-stride", type=int, default=None)
-    common_solver.add_argument("--config", help="JSON config file (flags win; unknown keys fail)")
 
     p_solve = sub.add_parser(
         "solve", parents=[common_solver], help="run one solver, one report per seed"
@@ -564,6 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--c", type=float, default=None, help="rsg stepsize scale")
     p_solve.add_argument("--ref-phi", dest="reference_phi", type=float, default=None,
                          help="rsg stopping reference")
+    p_solve.add_argument("--trace-stride", type=int, default=None)
     p_solve.add_argument("--out", default=".", help="report directory (or single .json path)")
     p_solve.add_argument("--save-u", default=None, help="directory for final basis CSVs")
     p_solve.set_defaults(func=cmd_solve)
@@ -601,9 +573,9 @@ def _show_warning(message: Warning | str, *_: Any) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command that argv names.  The clauses below read the exit
     code from the class of the exception that ends the run; each warning is
-    shown as one line, under the caller's warning filters."""
+    shown as one line, under the caller's warning filters, and one that
+    they turn into an error exits 1."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
@@ -611,14 +583,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if getattr(args, "func", None) is None:
                 parser.print_usage(sys.stderr)
                 return EXIT_USAGE
-            if getattr(args, "config", None) is not None:
-                # Config entries go in as flags right after the command, so the
-                # command line's own flags, coming later, win.
-                cfg = _load_config(args.config, _CONFIG_KEYS[args.command])
-                try:
-                    args = parser.parse_args([argv[0], *_config_flags(cfg), *argv[1:]])
-                except _UsageError as exc:
-                    raise _UsageError(f"{exc} (from config file {args.config})") from None
             return args.func(args)
         except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
@@ -626,7 +590,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (DataError, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        except (_UsageError, ValueError) as exc:
+        except (_UsageError, ValueError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 

@@ -32,6 +32,12 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def args_file(path, *lines):
+    """Write path as an @FILE of arguments, one a line; return '@path'."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
 def read_csv_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -89,8 +95,12 @@ class TestGen:
         ("gaussian:d=3,n=y", "n must be an integer, got 'y'"),
         ("gaussian:d=3,n=3,seed=1.5", "seed must be an integer, got '1.5'"),
         ("blocks:d=3,sizes=2x2,scales=1|a", "each scale must be a number, got 'a'"),
+        ("gaussian:d3", "bad generator spec item 'd3' in 'gaussian:d3'"),
+        ("gaussian:d=3,n=3,foo=1", "unknown gaussian keys ['foo'] in 'gaussian:d=3,n=3,foo=1'"),
+        ("blocks:d=3,sizes=2x2,foo=1", "unknown blocks keys ['foo'] in 'blocks:d=3,sizes=2x2,foo=1'"),
     ], ids=["repeated_d", "repeated_sizes", "negative_seed", "d_not_int", "n_not_int",
-            "seed_not_int", "scale_not_number"])
+            "seed_not_int", "scale_not_number", "item_without_equals", "unknown_gaussian_key",
+            "unknown_blocks_key"])
     def test_spec_names_the_bad_key(self, tmp_path, capsys, spec, message):
         assert run(["gen", spec, "--out", tmp_path / "x.csv"]) == 1
         assert message in capsys.readouterr().err
@@ -233,37 +243,40 @@ class TestSolve:
             assert "error: --r must lie in [1, 4], got 5" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("head, flags, config, unread", [
-        (["solve", "rsg", "--c", 0.1], ["--mu", 5, "--rho", 9], None, "--mu, --rho"),
-        (["solve", "rsg"], [], {"c": 0.1, "mu": 5, "rho": 9}, "--mu, --rho"),
-        (["solve", "arpgda"], ["--c", 0.1, "--ref-phi", 3], None, "--c, --ref-phi"),
-        (["solve", "arpgda"], ["--ref-phi", 3], {"c": 0.1}, "--c, --ref-phi"),
-        (["compare", "--algs", "rsg", "--seeds", 1],
-         ["--eps", 0.5, "--mu", 3, "--trace-stride", 5], None, "--eps, --mu, --trace-stride"),
-        (["compare", "--seeds", 1], [], {"algs": "rsg", "eps": 0.5, "mu": 3}, "--eps, --mu"),
-        (["compare", "--algs", "arpgda", "--seeds", 1], ["--c-grid", 0.5], None, "--c-grid"),
-        (["compare", "--seeds", 1], [], {"algs": "arpgda", "c_grid": [0.5]}, "--c-grid"),
-        (["compare", "--algs", "arpgda", "--seeds", 1], ["--max-iters", 5], None, "--max-iters"),
-        (["compare", "--seeds", 1], [], {"algs": "arpgda", "max_iters": 5}, "--max-iters"),
-        (["compare", "--seeds", 1], ["--trace-stride", 5], None, "--trace-stride"),
+    @pytest.mark.parametrize("head, flags, lines, message", [
+        (["solve", "rsg", "--c", 0.1], ["--mu", 5, "--rho", 9], None, "reads --mu, --rho"),
+        (["solve", "rsg"], [], ["--c=0.1", "--mu=5", "--rho", "9"], "reads --mu, --rho"),
+        (["solve", "arpgda"], ["--c", 0.1, "--ref-phi", 3], None, "reads --c, --ref-phi"),
+        (["solve", "arpgda"], ["--ref-phi", 3], ["--c=0.1"], "reads --c, --ref-phi"),
+        (["compare", "--algs", "rsg", "--seeds", 1], ["--eps", 0.5, "--mu", 3], None,
+         "reads --eps, --mu"),
+        (["compare", "--seeds", 1], [], ["--algs=rsg", "--eps=0.5", "--mu=3"], "reads --eps, --mu"),
+        (["compare", "--algs", "arpgda", "--seeds", 1], ["--c-grid", 0.5], None, "reads --c-grid"),
+        (["compare", "--seeds", 1], [], ["--algs=arpgda", "--c-grid=0.5"], "reads --c-grid"),
+        (["compare", "--algs", "arpgda", "--seeds", 1], ["--max-iters", 5], None,
+         "reads --max-iters"),
+        (["compare", "--seeds", 1], [], ["--algs=arpgda", "--max-iters=5"], "reads --max-iters"),
+        # no solver of compare reads a trace, so compare has no such flag
+        (["compare", "--seeds", 1], ["--trace-stride", 5], None,
+         "unrecognized arguments: --trace-stride 5"),
     ], ids=["solve_rsg-flag", "solve_rsg-config", "solve_arpgda-flag", "solve_arpgda-config",
             "compare_rsg-flag", "compare_rsg-config", "compare_arpgda-flag",
             "compare_arpgda-config", "compare_arpgda-max_iters-flag",
             "compare_arpgda-max_iters-config", "compare-trace_stride-flag"])
     def test_unread_solver_flags_exit_1_before_any_solve(self, tmp_path, capsys, monkeypatch,
-                                                         head, flags, config, unread):
+                                                         head, flags, lines, message):
         def solve_must_not_run(*args, **kwargs):
             raise AssertionError("solved with a flag that no solver reads")
 
         for name in ("arpgda_mod.solve_arpgda", "solve_rsg", "compare_cell"):
             monkeypatch.setattr(f"fairpca.cli.{name}", solve_must_not_run)
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            flags = [*flags, "--config", tmp_path / "cfg.json"]
+        if lines is not None:
+            flags = [*flags, args_file(tmp_path / "run.args", *lines)]
         out = tmp_path / "out"
         assert run([*head, "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1, *flags,
                     "--out", out]) == 1
-        assert f"error: no solver of this run reads {unread}" in capsys.readouterr().err
+        line = message if message.startswith("unrecognized") else f"no solver of this run {message}"
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", -1])
@@ -317,62 +330,58 @@ class TestSolve:
         assert meta[field] == expected
 
     def test_config_file_and_flag_precedence(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"eps": 0.5, "max_iters": 40}))
-        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
-                    "--r", 1, "--config", cfg, "--out", tmp_path]) == 0
-        report = json.loads((tmp_path / "report_arpgda_r1_seed0.json").read_text())
-        assert report["params"]["epsilon"] == 0.5
-        assert report["params"]["max_iters"] == 40
-        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
-                    "--r", 1, "--config", cfg, "--eps", 0.9,
-                    "--out", tmp_path]) == 0
-        report = json.loads((tmp_path / "report_arpgda_r1_seed0.json").read_text())
-        assert report["params"]["epsilon"] == 0.9
+        # arguments are read left to right, so the later value of a flag wins
+        cfg = args_file(tmp_path / "base.args", "--eps=0.5", "--max-iters", "40")
+        head = ["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0", "--r", 1,
+                "--out", tmp_path]
+        for flags, epsilon in (([cfg], 0.5), ([cfg, "--eps", 0.9], 0.9),
+                               (["--eps", 0.9, cfg], 0.5)):
+            assert run([*head, *flags]) == 0
+            report = json.loads((tmp_path / "report_arpgda_r1_seed0.json").read_text())
+            assert (report["params"]["epsilon"], report["params"]["max_iters"]) == (epsilon, 40)
 
-    @pytest.mark.parametrize("config, unknown", [
-        ({"epsilon": 0.5, "max_iter": 40}, "epsilon, max_iter"),
-        ({"eps": 0.5, "check_inequalities": False}, "check_inequalities"),
-        ({"tol_orth": 1e-6}, "tol_orth"),
-        ({"seeds": 2}, "seeds"),
+    @pytest.mark.parametrize("lines, unknown", [
+        (["--epsilon=0.5", "--maxiters=40"], "--epsilon=0.5 --maxiters=40"),
+        (["--eps=0.5", "--check-inequalities"], "--check-inequalities"),
+        (["--tol-orth", "1e-6"], "--tol-orth 1e-6"),
+        (["--seeds=2"], "--seeds=2"),
     ], ids=["misspelt", "check_inequalities", "tol_orth", "compare_key"])
-    def test_config_rejects_unknown_keys(self, tmp_path, capsys, config, unknown):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0",
-                    "--r", 1, "--config", cfg, "--out", tmp_path]) == 1
-        assert f"unknown key(s) {unknown};" in capsys.readouterr().err
-        assert not list(tmp_path.glob("report_*.json"))
+    def test_config_rejects_unknown_keys(self, tmp_path, capsys, monkeypatch, lines, unknown):
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("solved with an unknown flag")
 
-    @pytest.mark.parametrize("command, config, flag", [
-        ("solve", {"max_iters": 10.7}, "--max-iters"),
-        ("solve", {"max_iters": 1e5}, "--max-iters"),
-        ("solve", {"trace_stride": 2.5}, "--trace-stride"),
-        ("solve", {"eps": None}, "--eps"),
-        ("solve", {"eps": [1, 2]}, "--eps"),
-        ("solve", {"mu": {"a": 1}}, "--mu"),
-        ("compare", {"seeds": 1.9}, "--seeds"),
-        ("compare", {"jobs": 1.5}, "--jobs"),
-    ], ids=["max_iters_float", "max_iters_1e5", "trace_stride_float", "eps_null",
-            "eps_list", "mu_object", "seeds_float", "jobs_float"])
+        monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", solve_must_not_run)
+        out = tmp_path / "out"
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0", "--r", 1,
+                    args_file(tmp_path / "run.args", *lines), "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unrecognized arguments: {unknown}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, kind", [
+        ("solve", "--max-iters", "10.7", "int"),
+        ("solve", "--max-iters", "1e5", "int"),
+        ("solve", "--trace-stride", "2.5", "int"),
+        ("compare", "--seeds", "1.9", "int"),
+        ("compare", "--jobs", "1.5", "int"),
+    ], ids=["max_iters_float", "max_iters_1e5", "trace_stride_float", "seeds_float",
+            "jobs_float"])
     def test_config_values_go_through_flag_parsers(self, tmp_path, capsys,
-                                                   command, config, flag):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+                                                   command, flag, value, kind):
         argv = (["solve", "arpgda", "--r", 1] if command == "solve" else
                 ["compare", "--r", 1, "--c-grid", 0.1, "--max-iters", 20])
-        assert run([*argv, "--gen", "gaussian:d=6,n=6,seed=0", "--config", cfg,
+        cfg = args_file(tmp_path / "run.args", f"{flag}={value}")
+        assert run([*argv, "--gen", "gaussian:d=6,n=6,seed=0", cfg,
                     "--out", tmp_path / "out"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: argument {flag}" in err
-        assert f"(from config file {cfg})" in err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: argument {flag}: invalid {kind} value: '{value}'"]
         assert not (tmp_path / "out").exists()
 
     def test_rsg_config_takes_c(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"c": 0.1, "ref_phi": 1e9, "max_iters": 30, "trace_stride": 10}))
+        cfg = args_file(tmp_path / "rsg.args", "--c=0.1", "--ref-phi=1e9", "--max-iters=30",
+                        "--trace-stride=10")
         assert run(["solve", "rsg", "--gen", "gaussian:d=6,n=6,seed=0",
-                    "--r", 1, "--config", cfg, "--out", tmp_path]) == 0
+                    "--r", 1, cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "report_rsg_r1_seed0.json").read_text())
         params = report["params"]
         assert (params["c"], params["reference_phi"], report["iterations"]) == (0.1, 1e9, 30)
@@ -447,6 +456,13 @@ class TestMetrics:
         assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
                     "--checkpoint", ckpt, "--rel-threshold", -0.5]) == 1
         assert "rel_threshold must be non-negative" in capsys.readouterr().err
+
+    def test_checkpoint_rows_must_match_d(self, tmp_path, capsys):
+        ckpt = tmp_path / "u.csv"
+        np.savetxt(ckpt, np.eye(4, 2), delimiter=",")
+        assert run(["metrics", "--gen", "gaussian:d=3,n=3,seed=0", "--checkpoint", ckpt]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: checkpoint has 4 rows but the dataset has d=3"]
 
     def test_metrics_missing_checkpoint(self, tmp_path):
         assert run(["metrics", "--gen", "gaussian:d=6,n=6,seed=2",
@@ -538,8 +554,7 @@ class TestCompare:
         if source == "flag":
             extra = ["--jobs", jobs]
         else:
-            (tmp_path / "cfg.json").write_text(json.dumps({"jobs": jobs}))
-            extra = ["--config", tmp_path / "cfg.json"]
+            extra = [args_file(tmp_path / "run.args", f"--jobs={jobs}")]
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
                     "--seeds", 1, "--max-iters", 20, "--out", tmp_path / "out", *extra]) == 1
         assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
@@ -578,27 +593,31 @@ class TestCompare:
         assert f"error: {flag} must name at least one" in capsys.readouterr().err
         assert not (tmp_path / "compare.csv").exists()
 
-    @pytest.mark.parametrize("key, value, field, expected", [
-        ("r", [2, 1], "r_values", [2, 1]),
-        ("algs", ["rsg", "arpgda"], "algorithms", ["rsg", "arpgda"]),
-        ("c_grid", [1.0, 0.1], "c_grid", [1.0, 0.1]),
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--r", "2, 1", "r_values", [2, 1]),
+        ("--algs", "rsg,arpgda", "algorithms", ["rsg", "arpgda"]),
+        ("--c-grid", "1.0,0.1", "c_grid", [1.0, 0.1]),
     ], ids=["r", "algs", "c_grid"])
-    def test_config_takes_json_lists(self, tmp_path, key, value, field, expected):
-        config = {"r": "1", "algs": "arpgda,rsg", "c_grid": "0.1", key: value}
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    def test_config_takes_json_lists(self, tmp_path, flag, value, field, expected):
+        # a list in an @FILE is its flag's comma list, one line for flag and value
+        lines = {"--r": "1", "--algs": "arpgda,rsg", "--c-grid": "0.1", flag: value}
+        cfg = args_file(tmp_path / "lists.args", *(f"{k}={v}" for k, v in lines.items()))
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
-                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path,
-                    "--config", tmp_path / "cfg.json"]) == 0
+                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path, cfg]) == 0
         summary = json.loads((tmp_path / "compare_summary.json").read_text())
         assert summary[field] == expected
 
-    def test_config_rejects_unknown_keys(self, tmp_path, capsys):
-        (tmp_path / "cfg.json").write_text(json.dumps(
-            {"r": "1", "algs": "arpgda", "c": 0.1, "tol_orth": 1e-6, "trace_stride": 5}))
+    def test_config_rejects_unknown_keys(self, tmp_path, capsys, monkeypatch):
+        def solve_must_not_run(*args, **kwargs):
+            raise AssertionError("solved with an unknown flag")
+
+        monkeypatch.setattr("fairpca.cli.compare_cell", solve_must_not_run)
+        cfg = args_file(tmp_path / "run.args", "--r=1", "--algs=arpgda", "--ref-phi=3",
+                        "--tol-orth=1e-6", "--trace-stride=5")
         assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1",
-                    "--seeds", 1, "--max-iters", 20, "--out", tmp_path / "out",
-                    "--config", tmp_path / "cfg.json"]) == 1
-        assert "unknown key(s) c, tol_orth, trace_stride;" in capsys.readouterr().err
+                    "--seeds", 1, "--out", tmp_path / "out", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unrecognized arguments: --ref-phi=3 --tol-orth=1e-6 --trace-stride=5"]
         assert not (tmp_path / "out").exists()
 
     def test_repeated_values_run_once(self, tmp_path):
@@ -702,14 +721,18 @@ class TestTopLevel:
     @pytest.mark.parametrize("argv, path, code", [
         ([*SOLVE, "--data", "adir"], "adir", 2),
         ([*SOLVE, "--data", "bytes.csv"], "bytes.csv", 2),
-        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "--config", "adir"], "adir", 1),
+        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@adir"], "adir", 1),
+        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@nope.args"],
+         "No such file or directory: 'nope.args'", 1),
         ([*METRICS, "adir"], "adir", 2),
         ([*METRICS, "letters.csv"], "letters.csv", 2),
         ([*METRICS, "wide.csv"], "wide.csv", 2),
         ([*METRICS, "empty.csv"], "empty.csv", 2),
+        ([*METRICS, "nan.csv"], "nan.csv: non-finite values", 2),
         ([*SOLVE, "--data", "dup.csv"], "dup.csv", 2),
-    ], ids=["data_is_dir", "data_not_text", "config_is_dir", "checkpoint_is_dir",
-            "checkpoint_not_numeric", "checkpoint_too_wide", "checkpoint_empty", "dup_header"])
+    ], ids=["data_is_dir", "data_not_text", "config_is_dir", "args_file_missing",
+            "checkpoint_is_dir", "checkpoint_not_numeric", "checkpoint_too_wide",
+            "checkpoint_empty", "checkpoint_nan", "dup_header"])
     def test_unreadable_inputs_exit_with_their_code(self, tmp_path, monkeypatch, capsys,
                                                     argv, path, code):
         monkeypatch.chdir(tmp_path)
@@ -717,6 +740,7 @@ class TestTopLevel:
         (tmp_path / "letters.csv").write_text("1,0\na,1\n0,0\n0,0\n")
         np.savetxt("wide.csv", np.eye(4, 5), delimiter=",")
         (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "nan.csv").write_text("1\nnan\n0\n0\n")
         (tmp_path / "bytes.csv").write_bytes(b"a,group\n\xff\xfe,g\n")
         (tmp_path / "dup.csv").write_text("a,a,group\n1,2,g\n")
         assert run(argv) == code
@@ -725,6 +749,22 @@ class TestTopLevel:
         assert path in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("report_*.json"))
+
+    def test_args_file_strips_lines_and_skips_blank_ones(self, tmp_path):
+        (tmp_path / "run.args").write_text("\n  --eps=0.5  \n\n   \n--max-iters\n 40\n")
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1,
+                    f"@{tmp_path / 'run.args'}", "--out", tmp_path / "run.json"]) == 0
+        params = json.loads((tmp_path / "run.json").read_text())["params"]
+        assert (params["epsilon"], params["max_iters"]) == (0.5, 40)
+
+    def test_args_files_nest_and_may_hold_the_whole_command(self, tmp_path):
+        inner = args_file(tmp_path / "inner.args", "--max-iters=7", "--trace-stride=3")
+        outer = args_file(tmp_path / "outer.args", "solve", "arpgda",
+                          "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1, inner,
+                          "--out", tmp_path / "run.json")
+        assert run([outer]) == 0
+        report = json.loads((tmp_path / "run.json").read_text())
+        assert (report["iterations"], [row["k"] for row in report["trace"]]) == (7, [0, 3, 6, 7])
 
     def test_module_entry_point_reads_sys_argv(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -735,10 +775,9 @@ class TestTopLevel:
 
         gen = cli("gen", "gaussian:d=4,n=5,seed=1")
         assert gen.returncode == 0, gen.stderr
-        (tmp_path / "cfg.json").write_text(json.dumps(
-            {"eps": 0.5, "max_iters": 7, "trace_stride": 3}))
-        solve = cli("solve", "arpgda", "--data", "gaussian.csv", "--r", "1",
-                    "--config", "cfg.json", "--out", "run.json")
+        cfg = args_file(tmp_path / "run.args", "--eps=0.5", "--max-iters=7", "--trace-stride=3")
+        solve = cli("solve", "arpgda", "--data", "gaussian.csv", "--r", "1", cfg,
+                    "--out", "run.json")
         assert solve.returncode == 0, solve.stderr
         report = json.loads((tmp_path / "run.json").read_text())
         assert report["dataset_meta"]["num_samples"] == 5
@@ -754,11 +793,13 @@ def violation_line(count, r, seed):
 class TestStderr:
     """Each error and each warning reaches stderr as one whole line."""
 
+    # on this instance seeds 0 and 1 each record one violation in 200 iterations
+    VIOLATING = ["--gen", "blocks:d=4,sizes=30|30|30,seed=0", "--r", 2, "--mu", 0,
+                 "--eps", 1e-9, "--max-iters", 200]
+
     @pytest.mark.filterwarnings("default:.*inequality violation:RuntimeWarning")
     def test_solve_warns_once_per_seed(self, tmp_path, capsys):
-        # on this instance seeds 0 and 1 each record one violation in 200 iterations
-        assert run(["solve", "arpgda", "--gen", "blocks:d=4,sizes=30|30|30,seed=0", "--r", 2,
-                    "--mu", 0, "--eps", 1e-9, "--max-iters", 200, "--seed", "0,1",
+        assert run(["solve", "arpgda", *self.VIOLATING, "--seed", "0,1",
                     "--out", tmp_path]) == 0
         assert capsys.readouterr().err.splitlines() == [
             violation_line(1, 2, 0), violation_line(1, 2, 1)]
@@ -784,17 +825,37 @@ class TestStderr:
         assert capsys.readouterr().err.splitlines() == [
             "warning: groups emptied by the norm threshold and removed: ['g1']"]
 
-    def test_warning_filters_stay_the_callers(self, tmp_path, monkeypatch):
+    def test_warning_filters_stay_the_callers(self, tmp_path, capsys, monkeypatch):
         def overflow(*args, **kwargs):
             return np.float64(1e308) * 10.0
 
         monkeypatch.setattr("fairpca.cli.arpgda_mod.solve_arpgda", overflow)
         before = (list(warnings.filters), warnings.showwarning)
-        # the suite's filterwarnings = error still turns numpy's warning into a failure
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1,
-                 "--out", tmp_path])
+        # the suite's filterwarnings = error still turns numpy's warning into
+        # an error, which exits 1 with one line
+        assert run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1,
+                    "--out", tmp_path]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: overflow encountered")
         assert (list(warnings.filters), warnings.showwarning) == before
+
+    def test_warning_made_an_error_exits_1(self, tmp_path, capsys):
+        # the suite's filterwarnings = error makes the violation warning an error
+        assert run(["solve", "arpgda", *self.VIOLATING, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            violation_line(1, 2, 0).replace("warning:", "error:")]
+        assert not list(tmp_path.glob("report_*.json"))
+
+    def test_python_w_error_exits_1_without_a_traceback(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-W", "error", "-m", "fairpca.cli", "solve", "arpgda",
+                *map(str, self.VIOLATING), "--out", "runs"]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            violation_line(1, 2, 0).replace("warning:", "error:")]
 
     GEN = ["--gen", "gaussian:d=4,n=4,seed=0", "--max-iters", 5]
 

@@ -3,6 +3,7 @@ take, the README's examples and the independence of the test oracles."""
 
 import ast
 import re
+import shlex
 import types
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from fairpca import (
     solve_rsg,
     uniform_weights,
 )
+from fairpca.cli import build_parser
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -105,6 +107,22 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    # parse only: an @FILE a line names is made empty, so the line's own
+    # flags are what is checked
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("fairpca ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        for arg in argv:
+            if arg.startswith("@"):
+                Path(arg[1:]).touch()
+        build_parser().parse_args(argv)
 
 
 def test_oracles_do_not_import_the_package():

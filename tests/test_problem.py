@@ -96,6 +96,8 @@ class TestGroupedDataset:
     def test_validation_errors(self):
         with pytest.raises(DimensionError):
             GroupedDataset(X=np.ones(3), group_sizes=(3,))
+        with pytest.raises(DimensionError, match="X must be non-empty"):
+            GroupedDataset(X=np.zeros((2, 0)), group_sizes=())
         with pytest.raises(DimensionError):
             GroupedDataset(X=np.ones((2, 3)), group_sizes=(2,))
         with pytest.raises(DimensionError):
@@ -143,6 +145,13 @@ class TestObjectives:
         at_vertices = [minimax_objective(data, U, e) for e in np.eye(data.num_groups)]
         np.testing.assert_allclose(at_vertices, -f_vals)
         assert max(at_vertices) == pytest.approx(-f_vals.min())
+
+    def test_rejects_mismatched_shapes(self):
+        data = GroupedDataset(X=np.ones((3, 2)), group_sizes=(1, 1))
+        with pytest.raises(DimensionError, match=r"U must have shape \(3, r\), got \(4, 2\)"):
+            evaluate(data, np.eye(4, 2))
+        with pytest.raises(DimensionError, match=r"y must have shape \(2,\), got \(3,\)"):
+            minimax_objective(data, np.eye(3, 1), np.full(3, 1.0 / 3.0))
 
     def test_unit_sample_fixed_values(self):
         # one sample e_1, basis e_1: full variance retained
@@ -515,6 +524,13 @@ class TestSubgradientDistance:
             grid = oracles.two_group_mix_distance(g1, g2)
             assert d <= grid + 1e-10
             assert grid - d <= 1e-2
+
+    def test_zero_when_every_active_gradient_vanishes(self):
+        # e_1 is an eigenvector of both groups' covariance, so both tangent
+        # gradients are exactly zero and so is their Gram matrix
+        D = np.diag([3.0, 2.0, 1.0])
+        data = GroupedDataset(X=np.hstack([D, D]), group_sizes=(3, 3))
+        assert dist_to_subgradient(data, np.eye(3)[:, :1]) == 0.0
 
     def test_unavailable_when_worst_group_is_flat(self):
         data = GroupedDataset(X=np.zeros((3, 2)), group_sizes=(1, 1))

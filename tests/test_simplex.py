@@ -146,6 +146,15 @@ def test_validation_rejects_non_finite_weights(y):
         validate_weights(np.array(y))
 
 
+@pytest.mark.parametrize("y, message", [
+    (np.full((2, 2), 0.25), "y must be a 1-d array, got shape (2, 2)"),
+    (np.array([]), "y must be non-empty"),
+], ids=["two_dimensional", "empty"])
+def test_validation_rejects_bad_shapes(y, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        validate_weights(y)
+
+
 def test_validation_rejects_an_overflowing_sum_without_a_warning():
     with pytest.raises(ValueError, match="weights must sum to 1"):
         validate_weights(np.array([1e308, 1e308]))

@@ -188,6 +188,11 @@ def test_kernels_equal_their_transcriptions_exactly(d, draw):
     assert orthonormality_error(U) == oracles.orthonormality_error_by_diagonal(U)
 
 
+def test_tangency_error_rejects_mismatched_shapes():
+    with pytest.raises(DimensionError, match=r"D must match U's shape \(4, 2\), got \(4, 1\)"):
+        tangency_error(np.eye(4, 2), np.zeros((4, 1)))
+
+
 def test_validate_stiefel_rejects_bad_inputs():
     with pytest.raises(DimensionError):
         validate_stiefel(np.zeros((2, 5)))  # more columns than rows
