@@ -141,7 +141,7 @@ def check_iterate(ev: Evaluation, k: int, max_orth_error: float = 0.0) -> float:
     infinite entry makes the sum NaN or infinite (+inf and -inf together give
     NaN).  The test is stricter than an entrywise one only when finite values
     sum past the largest double, about 1.8e308; that also raises."""
-    if not math.isfinite(ev.values.sum()):
+    if not math.isfinite(np.add.reduce(ev.values)):
         raise NumericalError(f"non-finite group objectives at iteration {k}")
     orth = orthonormality_error(ev.U)
     if orth > TOL_ORTH:
@@ -290,7 +290,7 @@ def _stationarity(ev: Evaluation, y: np.ndarray) -> tuple[np.ndarray, float, flo
     # norm takes, without its dispatch
     grad = project_to_tangent(ev.U, ev.gradient(y))
     grad_norm = math.sqrt(np.vdot(grad, grad))
-    phi = float(ev.values.min())
+    phi = float(np.minimum.reduce(ev.values))
     weighted = float(y.dot(ev.values))
     gap = max(weighted - phi, 0.0)
     return grad, grad_norm, phi, weighted, gap, max(grad_norm, gap)

@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure, read from the exception's class (see main).  An input
 file that cannot be read is a data error, except an @FILE of arguments,
 which is a usage error.  @FILE anywhere on the command line stands for
-FILE's lines, one argument a line, read in place, so a later value wins.
+FILE's lines, one argument a line, read in place, so a later value wins; a
+file may name other files, but not itself, directly or through another.
 Effective parameter values (flags over built-in defaults) are echoed into
 every report.  All files are written atomically (temp file in place, then
 rename) by _atomic_write_text; solve and compare make their output
@@ -58,6 +59,10 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for data
     errors, so usage problems are rethrown and mapped to exit 1."""
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._reading: list[str] = []  # the @FILEs being expanded, outermost first
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
@@ -65,6 +70,29 @@ class _Parser(argparse.ArgumentParser):
         """One @FILE line is one argument, stripped; a blank line is none."""
         arg = arg_line.strip()
         return [arg] if arg else []
+
+    def _read_args_from_files(self, arg_strings: list[str]) -> list[str]:
+        """argparse's @FILE expansion, which also calls this on each file's
+        lines, handed one file at a time: a file that is already being read,
+        directly or through another, and one that does not decode as text
+        are usage errors that name the file, not a RecursionError or a bare
+        codec message."""
+        expanded: list[str] = []
+        for arg in arg_strings:
+            if not arg.startswith("@"):
+                expanded.append(arg)
+                continue
+            name, path = arg[1:], os.path.realpath(arg[1:])
+            if path in self._reading:
+                self.error(f"{name}: the @FILE reads itself, directly or through another file")
+            self._reading.append(path)
+            try:
+                expanded += super()._read_args_from_files([arg])
+            except UnicodeDecodeError as exc:
+                self.error(f"{name}: cannot decode as text: {exc}")
+            finally:
+                self._reading.pop()
+        return expanded
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ with n d < N), as GroupedDataset.evaluation_form decides.  Their 2-d and
 dispatch (see the stiefel module).  The covariance stack product C U stays
 a batched @: np.dot has other semantics for 3-d operands, and one flattened
 (n d, d) x (d, r) product, though cheaper, changed bits in 198 of 300 trials
-(d = 23, n = 4, six ranks from 1 to 23, 50 starts each).
+(d = 23, n = 4, six ranks from 1 to 23, 50 starts each).  The gradients'
+constant factors are read-only 0-d arrays and the value sum is a ufunc
+reduction, for the reason the stiefel module gives.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .exceptions import (
     check_rank,
 )
 from .simplex import _as_vector, project_to_simplex, uniform_weights
-from .stiefel import _as_point_shape, project_to_tangent, validate_stiefel
+from .stiefel import _TWO, _as_point_shape, project_to_tangent, validate_stiefel
 
 # Relative residual within which ky_fan_norm accepts a matrix as symmetric
 # PSD, and the step tolerance and inner-step cap of dist_to_subgradient's
@@ -45,6 +47,11 @@ from .stiefel import _as_point_shape, project_to_tangent, validate_stiefel
 _TOL_PSD = 1e-8
 _QP_TOL = 1e-8
 _QP_MAX_ITERS = 10_000
+
+# -2.0 as a read-only 0-d array, the cheaper constant operand (see the
+# stiefel module)
+_MINUS_TWO = np.array(-2.0)
+_MINUS_TWO.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,12 +225,12 @@ class SampleEvaluation(Evaluation):
         """Ambient gradient of f(., y): -2 sum_i y_i X_i X_i^T U."""
         data = self.data
         w = y if data._singletons else np.repeat(y, data.sizes_array)
-        return -2.0 * data.X.dot(w[:, None] * self.P)
+        return _MINUS_TWO * data.X.dot(w[:, None] * self.P)
 
     def _group_gradient(self, i: int) -> np.ndarray:
         # 2 X_i X_i^T U, unchecked, for solve_rsg's argmin
         sl = self.data._slice(i)
-        return 2.0 * self.data.X[:, sl].dot(self.P[sl])
+        return _TWO * self.data.X[:, sl].dot(self.P[sl])
 
 
 class CovarianceEvaluation(Evaluation):
@@ -241,16 +248,16 @@ class CovarianceEvaluation(Evaluation):
         self.U = U
         self.CU = CU = data.covariances @ U
         # f_i(U) = <C_i U, U>; a sum of products beats einsum at these shapes
-        self.values = (CU * U).sum(axis=(1, 2))
+        self.values = np.add.reduce(CU * U, axis=(1, 2))
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Ambient gradient of f(., y): -2 sum_i y_i C_i U."""
         CU = self.CU
-        return -2.0 * y.dot(CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
+        return _MINUS_TWO * y.dot(CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])
 
     def _group_gradient(self, i: int) -> np.ndarray:
         # 2 C_i U, unchecked, for solve_rsg's argmin
-        return 2.0 * self.CU[i]
+        return _TWO * self.CU[i]
 
 
 def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:

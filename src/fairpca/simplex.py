@@ -5,12 +5,28 @@ Weight vectors live on Delta_n = {y in R^n : y_i >= 0, sum_i y_i = 1}.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError, check_count
 
 # Allowed drift of sum(y) from 1 when validating weight vectors.
 TOL_SUM = 1e-12
+
+# The constant operands of the per-iterate ufunc calls, as read-only 0-d
+# arrays: cheaper than Python floats (see the stiefel module).
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
+@functools.cache
+def _ranks(n: int) -> np.ndarray:
+    # 1.0, ..., n, the divisors of the threshold test; shared by every
+    # caller, so nobody may write to it
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _as_vector(z: np.ndarray, name: str = "z") -> np.ndarray:
@@ -43,26 +59,46 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     z_(1), so no index passes the threshold test: the step that produced z
     has lost every digit below 1, and NumericalError says so.
 
+    The threshold test is written s > q rather than s - q > 0: for doubles,
+    with gradual underflow, fl(a - b) is zero only when a = b and otherwise
+    has the sign of a - b (an overflow to +-inf included), so the two agree
+    bit for bit.  tau is a Python float quotient, the same IEEE division.
+    The pass makes 14 C-level numpy calls, since at the solvers' few groups
+    their dispatch, not the arithmetic, sets its cost.  It calls none of the
+    Python-level wrappers np.sort, np.flatnonzero and ndarray.sum, which add
+    their own work to the calls they make (at n = 4, np.sort took 1.8 us
+    against 0.9 us for copy and sort in place, and np.flatnonzero 2.6 us
+    against 0.5 us for nonzero; timeit, one CPU), it runs np.add.accumulate
+    itself rather than through ndarray.cumsum (0.5 against 0.9 us), and its
+    constant operands are 0-d arrays (see the stiefel module).  The
+    transcription oracles.simplex_projection_by_sort, written with those
+    wrappers, matches it byte for byte.
+
     Internal: z is not checked; callers pass a non-empty, finite 1-d float
     array.
     """
-    if z.size == 1:
+    n = z.size
+    if n == 1:
         return np.ones(1)
-    s = np.sort(z)[::-1]
-    shifted = s.cumsum() - 1.0
+    s = z.copy()
+    s.sort()
+    s = s[::-1]
+    shifted = np.add.accumulate(s)
+    shifted -= _ONE
     # index 0 qualifies while |z_(1)| < 2^53, as z_(1) - (z_(1) - 1) >= 1/2
     try:
-        last = np.flatnonzero(s - shifted / np.arange(1, z.size + 1) > 0)[-1]
+        last = (s > shifted / _ranks(n)).nonzero()[0].item(-1)
     except IndexError:
         raise NumericalError(
             f"simplex projection lost precision: largest |z| is {np.abs(z).max():.3e} >= 2^53"
         ) from None
-    y = z - shifted[last] / (last + 1.0)
-    np.maximum(y, 0.0, out=y)
-    support = y > 0
-    y[support] -= (y.sum() - 1.0) / np.count_nonzero(support)
+    y = z - shifted.item(last) / (last + 1)
+    np.maximum(y, _ZERO, out=y)
+    support = y > _ZERO
+    residual = (np.add.reduce(y).item() - 1.0) / np.count_nonzero(support)
+    np.subtract(y, residual, out=y, where=support)
     # the correction can graze a tiny support entry below zero
-    np.maximum(y, 0.0, out=y)
+    np.maximum(y, _ZERO, out=y)
     return y
 
 
@@ -77,7 +113,7 @@ def simplex_violation(y: np.ndarray) -> tuple[float, float]:
 
     Internal: y is not checked; callers pass a non-empty 1-d float array.
     """
-    return max(0.0, -float(y.min())), abs(float(y.sum()) - 1.0)
+    return max(0.0, -float(np.minimum.reduce(y))), abs(float(np.add.reduce(y)) - 1.0)
 
 
 def validate_weights(y: np.ndarray) -> np.ndarray:

@@ -11,6 +11,17 @@ syrk for A^T A), so the results agree bit for bit, but dot skips the matmul
 ufunc's dispatch, which at the solvers' shapes costs as much as the product:
 U^T G at 23 x 2 took 0.6 us through dot against 1.2 us through @ (one BLAS
 thread, Intel Xeon).
+
+For the same reason, in the ufunc calls that the solvers make once per
+iterate (here and in the problem, simplex and arpgda modules), constant
+operands are read-only 0-d float64 arrays rather than Python floats, and
+reductions call np.add.reduce and np.minimum.reduce rather than the
+Python-level ndarray.sum and ndarray.min wrappers around them.  numpy
+2.4 charges a Python float operand about 0.4 us more per call than a 0-d
+array of the same value: 2.0 * G at 23 x 2 took 1.45 us against 1.03 us
+(timeit, one CPU).  Both operands are float64 values, so the results agree
+bit for bit.  Scalars that change at each iterate, such as a step size,
+stay Python floats, since wrapping one costs what it saves.
 """
 
 from __future__ import annotations
@@ -29,6 +40,10 @@ from .exceptions import DataError, DimensionError, check_count, check_rank
 # points are held to the tighter construction tolerance.
 TOL_ORTH = 1e-8
 _TOL_CONSTRUCT = 1e-10
+
+# 2.0 as a read-only 0-d array, the cheaper constant operand (see above)
+_TWO = np.array(2.0)
+_TWO.flags.writeable = False
 
 
 def _as_matrix(A: np.ndarray, name: str) -> np.ndarray:
@@ -60,7 +75,7 @@ def project_to_tangent(U: np.ndarray, G: np.ndarray) -> np.ndarray:
     one shape.
     """
     S = U.T.dot(G)
-    return G - U.dot((S + S.T) / 2.0)
+    return G - U.dot((S + S.T) / _TWO)
 
 
 def polar_retract(U: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -724,6 +724,11 @@ class TestTopLevel:
         ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@adir"], "adir", 1),
         ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@nope.args"],
          "No such file or directory: 'nope.args'", 1),
+        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@loop.args"],
+         "loop.args: the @FILE reads itself", 1),
+        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@a.args"], "a.args: the @FILE reads itself", 1),
+        ([*SOLVE, "--gen", "gaussian:d=4,n=4", "@bytes.args"],
+         "bytes.args: cannot decode as text", 1),
         ([*METRICS, "adir"], "adir", 2),
         ([*METRICS, "letters.csv"], "letters.csv", 2),
         ([*METRICS, "wide.csv"], "wide.csv", 2),
@@ -731,6 +736,7 @@ class TestTopLevel:
         ([*METRICS, "nan.csv"], "nan.csv: non-finite values", 2),
         ([*SOLVE, "--data", "dup.csv"], "dup.csv", 2),
     ], ids=["data_is_dir", "data_not_text", "config_is_dir", "args_file_missing",
+            "args_file_reads_itself", "args_files_read_each_other", "args_file_not_text",
             "checkpoint_is_dir", "checkpoint_not_numeric", "checkpoint_too_wide",
             "checkpoint_empty", "checkpoint_nan", "dup_header"])
     def test_unreadable_inputs_exit_with_their_code(self, tmp_path, monkeypatch, capsys,
@@ -743,6 +749,10 @@ class TestTopLevel:
         (tmp_path / "nan.csv").write_text("1\nnan\n0\n0\n")
         (tmp_path / "bytes.csv").write_bytes(b"a,group\n\xff\xfe,g\n")
         (tmp_path / "dup.csv").write_text("a,a,group\n1,2,g\n")
+        args_file(tmp_path / "loop.args", "@loop.args")
+        args_file(tmp_path / "a.args", "--eps=0.5", "@b.args")
+        args_file(tmp_path / "b.args", "@a.args")
+        (tmp_path / "bytes.args").write_bytes(b"a\xff")
         assert run(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("data error:" if code == 2 else "error:")
@@ -783,6 +793,22 @@ class TestTopLevel:
         assert report["dataset_meta"]["num_samples"] == 5
         params = report["params"]
         assert (params["epsilon"], params["max_iters"], params["trace_stride"]) == (0.5, 7, 3)
+
+
+    @pytest.mark.parametrize("content, line", [
+        (b"@loop.args\n", "error: loop.args: the @FILE reads itself, directly or through "
+                          "another file"),
+        (b"a\xff", "error: loop.args: cannot decode as text: 'utf-8' codec can't decode "
+                   "byte 0xff in position 1: invalid start byte"),
+    ], ids=["reads_itself", "not_text"])
+    def test_bad_args_file_exits_1_in_one_line(self, tmp_path, content, line):
+        # an @FILE that names itself once ended in argparse's RecursionError
+        (tmp_path / "loop.args").write_bytes(content)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-m", "fairpca.cli", "solve", "arpgda",
+                               "@loop.args"], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr.splitlines()) == (1, [line])
 
 
 def violation_line(count, r, seed):

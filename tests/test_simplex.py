@@ -114,7 +114,11 @@ def test_equals_sort_and_threshold_transcription_exactly(n, seed, exponent, ties
     z = 10.0 ** exponent * rng.standard_normal(n)
     if ties:  # repeated entries, as on a face of the simplex
         z = np.round(z, 1)
-    assert np.array_equal(project_to_simplex(z.copy()), oracles.simplex_projection_by_sort(z))
+    given_bytes = z.tobytes()
+    y = project_to_simplex(z)
+    assert z.tobytes() == given_bytes
+    # bytes, not array_equal, which counts -0.0 equal to 0.0
+    assert y.tobytes() == oracles.simplex_projection_by_sort(z).tobytes()
 
 
 def test_uniform_weights():
