@@ -35,9 +35,6 @@ from .problem import (
     SmoothnessConstants,
     dist_to_subgradient,
     evaluate,
-    ky_fan_norm,
-    minimax_objective,
-    riemannian_gradient_U,
     smoothness_constants,
 )
 from .simplex import (
@@ -48,8 +45,6 @@ from .stiefel import (
     load_point,
     point_csv_text,
     random_stiefel,
-    random_tangent,
-    tangency_error,
     validate_stiefel,
 )
 
@@ -75,21 +70,16 @@ __all__ = [
     "gen_synthetic_blocks",
     "gen_synthetic_gaussian",
     "iterations_to_reach",
-    "ky_fan_norm",
     "load_csv_grouped",
     "load_point",
-    "minimax_objective",
     "point_csv_text",
     "preprocess",
     "random_stiefel",
-    "random_tangent",
     "recommended_params",
-    "riemannian_gradient_U",
     "smoothness_constants",
     "solve_arpgda",
     "solve_rsg",
     "stationarity_measure",
-    "tangency_error",
     "uniform_weights",
     "validate_stiefel",
     "validate_weights",

@@ -547,23 +547,28 @@ def build_parser() -> argparse.ArgumentParser:
     common_solver.add_argument(
         "--eps", dest="epsilon", type=float, default=None, help="target stationarity"
     )
-    common_solver.add_argument("--rho", type=float, default=None)
-    common_solver.add_argument("--theta", type=float, default=None)
-    common_solver.add_argument("--mu", type=float, default=None)
+    common_solver.add_argument("--rho", type=float, default=None,
+                               help="arpgda weight decay exponent rho > 1 of beta_k = mu k^-rho")
+    common_solver.add_argument("--theta", type=float, default=None,
+                               help="arpgda stepsize factor in (0, 2)")
+    common_solver.add_argument("--mu", type=float, default=None,
+                               help="arpgda weight scale mu >= 0 of beta_k = mu k^-rho")
     common_solver.add_argument("--max-iters", type=int, default=None,
                                help="iteration cap (compare: of each RSG run only)")
 
     p_solve = sub.add_parser(
         "solve", parents=[common_solver], help="run one solver, one report per seed"
     )
-    p_solve.add_argument("algorithm", choices=["arpgda", "rsg"])
+    p_solve.add_argument("algorithm", choices=["arpgda", "rsg"], help="solver to run")
     _add_dataset_args(p_solve)
     p_solve.add_argument("--r", type=int, required=True, help="number of basis columns")
-    p_solve.add_argument("--seed", default="0", help="seed or comma list, e.g. 0,1,2")
+    p_solve.add_argument("--seed", default="0",
+                         help="seed, comma list or lo:hi[:step] range, e.g. 0,1,2 or 0:9")
     p_solve.add_argument("--c", type=float, default=None, help="rsg stepsize scale")
     p_solve.add_argument("--ref-phi", dest="reference_phi", type=float, default=None,
                          help="rsg stopping reference")
-    p_solve.add_argument("--trace-stride", type=int, default=None)
+    p_solve.add_argument("--trace-stride", type=int, default=None,
+                         help="record every N-th step in the trace (default: 1)")
     p_solve.add_argument("--out", default=".", help="report directory (or single .json path)")
     p_solve.add_argument("--save-u", default=None, help="directory for final basis CSVs")
     p_solve.set_defaults(func=cmd_solve)
@@ -586,7 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_met = sub.add_parser("metrics", help="diagnostics for a saved basis checkpoint")
     _add_dataset_args(p_met)
     p_met.add_argument("--checkpoint", required=True, help="basis CSV written by solve --save-u")
-    p_met.add_argument("--rel-threshold", type=float, default=0.1)
+    p_met.add_argument("--rel-threshold", type=float, default=0.1,
+                       help="near-active group slack, relative to the smallest variance "
+                       "(default: 0.1)")
     p_met.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_met.set_defaults(func=cmd_metrics)
 

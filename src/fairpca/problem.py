@@ -9,6 +9,8 @@ minimax objective
     f(U, y) = sum_i y_i (-f_i(U)),    U on St(d, r),  y on the simplex,
 
 which is linear in y; its y-gradient is the vector (-f_1(U), ..., -f_n(U)).
+With ev = evaluate(data, U), f(U, y) is -(y @ ev.values) and its Riemannian
+gradient in U is project_to_tangent(ev.U, ev.gradient(y)).
 
 Solvers evaluate each iterate once through evaluate(data, U), in sample form
 (X^T U, for singleton groups) or covariance form (C_i U, for block groups
@@ -41,10 +43,8 @@ from .exceptions import (
 from .simplex import _as_vector, project_to_simplex, uniform_weights
 from .stiefel import _TWO, _as_point_shape, project_to_tangent, validate_stiefel
 
-# Relative residual within which ky_fan_norm accepts a matrix as symmetric
-# PSD, and the step tolerance and inner-step cap of dist_to_subgradient's
-# quadratic program.
-_TOL_PSD = 1e-8
+# The step tolerance and inner-step cap of dist_to_subgradient's quadratic
+# program.
 _QP_TOL = 1e-8
 _QP_MAX_ITERS = 10_000
 
@@ -122,11 +122,6 @@ class GroupedDataset:
         a = np.concatenate(([0], np.cumsum(self.sizes_array)[:-1]))
         a.setflags(write=False)
         return a
-
-    def group(self, i: int) -> np.ndarray:
-        """Read-only view of group i's columns, for 0 <= i < n."""
-        _check_group_index(self, i)
-        return self.X[:, self._slice(i)]
 
     def _slice(self, i: int) -> slice:
         # the columns of X that group i owns, unchecked, for callers that
@@ -273,43 +268,13 @@ def evaluate(data: GroupedDataset, U: np.ndarray) -> Evaluation:
     return SampleEvaluation(data, U)
 
 
-def minimax_objective(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> float:
-    """f(U, y) = sum_i y_i (-f_i(U))."""
-    y = _check_weights_size(data, y)
-    return float(-(y @ evaluate(data, U).values))
+def _ky_fan_sum(M: np.ndarray, r: int) -> float:
+    """Sum of the r largest eigenvalues of the symmetric part of M.
 
-
-def riemannian_gradient_U(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Riemannian gradient of f(., y) at U: the tangent component of the
-    ambient gradient under the embedded metric."""
-    y = _check_weights_size(data, y)
-    ev = evaluate(data, U)
-    return project_to_tangent(ev.U, ev.gradient(y))
-
-
-def ky_fan_norm(M: np.ndarray, r: int) -> float:
-    """Sum of the r largest eigenvalues of a symmetric PSD matrix.
-
-    Symmetry and positive semidefiniteness are validated within a residual of
-    1e-8 relative to max(1, ||M||_F).  A non-finite ||M||_F raises: a NaN or
-    infinite entry, or finite entries whose squares sum past the largest
-    double.
+    Internal: M is not checked; the caller passes a square float array it
+    built, with finite entries, and 1 <= r <= its size.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"M must be square, got shape {M.shape}")
-    check_rank("r", r, M.shape[0])
-    with np.errstate(over="ignore"):  # the test below raises instead
-        norm = float(np.linalg.norm(M))
-    if not math.isfinite(norm):
-        raise ValueError("M must be finite")
-    tol = _TOL_PSD * max(1.0, norm)
-    sym_residual = float(np.linalg.norm(M - M.T))
-    if sym_residual > tol:
-        raise ValueError(f"M must be symmetric, residual {sym_residual:.3e}")
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if w[0] < -tol:
-        raise ValueError(f"M must be positive semidefinite, min eigenvalue {w[0]:.3e}")
     return float(np.sum(w[-r:]))
 
 
@@ -385,7 +350,7 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
                 "the smoothness constants overflow: the data's largest sample norm is "
                 f"{float(data.sample_norms().max()):.3e}"
             )
-    bound = min(ky_fan_norm(M, r), float(row_sums.max()))
+    bound = min(_ky_fan_sum(M, r), float(row_sums.max()))
     return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
 
 

@@ -46,18 +46,13 @@ _TWO = np.array(2.0)
 _TWO.flags.writeable = False
 
 
-def _as_matrix(A: np.ndarray, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-d array, got shape {A.shape}")
-    return A
-
-
-def _as_point_shape(U: np.ndarray, name: str = "U") -> np.ndarray:
-    U = _as_matrix(U, name)
+def _as_point_shape(U: np.ndarray) -> np.ndarray:
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2:
+        raise DimensionError(f"U must be a 2-d array, got shape {U.shape}")
     d, r = U.shape
     if r < 1 or r > d:
-        raise DimensionError(f"{name} must be d x r with 1 <= r <= d, got {U.shape}")
+        raise DimensionError(f"U must be d x r with 1 <= r <= d, got {U.shape}")
     return U
 
 
@@ -126,13 +121,6 @@ def random_stiefel(d: int, r: int, seed: int = 0) -> np.ndarray:
     return U
 
 
-def random_tangent(U: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Draw a random tangent vector at U by projecting a seeded Gaussian matrix."""
-    U = _as_point_shape(U)
-    rng = np.random.default_rng(check_count("seed", seed, 0))
-    return project_to_tangent(U, rng.standard_normal(U.shape))
-
-
 @functools.cache
 def _identity(r: int) -> np.ndarray:
     # shared by every caller, so nobody may write to it
@@ -156,16 +144,6 @@ def orthonormality_error(U: np.ndarray) -> float:
     G -= _identity(G.shape[0])
     # the dot product numpy's Frobenius norm takes, without its dispatch
     return math.sqrt(np.vdot(G, G))
-
-
-def tangency_error(U: np.ndarray, D: np.ndarray) -> float:
-    """Frobenius residual ||U^T D + D^T U||_F of the tangency condition."""
-    U = _as_matrix(U, "U")
-    D = _as_matrix(D, "D")
-    if D.shape != U.shape:
-        raise DimensionError(f"D must match U's shape {U.shape}, got {D.shape}")
-    S = U.T @ D
-    return float(np.linalg.norm(S + S.T))
 
 
 def validate_stiefel(U: np.ndarray) -> np.ndarray:

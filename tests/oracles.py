@@ -113,6 +113,18 @@ def tangent_projection_by_formula(U, G):
     return G - U @ ((S + S.T) / 2.0)
 
 
+def random_tangent(U, seed):
+    """A seeded standard Gaussian d x r matrix projected onto the tangent
+    space at U."""
+    return tangent_projection_by_formula(U, np.random.default_rng(seed).standard_normal(U.shape))
+
+
+def tangency_residual(U, D):
+    """Frobenius residual ||U^T D + D^T U||_F of the tangency condition."""
+    S = U.T @ D
+    return float(np.linalg.norm(S + S.T))
+
+
 def orthonormality_error_by_diagonal(U):
     """||U^T U - I||_F with 1 subtracted from the diagonal entries only,
     then the square root of the Frobenius dot product."""

@@ -25,21 +25,19 @@ from fairpca import (
     GroupedDataset,
     RSGParams,
     compare_cell,
+    evaluate,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
-    ky_fan_norm,
-    minimax_objective,
     random_stiefel,
-    random_tangent,
     recommended_params,
-    riemannian_gradient_U,
     smoothness_constants,
     solve_arpgda,
     solve_rsg,
     uniform_weights,
 )
+from fairpca.problem import _ky_fan_sum
 from fairpca.simplex import project_to_simplex
-from fairpca.stiefel import polar_retract
+from fairpca.stiefel import polar_retract, project_to_tangent
 
 pytestmark = pytest.mark.acceptance
 
@@ -194,15 +192,16 @@ def test_criterion_5_smoothness_certification(capsys):
             U = random_stiefel(data.d, r, seed=int(rng.integers(2**31)))
             y1 = rng.dirichlet(np.ones(data.num_groups))
             y2 = rng.dirichlet(np.ones(data.num_groups))
-            D = float(rng.uniform(0.01, 3.0)) * random_tangent(
+            D = float(rng.uniform(0.01, 3.0)) * oracles.random_tangent(
                 U, seed=int(rng.integers(2**31)))
-            lhs_a = minimax_objective(data, polar_retract(U, D), y1)
-            rhs_a = (minimax_objective(data, U, y1)
-                     + float(np.sum(riemannian_gradient_U(data, U, y1) * D))
+            # f(U, y) = -y . values and grad_U f = P_T(gradient(y))
+            ev = evaluate(data, U)
+            grad_1 = project_to_tangent(ev.U, ev.gradient(y1))
+            lhs_a = float(-(y1 @ evaluate(data, polar_retract(U, D)).values))
+            rhs_a = (float(-(y1 @ ev.values))
+                     + float(np.sum(grad_1 * D))
                      + 0.5 * consts.L1 * float(np.sum(D * D)))
-            grad_diff = np.linalg.norm(
-                riemannian_gradient_U(data, U, y1)
-                - riemannian_gradient_U(data, U, y2))
+            grad_diff = np.linalg.norm(grad_1 - project_to_tangent(ev.U, ev.gradient(y2)))
             checked += 2
             failures += lhs_a > rhs_a + 1e-9
             failures += grad_diff > consts.L2 * np.linalg.norm(y1 - y2) + 1e-9
@@ -232,7 +231,7 @@ def test_criterion_6_oracle_equivalences(capsys):
         B = rng.standard_normal((m, m + 2))
         A = B @ B.T
         r = int(rng.integers(1, m + 1))
-        diff = abs(ky_fan_norm(A, r) - oracles.ky_fan_via_svd(A, r))
+        diff = abs(_ky_fan_sum(A, r) - oracles.ky_fan_via_svd(A, r))
         worst_kyfan = max(worst_kyfan, float(diff))
 
     data = GroupedDataset(
@@ -285,10 +284,11 @@ def test_criterion_7_gradient_finite_differences(capsys):
         r = int(rng.integers(1, min(d, 4) + 1))
         U = random_stiefel(d, r, seed=seed)
         y = rng.dirichlet(np.ones(data.num_groups))
-        D = random_tangent(U, seed=seed + 1)
-        inner = float(np.sum(riemannian_gradient_U(data, U, y) * D))
+        D = oracles.random_tangent(U, seed=seed + 1)
+        ev = evaluate(data, U)
+        inner = float(np.sum(project_to_tangent(ev.U, ev.gradient(y)) * D))
         fd = oracles.fd_directional_derivative(
-            lambda V: minimax_objective(data, V, y), U, D, h=1e-6)
+            lambda V: float(-(y @ evaluate(data, V).values)), U, D, h=1e-6)
         rel = abs(inner - fd) / max(1.0, abs(inner))
         worst = max(worst, rel)
     ok = worst <= 1e-4

@@ -433,3 +433,16 @@ class TestSolve:
         assert res.converged is not capped
         assert res.stationarity == stationarity_measure(data, res.U, res.y)
         assert res.trace[-1]["E"] == res.stationarity
+
+    def test_iterations_grow_within_the_papers_rate(self):
+        # The paper bounds the iterations to an epsilon-stationary point by
+        # O(epsilon^-3).  On check 9's blocks instance at r = 2, with every
+        # other parameter as recommended, epsilon from 1e-2 to 1e-4 took
+        # 152, 334, 893, 1 634 and 2 722 iterations: a log-log slope of 0.64.
+        data = gen_synthetic_blocks(23, (750,) * 4, 0)
+        params = recommended_params(data, 2)
+        epsilons = np.logspace(-2, -4, 5)
+        runs = [solve_arpgda(data, 2, replace(params, epsilon=float(e))) for e in epsilons]
+        assert all(res.converged and not res.violations for res in runs)
+        slope = np.polyfit(np.log(1.0 / epsilons), np.log([res.iterations for res in runs]), 1)[0]
+        assert slope <= 3.0

@@ -1,6 +1,7 @@
 """The package's public names and the checks of the counts and ranks they
 take, the README's examples and the independence of the test oracles."""
 
+import argparse
 import ast
 import re
 import shlex
@@ -19,9 +20,7 @@ from fairpca import (
     evaluate,
     gen_synthetic_blocks,
     gen_synthetic_gaussian,
-    ky_fan_norm,
     random_stiefel,
-    random_tangent,
     recommended_params,
     smoothness_constants,
     solve_arpgda,
@@ -39,6 +38,24 @@ def test_all_lists_every_public_name():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(fairpca.__all__) == public
     assert len(fairpca.__all__) == len(public)
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text()
+    assert [name for name in fairpca.__all__ if not re.search(rf"\b{name}\b", text)] == []
+
+
+def test_every_flag_has_help():
+    def actions(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+            else:
+                yield parser.prog, action
+
+    missing = [(prog, action.dest) for prog, action in actions(build_parser()) if not action.help]
+    assert missing == []
 
 
 # Every public function or constructor that takes a count, as (label, call
@@ -60,11 +77,8 @@ _COUNTS = [
     ("random_stiefel-d", lambda v: random_stiefel(v, 1, 0), "d", 1),
     ("random_stiefel-r", lambda v: random_stiefel(4, v, 0), "r", 1),
     ("random_stiefel-seed", lambda v: random_stiefel(4, 2, v), "seed", 0),
-    ("random_tangent-seed", lambda v: random_tangent(np.eye(4, 2), v), "seed", 0),
     ("uniform_weights-n", uniform_weights, "n", 1),
-    ("ky_fan_norm-r", lambda v: ky_fan_norm(np.eye(3), v), "r", 1),
     ("smoothness_constants-r", lambda v: smoothness_constants(_BLOCKS, v), "r", 1),
-    ("group", lambda v: _BLOCKS.group(v), "group index", 0),
     ("group_gradient-covariance", lambda v: evaluate(_BLOCKS, np.eye(3, 2)).group_gradient(v),
      "group index", 0),
     ("group_gradient-sample", lambda v: evaluate(_SINGLETONS, np.eye(3, 2)).group_gradient(v),
@@ -86,7 +100,6 @@ def test_bad_counts_are_rejected_by_name(call, name, minimum, bad):
 # the CLI's --r is tested in test_cli.py.
 _RANKS = [
     ("random_stiefel", lambda r: random_stiefel(3, r, 0), 3),
-    ("ky_fan_norm", lambda r: ky_fan_norm(np.eye(4), r), 4),
     ("smoothness_constants-covariance", lambda r: smoothness_constants(_BLOCKS, r), 3),
     ("smoothness_constants-sample", lambda r: smoothness_constants(_SINGLETONS, r), 3),
     ("recommended_params", lambda r: recommended_params(_SINGLETONS, r), 3),
