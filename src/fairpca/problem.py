@@ -13,16 +13,23 @@ With ev = evaluate(data, U), f(U, y) is -(y @ ev.values) and its Riemannian
 gradient in U is project_to_tangent(ev.U, ev.gradient(y)).
 
 Solvers evaluate each iterate once through evaluate(data, U), in sample form
-(X^T U, for singleton groups) or covariance form (C_i U, for block groups
-with n d < N), as GroupedDataset.evaluation_form decides.  Their 2-d and
-1-d products go through ndarray.dot, which makes the same BLAS call as the
-@ operator, so the results are bit-identical, without the matmul ufunc's
-dispatch (see the stiefel module).  The covariance stack product C U stays
-a batched @: np.dot has other semantics for 3-d operands, and one flattened
-(n d, d) x (d, r) product, though cheaper, changed bits in 198 of 300 trials
-(d = 23, n = 4, six ranks from 1 to 23, 50 starts each).  The gradients'
-constant factors are read-only 0-d arrays and the value sum is a ufunc
-reduction, for the reason the stiefel module gives.
+(X^T U, for n d > N) or covariance form (C_i U, for n d <= N), as
+GroupedDataset.evaluation_form decides.  Their 2-d and 1-d products go
+through ndarray.dot, which makes the same BLAS call as the @ operator, so
+the results are bit-identical, without the matmul ufunc's dispatch (see the
+stiefel module).  The covariance stack product C U is a batched @: np.dot
+has other semantics for 3-d operands, and one flattened (n d, d) x (d, r)
+product, though cheaper at d = 23, was 2-3x slower at d = 200 with n = 10
+and r >= 3.  The covariance values are one gemv of that stack, viewed as
+(n, d r), with the raveled U.
+
+Rounding contract: every result equals, byte for byte, a transcription
+that makes the same products with @ (tests/oracles.py); in covariance form
+that transcription forms the values with the same gemv.  The gemv sums the
+products of <C_i U, U> in another order than a multiply and a two-axis
+reduce, so against that form the values differ at rounding level, within
+1e-13 of sum_i ||X_i||_F^2 (a property test).  The gradients' constant
+factors are read-only 0-d arrays, for the reason the stiefel module gives.
 """
 
 from __future__ import annotations
@@ -139,27 +146,58 @@ class GroupedDataset:
     def evaluation_form(self) -> str:
         """Which form evaluates the group variances and gradients, by cost.
 
-        "covariance" exactly when n d < N, else "sample".  The covariance
+        "covariance" exactly when n d <= N, else "sample".  The covariance
         form costs O(n d^2 r) per evaluation against O(N d r), and its stack
-        of n d x d covariances then holds fewer numbers than X itself.
-        Singleton groups (n = N) stay in sample form.  The inequality is
-        strict: at n d = N the flop counts tie, and on the single-group
-        d = N = 50 instance, where numpy dispatch rather than arithmetic sets
-        the cost, the covariance form ran slower.
+        of n d x d covariances then holds no more numbers than X itself.
+        Singleton groups (n = N) stay in sample form unless d = 1.
+
+        At a tie, n d = N, the flop counts are equal and the covariance form
+        makes fewer numpy calls: 2 for the values against 3, 2 for
+        gradient(y) against 4, and a scaled view for one group's gradient
+        against a slice, a product and a scale.  On perfbench's single-group
+        d = N = 50 instance, where numpy dispatch rather than arithmetic
+        sets the cost, forcing the covariance form (before the values became
+        one gemv) took a whole ARPGDA solve from 46.8 to 37.5 us an
+        iteration at r = 1, 50.8 to 43.9 at r = 3 and 51.0 to 40.9 at r = 5,
+        and RSG (c = 0.1, 2 000 steps) from 24.3 to 20.7, 31.6 to 24.3 and
+        33.0 to 25.8 us (one CPU, medians of 15 interleaved pairs).
+        Singletons with d = 1 tie too: each C_i is the 1 x 1 square of its
+        sample.
         """
-        return "covariance" if self.num_groups * self.d < self.num_samples else "sample"
+        return "covariance" if self.num_groups * self.d <= self.num_samples else "sample"
 
     @cached_property
     def covariances(self) -> np.ndarray:
         """Per-group covariances C_i = X_i X_i^T, shape (n, d, d), built on
-        first use."""
+        first use.
+
+        Raises NumericalError, naming the largest sample norm, when an entry
+        overflows, which happens for data of norm near 1e154 or more; the
+        stack is built under np.errstate, so no warning comes first.
+        """
         groups = (self.X[:, self._slice(i)] for i in range(self.num_groups))
-        C = np.stack([Xi @ Xi.T for Xi in groups])
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = np.stack([Xi @ Xi.T for Xi in groups])
+        if not np.isfinite(C).all():
+            raise NumericalError(
+                "the covariance stack overflows: the data's largest sample norm is "
+                f"{float(self.sample_norms().max()):.3e}"
+            )
         C.setflags(write=False)
         return C
 
     def sample_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.X, axis=0)
+        """The Euclidean norm of each sample, shape (N,).  A norm past about
+        1.3e154, whose sum of squares overflows, is recomputed from the
+        sample scaled by its largest entry, so no warning is raised."""
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.X, axis=0)
+        big = np.isinf(norms)
+        if big.any():
+            Xb = self.X[:, big]
+            top = np.abs(Xb).max(axis=0)
+            norms[big] = top * np.linalg.norm(Xb / top, axis=0)
+        return norms
 
 
 @dataclass(frozen=True)
@@ -202,8 +240,8 @@ class SampleEvaluation(Evaluation):
     """Group variances and gradients at one iterate U, in sample form.
 
     Caches the projections P = X^T U, shape (N, r); the values and each
-    gradient then cost O(N d r).  It suits singleton groups and any data with
-    n d >= N (see GroupedDataset.evaluation_form).
+    gradient then cost O(N d r).  It suits data with n d > N, singleton
+    groups with d > 1 among them (see GroupedDataset.evaluation_form).
     """
 
     __slots__ = ("P",)
@@ -233,7 +271,9 @@ class CovarianceEvaluation(Evaluation):
 
     Caches the stack C U, shape (n, d, r), from the per-group covariances
     C_i = X_i X_i^T; the values and each gradient then cost O(n d^2 r)
-    instead of O(N d r).  It suits block groups with n d < N.
+    instead of O(N d r).  The values are one gemv of the stack with the
+    raveled U.  It suits data with n d <= N (see
+    GroupedDataset.evaluation_form).
     """
 
     __slots__ = ("CU",)
@@ -242,8 +282,9 @@ class CovarianceEvaluation(Evaluation):
         self.data = data
         self.U = U
         self.CU = CU = data.covariances @ U
-        # f_i(U) = <C_i U, U>; a sum of products beats einsum at these shapes
-        self.values = np.add.reduce(CU * U, axis=(1, 2))
+        # f_i(U) = <C_i U, U>: one gemv of the C-contiguous stack, viewed as
+        # (n, d r), with the raveled U
+        self.values = CU.reshape(CU.shape[0], -1).dot(U.ravel())
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Ambient gradient of f(., y): -2 sum_i y_i C_i U."""
@@ -301,15 +342,16 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
     one group the simplex is the single point {1}, so y = y' and L2 = 0 is
     valid.
 
-    The quantities follow data.evaluation_form.  In covariance form (block
-    groups, n d < N) they come from the cached stack of C_i in O(n d^3):
+    The quantities follow data.evaluation_form.  In covariance form
+    (n d <= N) they come from the cached stack of C_i in O(n d^3):
     ||C_i||_2 from a stacked eigvalsh, sum_i C_i^2, and <C_i, sum_j C_j>.
-    In sample form (singleton groups, or n d >= N) they come from X in
-    O(N d^2): singleton groups in one pass, any larger group through its
-    Gram X_i^T X_i and an SVD.
+    In sample form (n d > N) they come from X in O(N d^2): singleton groups
+    in one pass, any larger group through its Gram X_i^T X_i and an SVD.
 
     Raises NumericalError, naming the largest sample norm, when the bound
-    overflows, which happens for data of norm near 1e38 or more.
+    overflows, which happens for data of norm near 1e38 or more; in
+    covariance form, data of norm near 1e154 or more stops sooner, at the
+    stack (see GroupedDataset.covariances).
     """
     check_rank("r", r, data.d)
     # M holds fourth powers of X: for data of norm near 1e38 or more its

@@ -75,11 +75,25 @@ def euclidean_gradient_by_loops(X, group_sizes, U, y):
     return grad
 
 
+def covariance_stack(X, group_sizes):
+    """The (n, d, d) stack of group covariances X_i X_i^T, one @ per group."""
+    starts = np.concatenate(([0], np.cumsum(group_sizes)[:-1]))
+    return np.stack([X[:, s:s + n] @ X[:, s:s + n].T for s, n in zip(starts, group_sizes)])
+
+
+def covariance_values_by_batched_reduce(X, group_sizes, U):
+    """f_i(U) = <C_i U, U> as the batched product C U, an elementwise
+    multiply by U and a sum over both trailing axes."""
+    return (covariance_stack(X, group_sizes) @ U * U).sum(axis=(1, 2))
+
+
 def evaluation_by_matmul(X, group_sizes, U, form):
     """The group variances, gradient(y) and group_gradient(i) in the named
     form ("sample" or "covariance"), through the @ operator, with the
-    per-group sum and the weight repeat run for every group size.  X is
-    first copied to C order, as GroupedDataset stores it."""
+    per-group sum and the weight repeat run for every group size; the
+    covariance values are one matrix-vector product of C U, viewed as
+    (n, d r), with the raveled U.  X is first copied to C order, as
+    GroupedDataset stores it."""
     X = np.ascontiguousarray(X, dtype=float)
     sizes = np.asarray(group_sizes, dtype=np.intp)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -94,9 +108,8 @@ def evaluation_by_matmul(X, group_sizes, U, form):
             sl = slice(starts[i], starts[i] + sizes[i])
             return 2.0 * (X[:, sl] @ P[sl])
     else:
-        C = np.stack([X[:, s:s + n] @ X[:, s:s + n].T for s, n in zip(starts, sizes)])
-        CU = C @ U
-        values = (CU * U).sum(axis=(1, 2))
+        CU = covariance_stack(X, sizes) @ U
+        values = CU.reshape(CU.shape[0], -1) @ U.ravel()
 
         def gradient(y):
             return -2.0 * (y @ CU.reshape(CU.shape[0], -1)).reshape(CU.shape[1:])

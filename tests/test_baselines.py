@@ -1,5 +1,6 @@
 """The Riemannian subgradient ascent baseline."""
 
+import re
 from dataclasses import asdict, replace
 
 import jsonschema
@@ -326,12 +327,18 @@ class TestRunRecord:
     @pytest.mark.parametrize("algorithm", ["arpgda", "rsg"])
     def test_overflowing_start_raises_at_iteration_0(self, algorithm):
         # in sample form the squares of the projections overflow to inf; the
-        # start's guard raises before ARPGDA computes its smoothness constants
-        base = gen_synthetic_gaussian(4, 4, 0)
-        data = GroupedDataset(base.X * 1e160, base.group_sizes)
-        assert data.evaluation_form == "sample"
-        with pytest.raises(NumericalError, match="non-finite group objectives at iteration 0"):
-            RUN[algorithm](data)
+        # start's guard raises before ARPGDA computes its smoothness constants.
+        # In covariance form the stack itself overflows when it is built for
+        # the start.  Neither warns first: the suite makes warnings errors.
+        for base, form, message in (
+                (gen_synthetic_gaussian(4, 4, 0), "sample",
+                 "non-finite group objectives at iteration 0"),
+                (gen_synthetic_blocks(6, (20, 20), 0), "covariance",
+                 "the covariance stack overflows: the data's largest sample norm is 1.044e+160")):
+            data = GroupedDataset(base.X * 1e160, base.group_sizes)
+            assert data.evaluation_form == form
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                RUN[algorithm](data)
 
     def test_stationary_start_takes_no_step(self):
         # one group and r = d: every start is stationary, E about 4e-15

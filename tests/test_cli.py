@@ -883,7 +883,22 @@ class TestStderr:
         assert proc.stderr.splitlines() == [
             violation_line(1, 2, 0).replace("warning:", "error:")]
 
-    GEN = ["--gen", "gaussian:d=4,n=4,seed=0", "--max-iters", 5]
+    @pytest.mark.parametrize("solver", [["arpgda"], ["rsg", "--c", "0.1"]], ids=["arpgda", "rsg"])
+    def test_python_w_error_overflowing_covariance_stack_exits_3(self, tmp_path, solver):
+        # the norms, the stack and its finite test run without a warning, so
+        # -W error leaves the NumericalError to exit 3
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-W", "error", "-m", "fairpca.cli", "solve", *solver,
+                "--gen", "blocks:d=6,sizes=20x2,scales=1e160|1e160,seed=0", "--r", "2",
+                "--out", "runs"]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "numerical failure: the covariance stack overflows: the data's largest sample "
+            "norm is 9.569e+159"]
+
+    GEN =["--gen", "gaussian:d=4,n=4,seed=0", "--max-iters", 5]
 
     @pytest.mark.parametrize("argv, line", [
         (["gen", "gaussian:d=x,n=3"],

@@ -13,7 +13,6 @@ from fairpca import (
     dist_to_subgradient,
     evaluate,
     gen_synthetic_blocks,
-    gen_synthetic_gaussian,
     random_stiefel,
     smoothness_constants,
     stationarity_measure,
@@ -46,7 +45,7 @@ def lipschitz_cases(draw):
 
 @st.composite
 def constants_cases(draw):
-    """(d, group sizes, r, seed) on both sides of the rule n d < N."""
+    """(d, group sizes, r, seed) on both sides of the rule n d <= N."""
     d = draw(st.integers(1, 6))
     sizes = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=5)))
     r = draw(st.integers(1, d))
@@ -73,6 +72,14 @@ class TestGroupedDataset:
         np.testing.assert_array_equal(data.starts, [0, 1])
         np.testing.assert_allclose(data.sample_norms(),
                                    np.linalg.norm(X, axis=0))
+
+    def test_sample_norms_past_the_square_overflow(self):
+        # a sum of squares past the largest double is rescaled, without a
+        # warning; a norm that does not overflow keeps np.linalg.norm's bits
+        X = np.array([[3e200, 0.1, 1e-300], [4e200, 0.2, 0.0]])
+        norms = GroupedDataset(X, (1, 2)).sample_norms()
+        np.testing.assert_allclose(norms[0], 5e200, rtol=1e-15)
+        assert norms[1:].tobytes() == np.linalg.norm(X[:, 1:], axis=0).tobytes()
 
     @pytest.mark.parametrize("i", [-1, 2])
     def test_group_index_out_of_range_rejected(self, i):
@@ -216,11 +223,12 @@ class TestEvaluationForms:
         d = draw.draw(st.integers(2, 12))
         if groups == "singletons":
             sizes = (1,) * draw.draw(st.integers(1, 3 * d))
-        elif groups == "sample":  # n d >= N, with a group of two or more
-            sizes = tuple(draw.draw(st.lists(st.integers(1, d), min_size=1, max_size=5)))
-            sizes = (draw.draw(st.integers(2, d)), *sizes)
-        else:  # n d < N
-            sizes = tuple(draw.draw(st.lists(st.integers(d + 1, 3 * d), min_size=1, max_size=4)))
+        elif groups == "sample":  # n d > N, with a group of two or more
+            sizes = tuple(draw.draw(st.lists(st.integers(1, d), max_size=4)))
+            sizes = (draw.draw(st.integers(2, d)), *sizes, draw.draw(st.integers(1, d - 1)))
+        else:  # n d <= N, ties included
+            size = st.one_of(st.just(d), st.integers(d, 3 * d))
+            sizes = tuple(draw.draw(st.lists(size, min_size=1, max_size=4)))
         r = draw.draw(st.one_of(st.just(1), st.just(d), st.integers(1, d)))
         seed = draw.draw(st.integers(0, 2**31 - 1))
         rng = np.random.default_rng(seed)
@@ -237,15 +245,33 @@ class TestEvaluationForms:
         for i in range(len(sizes)):
             assert ev._group_gradient(i).tobytes() == group_gradient(i).tobytes()
 
+    @settings(max_examples=200)
+    @given(evaluation_cases())
+    def test_covariance_values_match_the_batched_reduce(self, case):
+        # one gemv against a multiply and a two-axis sum: the same products
+        # summed in another order, so within rounding of sum_i ||X_i||_F^2
+        d, sizes, r, seed = case
+        X = np.random.default_rng(seed).standard_normal((d, sum(sizes)))
+        U = random_stiefel(d, r, seed=seed)
+        values = CovarianceEvaluation(GroupedDataset(X, sizes), U).values
+        np.testing.assert_allclose(
+            values, oracles.covariance_values_by_batched_reduce(X, sizes, U),
+            rtol=0, atol=1e-13 * float(np.sum(X**2)))
+
     def test_cost_rule_picks_the_form(self):
-        singletons = gen_synthetic_gaussian(200, 200, 0)
-        spectrum = GroupedDataset(np.random.default_rng(0).standard_normal((50, 50)), (50,))
-        blocks = gen_synthetic_blocks(23, (750, 750, 750, 750), 0)
-        for data, form, cls in ((singletons, "sample", SampleEvaluation),
-                                (spectrum, "sample", SampleEvaluation),
-                                (blocks, "covariance", CovarianceEvaluation)):
-            assert data.evaluation_form == form
-            assert type(evaluate(data, random_stiefel(data.d, 2, seed=0))) is cls
+        # covariance exactly when n d <= N
+        for d, sizes, form in ((200, (1,) * 200, "sample"),    # singletons, d > 1
+                               (50, (50,), "covariance"),      # one group, d = N: a tie
+                               (23, (750,) * 4, "covariance"),  # blocks
+                               (5, (5, 5), "covariance"),      # a multi-group tie
+                               (1, (1,) * 7, "covariance"),    # singletons at d = 1 tie
+                               (5, (5, 6), "covariance"),      # n d = N - 1
+                               (5, (5, 4), "sample")):         # n d = N + 1
+            X = np.random.default_rng(0).standard_normal((d, sum(sizes)))
+            data = GroupedDataset(X, sizes)
+            assert data.evaluation_form == form, (d, sizes)
+            cls = CovarianceEvaluation if form == "covariance" else SampleEvaluation
+            assert type(evaluate(data, random_stiefel(d, 1, seed=0))) is cls
 
     def test_covariances_stack_each_group(self):
         data = random_dataset(4)

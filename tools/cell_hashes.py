@@ -7,6 +7,16 @@ Run it from both trees of a change (each copy reads the package under its
 own src/), then `diff before.txt after.txt`: identical output means
 identical results.  --seeds takes one seed or a range start:stop.
 
+A change meant to move results at rounding level only (another summation
+order, say) changes hashes but must not change a run's course.  Compare the
+two outputs with the hash column cut,
+
+    diff <(sed 's/ [0-9a-f]*$//' before.txt) <(sed 's/ [0-9a-f]*$//' after.txt)
+
+and require no difference: every run then took the same number of
+iterations and no cell raised on one side only.  Lines of the workloads the
+change does not reach should stay identical hashes and all.
+
 For each workload of perfbench/cells.py and each seed, the script builds
 the datasets as the benchmark does, through cells.write_csv and
 cells.ingest, and runs every fixed and seeded cell of cells.Workload.cells:
