@@ -171,14 +171,35 @@ class GroupedDataset:
         """Per-group covariances C_i = X_i X_i^T, shape (n, d, d), built on
         first use.
 
-        Raises NumericalError, naming the largest sample norm, when an entry
-        overflows, which happens for data of norm near 1e154 or more; the
-        stack is built under np.errstate, so no warning comes first.
+        Raises NumericalError, naming the largest sample norm, when the
+        largest entry in size, M, is not at most B / (8 n d^2), with B the
+        largest double: an entry overflows for data of norm near 1e154 or
+        more, and past the bound the per-iterate products can.  The stack
+        is built and tested under np.errstate, so no warning comes first.
+
+        Proof sketch that the products of CovarianceEvaluation and the
+        tangent projection of its gradient stay finite at the bound, for U
+        with orthonormal columns u_l, so ||u_l||_1 <= sqrt(d), and simplex
+        y.  Every partial sum of (C_i U)_jl = sum_k c_jk u_kl is at most
+        sqrt(d) M in size, so 2 C_i U and the gradient -2 sum_i y_i C_i U
+        are at most 2 sqrt(d) M.  The partial sums of the gemv value
+        f_i = sum_jl (C_i U)_jl u_jl are at most M sum_l ||u_l||_1^2 <= r d M
+        <= d^2 M, and those of the sum over the n groups, which
+        check_iterate takes, n d^2 M.  For a G of entries at most
+        2 sqrt(d) M, the tangent projection forms U^T G, at most 2 d M, its
+        sum with its transpose, 4 d M, U times half that, 2 d^(3/2) M (the
+        rows of U have norm at most 1), and the difference with G, at most
+        4 d^(3/2) M.  So each is at most B / 2 at the bound; the factor 2
+        covers the rounding of the sums, a relative (1 + 2^-53)^(2 d) or so,
+        and U's orthonormality error up to TOL_ORTH.
         """
         groups = (self.X[:, self._slice(i)] for i in range(self.num_groups))
+        n, d = self.num_groups, self.d
         with np.errstate(over="ignore", invalid="ignore"):
             C = np.stack([Xi @ Xi.T for Xi in groups])
-        if not np.isfinite(C).all():
+            top = np.abs(C).max()
+        # a NaN or infinite entry fails the test too
+        if not top <= np.finfo(float).max / (8.0 * n * d * d):
             raise NumericalError(
                 "the covariance stack overflows: the data's largest sample norm is "
                 f"{float(self.sample_norms().max()):.3e}"

@@ -1,6 +1,18 @@
 """Probability-simplex primitives: Euclidean projection and feasibility checks.
 
 Weight vectors live on Delta_n = {y in R^n : y_i >= 0, sum_i y_i = 1}.
+
+Two implementations of the projection share one arithmetic:
+project_to_simplex on a float array, and _project_floats on a list of
+fewer than 8 Python floats, which ARPGDA's dual step takes for few groups,
+where numpy's per-call dispatch, not the arithmetic, sets the cost.  They
+agree byte for byte because below 8 entries numpy sums in order:
+np.add.accumulate always does, and np.add.reduce, which sums in blocks of 8
+from 8 entries on, adds them one by one to 0.0 for fewer (numpy 2.4).  Every
+other step is one correctly rounded IEEE operation per entry on both sides,
+and np.maximum(x, 0) returns +0.0 for x = -0.0, as x if x > 0.0 else 0.0
+does.  The float kernel must sum with a plain loop: since Python 3.12 the
+built-in sum() compensates float sums, which rounds differently.
 """
 
 from __future__ import annotations
@@ -63,8 +75,9 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     with gradual underflow, fl(a - b) is zero only when a = b and otherwise
     has the sign of a - b (an overflow to +-inf included), so the two agree
     bit for bit.  tau is a Python float quotient, the same IEEE division.
-    The pass makes 14 C-level numpy calls, since at the solvers' few groups
-    their dispatch, not the arithmetic, sets its cost.  It calls none of the
+    The pass makes 14 C-level numpy calls, since at a few entries their
+    dispatch, not the arithmetic, sets its cost (below 8 entries ARPGDA
+    takes _project_floats instead).  It calls none of the
     Python-level wrappers np.sort, np.flatnonzero and ndarray.sum, which add
     their own work to the calls they make (at n = 4, np.sort took 1.8 us
     against 0.9 us for copy and sort in place, and np.flatnonzero 2.6 us
@@ -100,6 +113,47 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     # the correction can graze a tiny support entry below zero
     np.maximum(y, _ZERO, out=y)
     return y
+
+
+def _project_floats(z: list[float]) -> tuple[list[float], float]:
+    """project_to_simplex(np.array(z)).tolist() and the drift |sum(y) - 1|
+    of simplex_violation, byte for byte, for a list of 1 to 7 floats (see
+    the module docstring); the other half of simplex_violation, the
+    negative part, is 0.0 for any projection, whose last step is a maximum
+    with 0.  The same sort, threshold test, tau, residual and 2^53
+    NumericalError as project_to_simplex, and [1.0] for one entry.
+
+    Internal: z is not checked; callers pass finite floats.
+    """
+    if len(z) == 1:
+        return [1.0], 0.0
+    total, tau = 0.0, None
+    for m, v in enumerate(sorted(z, reverse=True), 1):
+        total += v
+        q = (total - 1.0) / m
+        if v > q:
+            tau = q
+    if tau is None:
+        raise NumericalError(
+            f"simplex projection lost precision: largest |z| is {max(map(abs, z)):.3e} >= 2^53"
+        )
+    # v - tau > 0 exactly when v > tau (see project_to_simplex), and
+    # np.maximum gives +0.0 for the rest, -0.0 included
+    y = [v - tau if v > tau else 0.0 for v in z]
+    total, support = 0.0, 0
+    for v in y:
+        if v > 0.0:
+            total += v
+            support += 1
+    residual = (total - 1.0) / support
+    total = 0.0
+    for i, v in enumerate(y):
+        if v > 0.0:
+            v -= residual
+            # the correction can graze a tiny support entry below zero
+            y[i] = v = v if v > 0.0 else 0.0
+            total += v
+    return y, abs(total - 1.0)
 
 
 def uniform_weights(n: int) -> np.ndarray:

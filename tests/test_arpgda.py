@@ -48,6 +48,22 @@ def small_dataset(seed=0, d=6, sizes=(2, 3, 2)):
                           group_sizes=sizes)
 
 
+def break_projection(monkeypatch, broken):
+    """Make both paths of the dual step project with broken, a function of
+    the step's entries as a float array: project_to_simplex from
+    arpgda._FLOAT_DUAL_GROUPS groups on, the float kernel below."""
+    monkeypatch.setattr(arpgda_module, "project_to_simplex", broken)
+    monkeypatch.setattr(arpgda_module, "_project_floats",
+                        lambda z: (broken(np.array(z)).tolist(), 0.0))
+
+
+def run_bytes(res):
+    """A run's results as bytes and values, the trace without its wall times."""
+    rows = [{key: value for key, value in row.items() if key != "ms"} for row in res.trace]
+    return (res.U.tobytes(), res.y.tobytes(), res.phi, res.stationarity, res.iterations,
+            res.converged, res.max_orth_error, res.info, res.violations, rows)
+
+
 class TestParams:
     def test_validation(self):
         ARPGDAParams(epsilon=0.1, mu=1.0)
@@ -101,6 +117,14 @@ class TestParams:
         assert p.epsilon == pytest.approx(1e-3)
         assert (p.rho, p.theta) == (1.01, 1.99)
         assert p.mu == pytest.approx(200.0 * 4 * np.sqrt(3.0))
+
+    def test_recommended_epsilon_overflow_is_a_numerical_error(self):
+        # singleton norms past about 1.3e154 square past the largest double
+        data = GroupedDataset(gen_synthetic_gaussian(4, 4, 0).X * 1e160, (1,) * 4)
+        message = ("cannot pick epsilon: the data's largest sample norm, 2.491e+160, "
+                   "overflows when squared")
+        with pytest.raises(NumericalError, match=re.escape(message) + "$"):
+            recommended_params(data, 1)
 
     def test_degenerate_data_rejected(self):
         data = GroupedDataset(X=np.zeros((3, 2)), group_sizes=(1, 1))
@@ -329,24 +353,50 @@ class TestSolve:
     def test_ascent_gap_violation_names_its_trace_row(self, monkeypatch):
         # With mu = 0 the projection's argument is -values / lambda, so this
         # puts all the weight on the best-off group and the gap stays large.
-        monkeypatch.setattr(arpgda_module, "project_to_simplex",
-                            lambda z: np.eye(z.size)[np.argmin(z)])
-        data = gen_synthetic_blocks(4, (30, 30, 30), 0)
-        params = ARPGDAParams(epsilon=1e-6, mu=0.0, max_iters=5)
-        with pytest.warns(RuntimeWarning):
-            res = solve_arpgda(data, 2, params)
-        gaps = {row["k"]: row["gap"] for row in res.trace}
-        rows = [v for v in res.violations if v["kind"] == "ascent_gap"]
-        assert [v["k"] for v in rows] == [1, 2, 3, 4, 5]
-        assert all(v["lhs"] == gaps[v["k"]] for v in rows)
+        break_projection(monkeypatch, lambda z: np.eye(z.size)[np.argmin(z)])
+        for sizes in ((30,) * 3, (30,) * 8):  # the float path, then numpy's
+            data = gen_synthetic_blocks(4, sizes, 0)
+            params = ARPGDAParams(epsilon=1e-6, mu=0.0, max_iters=5)
+            with pytest.warns(RuntimeWarning):
+                res = solve_arpgda(data, 2, params)
+            gaps = {row["k"]: row["gap"] for row in res.trace}
+            rows = [v for v in res.violations if v["kind"] == "ascent_gap"]
+            assert [v["k"] for v in rows] == [1, 2, 3, 4, 5]
+            assert all(v["lhs"] == gaps[v["k"]] for v in rows)
 
     def test_numerical_error_on_broken_projection(self, monkeypatch):
-        monkeypatch.setattr(arpgda_module, "project_to_simplex",
-                            lambda z: np.full_like(z, np.nan))
-        data = small_dataset(seed=9)
-        params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
-        with pytest.raises(NumericalError):
-            solve_arpgda(data, 2, params)
+        break_projection(monkeypatch, lambda z: np.full_like(z, np.nan))
+        for sizes in ((2, 3, 2), (2,) * 8):  # the float path, then numpy's
+            data = small_dataset(seed=9, sizes=sizes)
+            params = ARPGDAParams(epsilon=1e-6, mu=5.0, max_iters=10, seed=0)
+            with pytest.raises(NumericalError):
+                solve_arpgda(data, 2, params)
+
+    @pytest.mark.parametrize("num_groups, path", [(7, "_project_floats"),
+                                                  (8, "project_to_simplex")])
+    def test_dual_step_path_follows_the_group_count(self, monkeypatch, num_groups, path):
+        calls = []
+        for name in ("_project_floats", "project_to_simplex"):
+            kernel = getattr(arpgda_module, name)
+            monkeypatch.setattr(arpgda_module, name,
+                                lambda z, name=name, kernel=kernel: calls.append(name) or kernel(z))
+        data = small_dataset(sizes=(2,) * num_groups)
+        solve_arpgda(data, 2, ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=3))
+        assert calls == [path] * 3
+
+    @pytest.mark.parametrize("data", [
+        gen_synthetic_blocks(5, (20, 30), 0),
+        gen_synthetic_blocks(4, (15, 10, 20, 25, 30, 12, 40), 1),
+        small_dataset(seed=2, sizes=(2, 3, 2)),
+        gen_synthetic_gaussian(6, 6, 3),
+    ], ids=["covariance_2", "covariance_7", "sample_3", "singletons_6"])
+    def test_float_path_equals_numpy_path(self, monkeypatch, data):
+        # the same run, byte for byte, with the float path switched off
+        assert data.num_groups < arpgda_module._FLOAT_DUAL_GROUPS
+        params = replace(recommended_params(data, 2, seed=4), max_iters=400)
+        floats = solve_arpgda(data, 2, params)
+        monkeypatch.setattr(arpgda_module, "_FLOAT_DUAL_GROUPS", 1)
+        assert run_bytes(floats) == run_bytes(solve_arpgda(data, 2, params))
 
     def test_overflowing_dual_step_raises_numerical_error(self):
         # at this scale the dual step's entries pass 2^53 within a few

@@ -1,5 +1,6 @@
 """The Riemannian subgradient ascent baseline."""
 
+import math
 import re
 from dataclasses import asdict, replace
 
@@ -339,6 +340,16 @@ class TestRunRecord:
             assert data.evaluation_form == form
             with pytest.raises(NumericalError, match=re.escape(message)):
                 RUN[algorithm](data)
+
+    @pytest.mark.parametrize("algorithm", ["arpgda", "rsg"])
+    def test_covariance_stack_near_the_largest_double_raises(self, algorithm):
+        # a finite stack, every entry 1.5e308, past the bound within which
+        # the per-iterate products stay finite; no overflow warning first
+        data = GroupedDataset(np.full((6, 12), math.sqrt(1.5e308 / 12)), (12,))
+        assert np.isfinite(data.X @ data.X.T).all()
+        message = "the covariance stack overflows: the data's largest sample norm is 8.660e+153"
+        with pytest.raises(NumericalError, match=re.escape(message) + "$"):
+            RUN[algorithm](data)
 
     def test_stationary_start_takes_no_step(self):
         # one group and r = d: every start is stationary, E about 4e-15

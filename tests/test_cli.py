@@ -19,7 +19,9 @@ from fairpca import (
     DataError,
     DegenerateProblemError,
     DiagnosticUnavailableError,
+    GroupedDataset,
     compare_cell,
+    dataset_csv_text,
     gen_synthetic_gaussian,
     iterations_to_reach,
     recommended_params,
@@ -897,6 +899,28 @@ class TestStderr:
         assert proc.stderr.splitlines() == [
             "numerical failure: the covariance stack overflows: the data's largest sample "
             "norm is 9.569e+159"]
+
+    @pytest.mark.parametrize("solver, X, sizes, line", [
+        (["arpgda"], gen_synthetic_gaussian(4, 4, 0).X * 1e160, (1,) * 4,
+         "cannot pick epsilon: the data's largest sample norm, 2.491e+160, overflows when squared"),
+        (["rsg", "--c", "0.1"], gen_synthetic_gaussian(4, 4, 0).X * 1e160, (1,) * 4,
+         "non-finite group objectives at iteration 0"),
+        (["arpgda"], np.full((6, 12), math.sqrt(1.5e308 / 12)), (12,),
+         "the covariance stack overflows: the data's largest sample norm is 8.660e+153"),
+        (["rsg", "--c", "0.1"], np.full((6, 12), math.sqrt(1.5e308 / 12)), (12,),
+         "the covariance stack overflows: the data's largest sample norm is 8.660e+153"),
+    ], ids=["arpgda-singletons", "rsg-singletons", "arpgda-covariance", "rsg-covariance"])
+    def test_python_w_error_huge_finite_data_exits_3(self, tmp_path, solver, X, sizes, line):
+        # singleton norms past 1.3e154, and a finite covariance stack past
+        # the bound of its per-iterate products, raise before any warning
+        (tmp_path / "big.csv").write_text(dataset_csv_text(GroupedDataset(X, sizes)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-W", "error", "-m", "fairpca.cli", "solve", *solver,
+                "--data", "big.csv", "--r", "1", "--out", "runs"]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"numerical failure: {line}"]
 
     GEN =["--gen", "gaussian:d=4,n=4,seed=0", "--max-iters", 5]
 

@@ -1,5 +1,7 @@
 """Objectives, gradients, smoothness constants, and stationarity diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +12,16 @@ from fairpca import (
     DiagnosticUnavailableError,
     DimensionError,
     GroupedDataset,
+    NumericalError,
     dist_to_subgradient,
     evaluate,
     gen_synthetic_blocks,
     random_stiefel,
     smoothness_constants,
     stationarity_measure,
+    uniform_weights,
 )
+from fairpca.arpgda import check_iterate
 from fairpca.problem import CovarianceEvaluation, SampleEvaluation, _ky_fan_sum
 from fairpca.stiefel import project_to_tangent
 
@@ -281,6 +286,31 @@ class TestEvaluationForms:
         for i, Xi in enumerate(np.split(data.X, data.starts[1:], axis=1)):
             np.testing.assert_allclose(C[i], Xi @ Xi.T,
                                        rtol=1e-14, atol=1e-14)
+
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (6, 1), (6, 4)])
+    def test_products_stay_finite_at_the_covariance_bound(self, d, n):
+        # d + 1 equal samples a group make each C_i M times the all-ones
+        # matrix, the worst case at the U whose first column is the normed
+        # ones vector.  Just under the bound the values, their sum, the
+        # gradients and the tangent projection stay finite without a warning;
+        # just over it the stack raises
+        bound = np.finfo(float).max / (8.0 * n * d * d)
+        m = d + 1
+        over = GroupedDataset(np.full((d, n * m), math.sqrt(1.001 * bound / m)), (m,) * n)
+        with pytest.raises(NumericalError, match="the covariance stack overflows"):
+            over.covariances
+        data = GroupedDataset(np.full((d, n * m), math.sqrt(0.999 * bound / m)), (m,) * n)
+        assert data.evaluation_form == "covariance"
+        rng = np.random.default_rng(d)
+        Q = np.linalg.qr(np.column_stack([np.ones(d), rng.standard_normal((d, d - 1))]))[0]
+        for r in range(1, d + 1):
+            ev = CovarianceEvaluation(data, Q[:, :r])
+            check_iterate(ev, 0)
+            assert math.isfinite(np.add.reduce(ev.values))
+            grad = ev.gradient(uniform_weights(n))
+            assert np.isfinite(project_to_tangent(ev.U, grad)).all()
+            assert all(np.isfinite(ev.group_gradient(i)).all() for i in range(n))
 
 
 class TestGradients:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fairpca import DimensionError, NumericalError, uniform_weights, validate_weights
-from fairpca.simplex import project_to_simplex, simplex_violation
+from fairpca.simplex import _project_floats, project_to_simplex, simplex_violation
 
 
 def test_matches_bruteforce_on_random_inputs():
@@ -119,6 +119,52 @@ def test_equals_sort_and_threshold_transcription_exactly(n, seed, exponent, ties
     assert z.tobytes() == given_bytes
     # bytes, not array_equal, which counts -0.0 equal to 0.0
     assert y.tobytes() == oracles.simplex_projection_by_sort(z).tobytes()
+
+
+def assert_float_kernel_agrees(z):
+    """_project_floats(z) gives project_to_simplex(z) and simplex_violation
+    of it byte for byte, or both raise the same NumericalError."""
+
+    def outcome(project):
+        try:
+            return project()
+        except NumericalError as exc:
+            return str(exc)
+
+    def numpy_path():
+        y = project_to_simplex(z)
+        # bytes, not ==, which counts -0.0 equal to 0.0
+        return y.tobytes(), simplex_violation(y)
+
+    def float_path():
+        y, drift = _project_floats(z.tolist())
+        return np.array(y).tobytes(), (0.0, drift)
+
+    assert outcome(float_path) == outcome(numpy_path)
+
+
+@settings(max_examples=500)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**31 - 1), exponent=st.floats(-300.0, 20.0),
+       ties=st.booleans(), negative_zeros=st.booleans())
+def test_float_kernel_equals_numpy_projection_exactly(n, seed, exponent, ties, negative_zeros):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    if ties:  # repeated entries, as on a face of the simplex
+        z = np.round(z, 1)
+    z *= 10.0 ** exponent
+    if negative_zeros:
+        z[rng.random(n) < 0.5] = -0.0
+    assert_float_kernel_agrees(z)
+
+
+@pytest.mark.parametrize("z", [
+    [1.0, -0.0], [-0.0, -0.0], [0.5, 0.5, -0.0], [-0.0, 0.0, 1.0, -0.0], [-7.3],
+    [2.0**53 - 1.0, 0.0], [2.0**53, -0.0], [-1e17, -2e17], [1e17, 3e16, -4.0],
+    [5e-324, -5e-324, 0.0], [0.1] * 7,
+])
+def test_float_kernel_equals_numpy_projection_on_edge_cases(z):
+    # signed zeros in and out, the 2^53 limit, subnormals, ties at n = 7
+    assert_float_kernel_agrees(np.array(z))
 
 
 def test_uniform_weights():
