@@ -131,6 +131,11 @@ class ARPGDAParams:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        # the solver's lambda; at 0 with mu = 0 the U-stepsize divides by 0
+        if self.epsilon / (8.0 * DUAL_RADIUS**2) == 0.0:
+            raise ValueError(
+                f"epsilon must be large enough that lambda = epsilon / 8 is positive, "
+                f"got {self.epsilon!r}")
         if not 0 <= self.mu < math.inf:
             raise ValueError(f"mu must be non-negative and finite, got {self.mu!r}")
         if not 1 < self.rho < math.inf:
@@ -330,6 +335,7 @@ def stationarity_measure(data: GroupedDataset, U: np.ndarray, y: np.ndarray) -> 
     return _stationarity(ev, validate_weights(_check_weights_size(data, y)))[-1]
 
 
+@np.errstate(over="ignore")
 def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveResult:
     """Run ARPGDA from a seeded random start until E(U, y) <= epsilon or the
     iteration cap.
@@ -344,6 +350,16 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     ascent-gap inequalities are evaluated with INEQUALITY_SLACK; failures are
     collected on the result (and surfaced as warnings), never silenced.  The
     trace keeps the start, every trace_stride-th iteration and the last.
+
+    numpy's overflow warnings are off for the whole solve, by one errstate
+    entered per solve rather than per iteration.  A guard acts on each
+    value that can overflow: check_iterate on the group values,
+    smoothness_constants on its sums, the ||grad|| test on the gradient
+    (so a run that stops at the cap just then reports E = inf), and the
+    simplex projection on the ascent, whose entries overflow to -inf.  The
+    projection maps such an entry to 0, as it does any entry far below its
+    threshold; when the largest one is -inf it raises the 2^53
+    NumericalError, as the float path does.
     """
     run = _Run(data, r, params)
     constants = smoothness_constants(data, r)

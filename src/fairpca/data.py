@@ -7,16 +7,25 @@ matrix, re-ordered so each group occupies one contiguous block (groups keep
 first-appearance order, samples keep file order within their group).
 
 load_csv_grouped follows the csv module's quoting rules and skips blank
-lines, which do not count as rows.  It parses each feature value with
-Python's float, straight into one buffer of doubles, and keeps no Python
-object per value: ingestion holds about 8 bytes per value, plus the one copy
-the dataset keeps in sample-column order.
+lines, which do not count as rows.  It reads the header with csv.reader,
+then parses the data rows in one pass of numpy's C reader (np.loadtxt),
+which reads each value with the routine Python's float uses, so every value
+rounds exactly as float rounds it.  Its csv loop, which parses each value
+with float, runs instead where that pass gives up: the header spans lines,
+the file cannot be rewound, no data row follows the header, numpy refuses
+a row or value, or a value is not finite.  That loop is the only source of
+the DataError row reports, and both give the same dataset, bit for bit.
+Neither keeps a Python object per value: a load holds one table of about 8
+bytes per value (numpy's holds the group ids as one more column), plus the
+one copy the dataset keeps in sample-column order, plus one more to gather
+the rows of groups that are not each consecutive in the file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
 from array import array
 from collections import Counter, defaultdict
@@ -117,6 +126,67 @@ def _text_lines(handle: Iterable[str], path) -> Iterator[str]:
         raise DataError(f"{path}: cannot decode as text: {exc}") from None
 
 
+def _numpy_lines(lines: Iterable[str]) -> Iterator[str]:
+    """lines, raising ValueError at one that holds a character from U+001C
+    to U+001F: numpy strips these from around a number, where float refuses
+    it.  The four substring tests did not measurably slow the numpy pass on
+    the blocks-compare benchmark's CSV."""
+    for line in lines:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("an information separator, U+001C to U+001F")
+        yield line
+
+
+def _load_rows_numpy(handle: Iterator[str], width: int, group_at: int,
+                     name: str) -> GroupedDataset | None:
+    """The data rows after the header, parsed in one pass of numpy's C
+    reader into the dataset load_csv_grouped's csv loop would build, or None
+    where that loop must run instead:
+
+    - numpy refuses a row or value: a decode error, a short or long row, or
+      a value float may accept, such as 1_0 or non-ASCII digits;
+    - a line holds U+001C to U+001F (see _numpy_lines);
+    - no data row follows the header, where numpy would warn;
+    - the rows are not as wide as the header, or a value is not finite,
+      since only the csv loop reports bad rows.
+
+    numpy parses each value with the routine Python's float uses, so it
+    rounds the same, and splits quoted fields and skips blank lines as the
+    csv module does.  One converter maps the group field to ids in
+    first-appearance order, so the table is N x width doubles with the ids
+    in the group column.
+    """
+    # a line that is more than its line break is a row to csv, and to numpy
+    # a row or an error
+    for line in handle:
+        if line.rstrip("\r\n"):
+            break
+    else:
+        return None
+    ids: dict[str, int] = {}
+    try:
+        table = np.loadtxt(
+            _numpy_lines(itertools.chain([line], handle)), dtype=float, delimiter=",",
+            quotechar='"', comments=None, ndmin=2,
+            converters={group_at: lambda label: ids.setdefault(label, len(ids))})
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    codes = table[:, group_at].astype(np.intp)
+    # drop the group column in place, one column at a time, so the table
+    # stays the only copy of the data until the dataset makes X
+    for j in range(group_at, width - 1):
+        table[:, j] = table[:, j + 1]
+    rows = table[:, :width - 1]
+    # a stable sort of the ids is the csv loop's gather: groups in
+    # first-appearance order, file order within each
+    if (codes[1:] < codes[:-1]).any():
+        rows = rows[np.argsort(codes, kind="stable")]
+    sizes = tuple(np.bincount(codes).tolist())
+    return GroupedDataset(rows.T, sizes, labels=tuple(ids), name=name)
+
+
 def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
     """Read a one-row-per-sample CSV into a GroupedDataset.
 
@@ -142,6 +212,16 @@ def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
         if d == 0:
             raise DataError(f"{path}: no feature columns besides {group_column!r}")
         group_at = columns.index(group_column)
+        # The numpy pass runs only on a one-line header and a handle that
+        # can be rewound: where it gives up, the csv loop reads the rows
+        # again through the same reader, which reads on from the handle's
+        # position
+        if reader.line_num == 1 and handle.seekable():
+            data = _load_rows_numpy(handle, width, group_at, Path(path).stem)
+            if data is not None:
+                return data
+            handle.seek(0)
+            next(reader)
         # Data row i (blank lines skipped and not counted) fills
         # values[i * d:(i + 1) * d]; a bad row is stored as NaNs, so the
         # finite test below finds it with the non-finite ones.

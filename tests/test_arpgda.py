@@ -3,6 +3,7 @@ full runs, each step taken through solve_arpgda."""
 
 import json
 import re
+import warnings
 from dataclasses import asdict, replace
 
 import jsonschema
@@ -102,6 +103,15 @@ class TestParams:
         p = ARPGDAParams(epsilon=0.1, mu=1.0, max_iters=np.int64(10),
                          seed=np.uint32(3), trace_stride=np.int32(2))
         assert (p.max_iters, p.seed, p.trace_stride) == (10, 3, 2)
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 4 * 5e-324])
+    def test_epsilon_whose_lambda_underflows_is_rejected(self, epsilon):
+        message = ("epsilon must be large enough that lambda = epsilon / 8 is positive, "
+                   f"got {epsilon!r}")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            ARPGDAParams(epsilon=epsilon, mu=0.0)
+        # the smallest epsilon whose lambda rounds up to the least subnormal
+        assert ARPGDAParams(epsilon=5 * 5e-324, mu=0.0).epsilon == 5 * 5e-324
 
     def test_recommended_singleton_regime(self):
         X = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 1.0]])
@@ -405,6 +415,20 @@ class TestSolve:
         data = GroupedDataset(1e8 * data.X, data.group_sizes)
         with pytest.raises(NumericalError, match=r"simplex projection lost precision"):
             solve_arpgda(data, 2, recommended_params(data, 2))
+
+    @pytest.mark.parametrize("sizes", [(30,) * 8, (30,) * 3], ids=["numpy", "floats"])
+    def test_overflowing_ascent_raises_numerical_error_without_a_warning(self, sizes):
+        # lambda near the least double makes (values + lambda y) / lambda
+        # overflow at the first ascent, on the numpy path (8 groups) as on
+        # the float path (3 groups)
+        data = gen_synthetic_blocks(4, sizes, 0)
+        assert (data.num_groups < arpgda_module._FLOAT_DUAL_GROUPS) == (len(sizes) == 3)
+        params = ARPGDAParams(epsilon=1e-310, mu=0.0, max_iters=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(
+                    "simplex projection lost precision: largest |z| is inf >= 2^53") + "$"):
+                solve_arpgda(data, 2, params)
 
     @pytest.mark.parametrize("data, form", [
         (gen_synthetic_gaussian(4, 4, 0), "sample"),

@@ -186,6 +186,16 @@ class TestSolve:
         assert f"error: {field} must " in err and "finite, got inf" in err
         assert not list(tmp_path.glob("report_*.json"))
 
+    def test_epsilon_whose_lambda_underflows_exits_1(self, tmp_path, capsys):
+        # lambda = epsilon / 8 rounds to 0, and with mu = 0 the U-stepsize
+        # would divide by it
+        assert run(["solve", "arpgda", "--gen", "blocks:d=4,sizes=30|30|30,seed=0", "--r", 2,
+                    "--eps", "5e-324", "--mu", 0, "--max-iters", 5, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: epsilon must be large enough that lambda = epsilon / 8 is positive, "
+            "got 5e-324\n")
+        assert not list(tmp_path.glob("report_*.json"))
+
     def test_repeated_seeds_run_once(self, tmp_path, capsys):
         assert run(["solve", "arpgda", "--gen", "gaussian:d=6,n=6,seed=0", "--r", 1,
                     "--seed", "1,0,1", "--max-iters", 50, "--out", tmp_path]) == 0

@@ -1,14 +1,18 @@
 """Dataset generators, CSV ingestion, metadata, and preprocessing."""
 
 import json
+import os
 import re
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import fairpca.data as data_module
 import oracles
 from fairpca import (
     DataError,
@@ -23,6 +27,7 @@ from fairpca import (
     preprocess,
     random_stiefel,
 )
+from fairpca.data import _load_rows_numpy
 
 
 class TestGenerators:
@@ -231,6 +236,176 @@ class TestCsvRoundtrip:
         header_only.write_text("x,group\n")
         with pytest.raises(DataError, match="no data rows"):
             load_csv_grouped(header_only)
+
+
+class _NumpyPassSpy:
+    """Stands in for data._load_rows_numpy and records what each call
+    returned: a dataset, or None where the csv loop had to run."""
+
+    def __init__(self):
+        self.returned = []
+
+    def __call__(self, *args):
+        result = _load_rows_numpy(*args)
+        self.returned.append(result)
+        return result
+
+
+def _outcome(path):
+    """What load_csv_grouped makes of path: the dataset's bytes, shape,
+    sizes, labels and name, or the DataError message."""
+    try:
+        data = load_csv_grouped(path)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("data", data.X.tobytes(), data.X.shape, data.X.flags.c_contiguous,
+            data.group_sizes, data.labels, data.name)
+
+
+def _load_both_ways(path):
+    """(outcome with the numpy pass, outcome of the csv loop alone, what the
+    numpy pass returned on each call)."""
+    spy = _NumpyPassSpy()
+    with mock.patch.object(data_module, "_load_rows_numpy", spy):
+        fast = _outcome(path)
+    with mock.patch.object(data_module, "_load_rows_numpy", lambda *args: None):
+        slow = _outcome(path)
+    return fast, slow, spy.returned
+
+
+# Feature values both readers take: round-trip reprs, integers, long digit
+# strings, subnormals, underflow, padding and quotes.
+_CLEAN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["0." + "123456789" * 5, "9" * 40 + "e-340", "4.9e-324", "2.5e-320",
+                     "1e-400", " 1.5 ", "\t2\t", '"3"', " 6"]),
+)
+# Also values that are not finite, that float reads and numpy does not, that
+# numpy reads and float does not, and junk.
+_VALUES = st.one_of(_CLEAN_VALUES, st.sampled_from([
+    "nan", "inf", "-Infinity", "1e999", "-1e999", "1_0", "0x1p3", "١", "\x1c4", "5\x1f",
+    "", "1e", "--1", "oops"]))
+_LABELS = st.sampled_from(["a", "b", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", " a", "", "7"])
+
+
+def _quoted(label):
+    return '"' + label.replace('"', '""') + '"'
+
+
+class TestCsvNumpyPass:
+    """load_csv_grouped parses the data rows with numpy's reader and runs its
+    csv loop where that pass gives up; both must give the same dataset, bit
+    for bit, or the same DataError message."""
+
+    @settings(max_examples=300)
+    @given(data=st.data(), width=st.integers(2, 4),
+           line_break=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_numpy_pass_matches_the_csv_loop(self, tmp_path_factory, data, width, line_break):
+        group_at = data.draw(st.integers(0, width - 1), label="group_at")
+        header = [f"f{j}" for j in range(width)]
+        header[group_at] = "group"
+        lines = [",".join(header)]
+        # half the files hold only blank lines and rows both readers take
+        clean = data.draw(st.booleans(), label="clean")
+        kinds = ["row"] * 6 + ["blank"] + ([] if clean else ["short", "long", "space"])
+        values = _CLEAN_VALUES if clean else _VALUES
+        for _ in range(data.draw(st.integers(0, 8), label="rows")):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "blank":
+                lines.append("")
+            elif kind == "space":
+                lines.append(" " * data.draw(st.integers(1, 3)))
+            else:
+                size = width + {"row": 0, "short": -1, "long": 1}[kind]
+                fields = [data.draw(values) for _ in range(size)]
+                if group_at < size:
+                    label = data.draw(_LABELS)
+                    fields[group_at] = _quoted(label) if (
+                        set(label) & set(',"\r\n') or data.draw(st.booleans())) else label
+                lines.append(",".join(fields))
+        text = line_break.join(lines) + data.draw(st.sampled_from([line_break, ""]))
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode())
+        fast, slow, returned = _load_both_ways(path)
+        assert fast == slow
+        # the numpy pass runs once per load, and gives up where the csv
+        # loop raises
+        assert len(returned) == 1
+        event("numpy pass read the file" if returned[0] is not None else "csv loop ran")
+        if slow[0] == "error":
+            assert returned == [None]
+
+    @pytest.mark.parametrize("text", [
+        'a,group,b\r\n1,"x,y",2\r\n\r\n3,"say ""hi""",4\r\n5,"x,y",6\r\n',
+        "group,a\r7,1.5\r8,2.5\r7,4.9e-324\r",
+        'x,group\n1,"two\nlines"\n2,b\n',
+        "x,group\n" + "\n".join(f"{v!r},g{i % 3}" for i, v in enumerate([0.1, -2e-308, 1e300])),
+    ], ids=["crlf_quoted", "cr_group_first", "quoted_newline", "interleaved"])
+    def test_numpy_pass_reads_clean_files(self, tmp_path, text):
+        path = tmp_path / "clean.csv"
+        path.write_bytes(text.encode())
+        fast, slow, returned = _load_both_ways(path)
+        assert fast == slow
+        assert fast[0] == "data"
+        assert returned[0] is not None
+
+    @pytest.mark.parametrize("raw", [
+        b"x,y,group\n1,2,a\n3,a\n",           # short row
+        b"x,y,group\n1,2,a\n3,4,a,5\n",       # long row
+        b"x,group\n1,a,2\n3,b,4\n",           # every row long
+        # not text, past the block the header is decoded from
+        b"x,group\n" + b"1,a\n" * 4096 + b"\xff\xfe,b\n",
+        b"x,group\n1_0,a\n2,b\n",             # float reads 1_0, numpy does not
+        "x,group\n١,a\n2,b\n".encode(),  # non-ASCII digits
+        b"x,group\n\x1c1,a\n",                # numpy strips U+001C, float does not
+        b"x,group\n1,a\nnan,b\n",             # non-finite
+    ], ids=["short", "long", "all_long", "decode", "underscore", "arabic_indic",
+            "separator", "nan"])
+    def test_numpy_pass_gives_up_where_it_must(self, tmp_path, raw):
+        path = tmp_path / "fallback.csv"
+        path.write_bytes(raw)
+        fast, slow, returned = _load_both_ways(path)
+        assert fast == slow
+        assert returned == [None]
+
+    def test_underscore_values_load_through_the_csv_loop(self, tmp_path):
+        path = tmp_path / "underscore.csv"
+        path.write_text("x,group\n1_0,a\n٢,b\n")
+        data = load_csv_grouped(path)
+        np.testing.assert_array_equal(data.X, [[10.0, 2.0]])
+
+    def test_multi_line_header_skips_the_numpy_pass(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text('"x\ny",group\n1,a\n2,b\n')
+        fast, slow, returned = _load_both_ways(path)
+        assert fast == slow
+        assert fast[0] == "data"
+        assert returned == []
+
+    @pytest.mark.parametrize("text", ["x,group\n", "x,group", "x,group\n\n\r\n"])
+    def test_header_only_file_raises_without_a_warning(self, tmp_path, text):
+        # the suite turns warnings into errors, so numpy's warning on input
+        # without rows would fail this test
+        path = tmp_path / "header_only.csv"
+        path.write_bytes(text.encode())
+        fast, slow, returned = _load_both_ways(path)
+        assert fast == slow == ("error", f"{path}: no data rows")
+        assert returned == [None]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_unseekable_input_goes_through_the_csv_loop(self, tmp_path):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("x,group\n1,a\n2,b\n",),
+                                  daemon=True)
+        writer.start()
+        spy = _NumpyPassSpy()
+        with mock.patch.object(data_module, "_load_rows_numpy", spy):
+            data = load_csv_grouped(path)
+        writer.join()
+        np.testing.assert_array_equal(data.X, [[1.0, 2.0]])
+        assert spy.returned == []
 
 
 class TestMeta:
