@@ -6,19 +6,19 @@ sample to a demographic group.  Rows become sample columns of the (d, N)
 matrix, re-ordered so each group occupies one contiguous block (groups keep
 first-appearance order, samples keep file order within their group).
 
-load_csv_grouped follows the csv module's quoting rules and skips blank
-lines, which do not count as rows.  It reads the header with csv.reader,
-then parses the data rows in one pass of numpy's C reader (np.loadtxt),
-which reads each value with the routine Python's float uses, so every value
-rounds exactly as float rounds it.  Its csv loop, which parses each value
-with float, runs instead where that pass gives up: the header spans lines,
-the file cannot be rewound, no data row follows the header, numpy refuses
-a row or value, or a value is not finite.  That loop is the only source of
-the DataError row reports, and both give the same dataset, bit for bit.
-Neither keeps a Python object per value: a load holds one table of about 8
-bytes per value (numpy's holds the group ids as one more column), plus the
-one copy the dataset keeps in sample-column order, plus one more to gather
-the rows of groups that are not each consecutive in the file.
+load_csv_grouped follows the csv module's quoting rules, loads fields of
+any length and skips blank lines, which do not count as rows.  It reads the
+header with csv.reader, then parses the data rows in one pass of numpy's C
+reader (np.loadtxt), which reads each value with the routine Python's float
+uses, so every value rounds exactly as float rounds it.  Its csv loop,
+which parses each value with float, reads the rows instead where the file
+cannot be rewound (a pipe), no data row follows the header, or numpy
+refuses the text.  Both give one table, N x (d + 1) doubles with each
+row's group id in the group column and NaNs in a bad row, and the same
+code reports its bad rows and builds the dataset from it, so both give the
+same dataset, bit for bit, or the same DataError.  A load holds that table,
+plus the one copy the dataset keeps in sample-column order, plus one more
+to gather the rows of groups that are not each consecutive in the file.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import sys
 import warnings
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -129,33 +130,22 @@ def _text_lines(handle: Iterable[str], path) -> Iterator[str]:
 def _numpy_lines(lines: Iterable[str]) -> Iterator[str]:
     """lines, raising ValueError at one that holds a character from U+001C
     to U+001F: numpy strips these from around a number, where float refuses
-    it.  The four substring tests did not measurably slow the numpy pass on
-    the blocks-compare benchmark's CSV."""
+    it."""
     for line in lines:
         if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
             raise ValueError("an information separator, U+001C to U+001F")
         yield line
 
 
-def _load_rows_numpy(handle: Iterator[str], width: int, group_at: int,
-                     name: str) -> GroupedDataset | None:
-    """The data rows after the header, parsed in one pass of numpy's C
-    reader into the dataset load_csv_grouped's csv loop would build, or None
-    where that loop must run instead:
-
-    - numpy refuses a row or value: a decode error, a short or long row, or
-      a value float may accept, such as 1_0 or non-ASCII digits;
-    - a line holds U+001C to U+001F (see _numpy_lines);
-    - no data row follows the header, where numpy would warn;
-    - the rows are not as wide as the header, or a value is not finite,
-      since only the csv loop reports bad rows.
-
-    numpy parses each value with the routine Python's float uses, so it
-    rounds the same, and splits quoted fields and skips blank lines as the
-    csv module does.  One converter maps the group field to ids in
-    first-appearance order, so the table is N x width doubles with the ids
-    in the group column.
-    """
+def _load_rows_numpy(handle: Iterator[str], width: int,
+                     group_at: int) -> tuple[np.ndarray, dict[str, int]] | None:
+    """The data rows after the header as _load_rows_csv's table and ids,
+    parsed in one pass of numpy's C reader, which splits quoted fields,
+    skips blank lines and rounds each value as the csv module and float do.
+    None where numpy refuses the text (a decode error, a short or long row,
+    a value only float reads, such as 1_0 or non-ASCII digits, or a line
+    with U+001C to U+001F), no data row follows the header, where numpy
+    would warn, or the table is not as wide as the header."""
     # a line that is more than its line break is a row to csv, and to numpy
     # a row or an error
     for line in handle:
@@ -171,20 +161,29 @@ def _load_rows_numpy(handle: Iterator[str], width: int, group_at: int,
             converters={group_at: lambda label: ids.setdefault(label, len(ids))})
     except ValueError:
         return None
-    if table.shape[1] != width or not np.isfinite(table).all():
-        return None
-    codes = table[:, group_at].astype(np.intp)
-    # drop the group column in place, one column at a time, so the table
-    # stays the only copy of the data until the dataset makes X
-    for j in range(group_at, width - 1):
-        table[:, j] = table[:, j + 1]
-    rows = table[:, :width - 1]
-    # a stable sort of the ids is the csv loop's gather: groups in
-    # first-appearance order, file order within each
-    if (codes[1:] < codes[:-1]).any():
-        rows = rows[np.argsort(codes, kind="stable")]
-    sizes = tuple(np.bincount(codes).tolist())
-    return GroupedDataset(rows.T, sizes, labels=tuple(ids), name=name)
+    return (table, ids) if table.shape[1] == width else None
+
+
+def _load_rows_csv(rows: Iterable[list[str]], width: int,
+                   group_at: int) -> tuple[np.ndarray, dict[str, int]]:
+    """The data rows as an N x width table of floats, with each row's group
+    id in the group column, and the ids by label in first-appearance order.
+    Data row i (blank lines skipped and not counted) is row i of the table;
+    a row float cannot read, or one not as wide as the header, is NaNs."""
+    values = array("d")
+    bad_row = array("d", [np.nan]) * width
+    ids: dict[str, int] = {}
+    for i, row in enumerate(filter(None, rows)):
+        if len(row) == width:
+            row[group_at] = ids.setdefault(row[group_at], len(ids))
+            try:
+                values.extend(map(float, row))
+            except ValueError:
+                del values[i * width:]
+            else:
+                continue
+        values.extend(bad_row)
+    return np.frombuffer(values).reshape(-1, width), ids
 
 
 def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
@@ -194,66 +193,60 @@ def load_csv_grouped(path, group_column: str = "group") -> GroupedDataset:
     the group column is missing, a row has more or fewer values than the
     header, any feature value is absent or non-numeric or non-finite
     (reporting the offending rows), or the table has no samples or no
-    feature columns.
+    feature columns.  Fields of any length load: the csv module's field
+    size limit, which is process-wide, is lifted for the call and restored
+    after it.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(_text_lines(handle, path))
-        columns = next(reader, None)
-        if columns is None:
-            raise DataError(f"{path}: empty file, expected a CSV header")
-        repeated = sorted(c for c, count in Counter(columns).items() if count > 1)
-        if repeated:
-            raise DataError(f"{path}: the header repeats column name(s) {repeated}")
-        if group_column not in columns:
-            raise DataError(
-                f"{path}: missing group column {group_column!r}; columns are {columns}"
-            )
-        width, d = len(columns), len(columns) - 1
-        if d == 0:
-            raise DataError(f"{path}: no feature columns besides {group_column!r}")
-        group_at = columns.index(group_column)
-        # The numpy pass runs only on a one-line header and a handle that
-        # can be rewound: where it gives up, the csv loop reads the rows
-        # again through the same reader, which reads on from the handle's
-        # position
-        if reader.line_num == 1 and handle.seekable():
-            data = _load_rows_numpy(handle, width, group_at, Path(path).stem)
-            if data is not None:
-                return data
-            handle.seek(0)
-            next(reader)
-        # Data row i (blank lines skipped and not counted) fills
-        # values[i * d:(i + 1) * d]; a bad row is stored as NaNs, so the
-        # finite test below finds it with the non-finite ones.
-        values = array("d")
-        bad_row = array("d", [np.nan]) * d
-        members: defaultdict[str, list[int]] = defaultdict(list)
-        for i, row in enumerate(filter(None, reader)):
-            if len(row) == width:
-                key = row.pop(group_at)
-                try:
-                    values.extend(map(float, row))
-                except ValueError:
-                    del values[i * d:]
-                else:
-                    members[key].append(i)
-                    continue
-            values.extend(bad_row)
-    rows = np.frombuffer(values).reshape(-1, d)
-    bad_rows = (np.flatnonzero(~np.isfinite(rows).all(axis=1)) + 1).tolist()
-    if bad_rows:
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(_text_lines(handle, path))
+            columns = next(reader, None)
+            if columns is None:
+                raise DataError(f"{path}: empty file, expected a CSV header")
+            repeated = sorted(c for c, count in Counter(columns).items() if count > 1)
+            if repeated:
+                raise DataError(f"{path}: the header repeats column name(s) {repeated}")
+            if group_column not in columns:
+                raise DataError(
+                    f"{path}: missing group column {group_column!r}; columns are {columns}"
+                )
+            width = len(columns)
+            if width == 1:
+                raise DataError(f"{path}: no feature columns besides {group_column!r}")
+            group_at = columns.index(group_column)
+            # The numpy pass needs a handle that can be rewound: where it
+            # gives up, the csv loop reads the rows again through the same
+            # reader, which reads on from the handle's position
+            loaded = None
+            if handle.seekable():
+                loaded = _load_rows_numpy(handle, width, group_at)
+                if loaded is None:
+                    handle.seek(0)
+                    next(reader)
+            table, ids = loaded or _load_rows_csv(reader, width, group_at)
+    finally:
+        csv.field_size_limit(limit)
+    # Both readers end here.  A row that is not all finite is a bad row.
+    if not np.isfinite(table).all():
+        bad_rows = (np.flatnonzero(~np.isfinite(table).all(axis=1)) + 1).tolist()
         shown = ", ".join(str(r) for r in bad_rows[:10])
         suffix = "" if len(bad_rows) <= 10 else f" (+{len(bad_rows) - 10} more)"
         raise DataError(f"{path}: non-numeric, missing or extra values in rows {shown}{suffix}")
-    if not members:
+    if not len(table):
         raise DataError(f"{path}: no data rows")
-    # Groups in first-appearance order.  When each group's rows are already
-    # consecutive that is file order and the gather is skipped, so the
-    # dataset's C-order X is the only copy of the buffer.
-    if any(idx[-1] - idx[0] >= len(idx) for idx in members.values()):
-        rows = rows[np.concatenate([*members.values()])]
-    sizes = tuple(map(len, members.values()))
-    return GroupedDataset(rows.T, sizes, labels=tuple(members), name=Path(path).stem)
+    codes = table[:, group_at].astype(np.intp)
+    # drop the group column in place, one column at a time, so the table
+    # stays the only copy of the data until the dataset makes X
+    for j in range(group_at, table.shape[1] - 1):
+        table[:, j] = table[:, j + 1]
+    rows = table[:, :-1]
+    # a stable sort of the ids gathers the groups in first-appearance order,
+    # file order within each, where some group's rows are not consecutive
+    if (codes[1:] < codes[:-1]).any():
+        rows = rows[np.argsort(codes, kind="stable")]
+    sizes = tuple(np.bincount(codes).tolist())
+    return GroupedDataset(rows.T, sizes, labels=tuple(ids), name=Path(path).stem)
 
 
 def dataset_csv_text(data: GroupedDataset) -> str:

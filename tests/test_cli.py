@@ -772,6 +772,25 @@ class TestTopLevel:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("report_*.json"))
 
+    @pytest.mark.parametrize("text, data, code", [
+        ("L" * 140_000 + ",group\n1,a\n", "long.csv", 0),
+        ("x,group\n1," + "L" * 140_000 + "\noops,b\n", "long.csv", 2),
+        ("x,group\n1," + "L" * 140_000 + "\n", "/dev/stdin", 0),
+    ], ids=["long_header", "long_label_then_bad_row", "long_label_through_stdin"])
+    def test_fields_past_the_default_csv_limit(self, tmp_path, text, data, code):
+        # 140 000 characters is past the csv module's default field limit; a
+        # subprocess, so that /dev/stdin is a pipe
+        (tmp_path / "long.csv").write_text(text)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairpca.cli", *map(str, self.SOLVE), "--data", data,
+             "--out", "run.json"],
+            cwd=tmp_path, env=env, input=text, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert proc.stderr == ("" if code == 0 else
+                               "data error: long.csv: non-numeric, missing or extra values "
+                               "in rows 2\n")
+
     def test_args_file_strips_lines_and_skips_blank_ones(self, tmp_path):
         (tmp_path / "run.args").write_text("\n  --eps=0.5  \n\n   \n--max-iters\n 40\n")
         assert run(["solve", "arpgda", "--gen", "gaussian:d=4,n=4,seed=0", "--r", 1,

@@ -1,5 +1,7 @@
 """Dataset generators, CSV ingestion, metadata, and preprocessing."""
 
+import contextlib
+import csv
 import json
 import os
 import re
@@ -27,7 +29,7 @@ from fairpca import (
     preprocess,
     random_stiefel,
 )
-from fairpca.data import _load_rows_numpy
+from fairpca.data import _load_rows_csv
 
 
 class TestGenerators:
@@ -238,17 +240,10 @@ class TestCsvRoundtrip:
             load_csv_grouped(header_only)
 
 
-class _NumpyPassSpy:
-    """Stands in for data._load_rows_numpy and records what each call
-    returned: a dataset, or None where the csv loop had to run."""
-
-    def __init__(self):
-        self.returned = []
-
-    def __call__(self, *args):
-        result = _load_rows_numpy(*args)
-        self.returned.append(result)
-        return result
+def _csv_loop_spy():
+    """Patches data._load_rows_csv with a mock that wraps it, so the mock's
+    call_count says how many times the csv loop ran."""
+    return mock.patch.object(data_module, "_load_rows_csv", wraps=_load_rows_csv)
 
 
 def _outcome(path):
@@ -263,14 +258,25 @@ def _outcome(path):
 
 
 def _load_both_ways(path):
-    """(outcome with the numpy pass, outcome of the csv loop alone, what the
-    numpy pass returned on each call)."""
-    spy = _NumpyPassSpy()
-    with mock.patch.object(data_module, "_load_rows_numpy", spy):
+    """(outcome with the numpy pass, outcome of the csv loop alone, how many
+    times the csv loop ran in the first)."""
+    with _csv_loop_spy() as spy:
         fast = _outcome(path)
     with mock.patch.object(data_module, "_load_rows_numpy", lambda *args: None):
         slow = _outcome(path)
-    return fast, slow, spy.returned
+    return fast, slow, spy.call_count
+
+
+def _load_through_a_pipe(path, text):
+    """(the dataset load_csv_grouped reads from a named pipe at path fed
+    text, how many times the csv loop ran)."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    with _csv_loop_spy() as spy:
+        data = load_csv_grouped(path)
+    writer.join()
+    return data, spy.call_count
 
 
 # Feature values both readers take: round-trip reprs, integers, long digit
@@ -287,6 +293,8 @@ _VALUES = st.one_of(_CLEAN_VALUES, st.sampled_from([
     "nan", "inf", "-Infinity", "1e999", "-1e999", "1_0", "0x1p3", "١", "\x1c4", "5\x1f",
     "", "1e", "--1", "oops"]))
 _LABELS = st.sampled_from(["a", "b", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", " a", "", "7"])
+# One field past the csv module's default field size limit, 131 072.
+_LONG = "L" * 140_000
 
 
 def _quoted(label):
@@ -295,8 +303,8 @@ def _quoted(label):
 
 class TestCsvNumpyPass:
     """load_csv_grouped parses the data rows with numpy's reader and runs its
-    csv loop where that pass gives up; both must give the same dataset, bit
-    for bit, or the same DataError message."""
+    csv loop only where that pass is skipped or gives up; both must give the
+    same dataset, bit for bit, or the same DataError message."""
 
     @settings(max_examples=300)
     @given(data=st.data(), width=st.integers(2, 4),
@@ -327,28 +335,27 @@ class TestCsvNumpyPass:
         text = line_break.join(lines) + data.draw(st.sampled_from([line_break, ""]))
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_bytes(text.encode())
-        fast, slow, returned = _load_both_ways(path)
+        fast, slow, loop_runs = _load_both_ways(path)
         assert fast == slow
-        # the numpy pass runs once per load, and gives up where the csv
-        # loop raises
-        assert len(returned) == 1
-        event("numpy pass read the file" if returned[0] is not None else "csv loop ran")
-        if slow[0] == "error":
-            assert returned == [None]
+        assert loop_runs <= 1
+        event("csv loop ran" if loop_runs else "numpy pass read the file")
+        if fast[0] == "error":
+            event("error reported from the " + ("csv loop" if loop_runs else "numpy table"))
 
     @pytest.mark.parametrize("text", [
         'a,group,b\r\n1,"x,y",2\r\n\r\n3,"say ""hi""",4\r\n5,"x,y",6\r\n',
         "group,a\r7,1.5\r8,2.5\r7,4.9e-324\r",
         'x,group\n1,"two\nlines"\n2,b\n',
         "x,group\n" + "\n".join(f"{v!r},g{i % 3}" for i, v in enumerate([0.1, -2e-308, 1e300])),
-    ], ids=["crlf_quoted", "cr_group_first", "quoted_newline", "interleaved"])
+        f"{_LONG},group\n1,a\n",
+    ], ids=["crlf_quoted", "cr_group_first", "quoted_newline", "interleaved", "long_header"])
     def test_numpy_pass_reads_clean_files(self, tmp_path, text):
         path = tmp_path / "clean.csv"
         path.write_bytes(text.encode())
-        fast, slow, returned = _load_both_ways(path)
+        fast, slow, loop_runs = _load_both_ways(path)
         assert fast == slow
         assert fast[0] == "data"
-        assert returned[0] is not None
+        assert loop_runs == 0
 
     @pytest.mark.parametrize("raw", [
         b"x,y,group\n1,2,a\n3,a\n",           # short row
@@ -359,15 +366,29 @@ class TestCsvNumpyPass:
         b"x,group\n1_0,a\n2,b\n",             # float reads 1_0, numpy does not
         "x,group\n١,a\n2,b\n".encode(),  # non-ASCII digits
         b"x,group\n\x1c1,a\n",                # numpy strips U+001C, float does not
-        b"x,group\n1,a\nnan,b\n",             # non-finite
+        f"x,group\n1,{_LONG}\noops,b\n".encode(),  # a long field read by the csv loop
     ], ids=["short", "long", "all_long", "decode", "underscore", "arabic_indic",
-            "separator", "nan"])
+            "separator", "long_label_then_bad_row"])
     def test_numpy_pass_gives_up_where_it_must(self, tmp_path, raw):
         path = tmp_path / "fallback.csv"
         path.write_bytes(raw)
-        fast, slow, returned = _load_both_ways(path)
+        fast, slow, loop_runs = _load_both_ways(path)
         assert fast == slow
-        assert returned == [None]
+        assert loop_runs == 1
+
+    @pytest.mark.parametrize("text, rows", [
+        ("x,group\n1,a\nnan,b\n", "2"),
+        ("x,y,group\n1,inf,a\n2,3,b\n-inf,4,a\n", "1, 3"),
+        ("group,x\na,1e999\n\nb,1\n", "1"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_numpy_pass_reports_non_finite_values(self, tmp_path, text, rows):
+        # the file is read once: the report comes from numpy's table
+        path = tmp_path / "non_finite.csv"
+        path.write_text(text)
+        fast, slow, loop_runs = _load_both_ways(path)
+        assert fast == slow == (
+            "error", f"{path}: non-numeric, missing or extra values in rows {rows}")
+        assert loop_runs == 0
 
     def test_underscore_values_load_through_the_csv_loop(self, tmp_path):
         path = tmp_path / "underscore.csv"
@@ -375,13 +396,14 @@ class TestCsvNumpyPass:
         data = load_csv_grouped(path)
         np.testing.assert_array_equal(data.X, [[10.0, 2.0]])
 
-    def test_multi_line_header_skips_the_numpy_pass(self, tmp_path):
+    @pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_multi_line_header_takes_the_numpy_pass(self, tmp_path, line_break):
         path = tmp_path / "header.csv"
-        path.write_text('"x\ny",group\n1,a\n2,b\n')
-        fast, slow, returned = _load_both_ways(path)
+        path.write_bytes(line_break.join(['"x', 'y",group', "1,a", "2,b", ""]).encode())
+        fast, slow, loop_runs = _load_both_ways(path)
         assert fast == slow
         assert fast[0] == "data"
-        assert returned == []
+        assert loop_runs == 0
 
     @pytest.mark.parametrize("text", ["x,group\n", "x,group", "x,group\n\n\r\n"])
     def test_header_only_file_raises_without_a_warning(self, tmp_path, text):
@@ -389,23 +411,35 @@ class TestCsvNumpyPass:
         # without rows would fail this test
         path = tmp_path / "header_only.csv"
         path.write_bytes(text.encode())
-        fast, slow, returned = _load_both_ways(path)
+        fast, slow, loop_runs = _load_both_ways(path)
         assert fast == slow == ("error", f"{path}: no data rows")
-        assert returned == [None]
+        assert loop_runs == 1
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_unseekable_input_goes_through_the_csv_loop(self, tmp_path):
-        path = tmp_path / "pipe.csv"
-        os.mkfifo(path)
-        writer = threading.Thread(target=path.write_text, args=("x,group\n1,a\n2,b\n",),
-                                  daemon=True)
-        writer.start()
-        spy = _NumpyPassSpy()
-        with mock.patch.object(data_module, "_load_rows_numpy", spy):
-            data = load_csv_grouped(path)
-        writer.join()
+        data, loop_runs = _load_through_a_pipe(tmp_path / "pipe.csv", "x,group\n1,a\n2,b\n")
         np.testing.assert_array_equal(data.X, [[1.0, 2.0]])
-        assert spy.returned == []
+        assert loop_runs == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_field_past_the_default_csv_limit_through_a_pipe(self, tmp_path):
+        data, loop_runs = _load_through_a_pipe(tmp_path / "pipe.csv", f"x,group\n1,{_LONG}\n")
+        assert data.labels == (_LONG,)
+        np.testing.assert_array_equal(data.X, [[1.0]])
+        assert loop_runs == 1
+
+    @pytest.mark.parametrize("text", ["x,group\n1,a\n", "x,group\noops,a\n", "x,y\n1,2\n", ""],
+                             ids=["loads", "bad_row", "no_group_column", "empty"])
+    def test_field_size_limit_is_restored(self, tmp_path, text):
+        path = tmp_path / "limit.csv"
+        path.write_text(text)
+        before = csv.field_size_limit(12_345)
+        try:
+            with contextlib.suppress(DataError):
+                load_csv_grouped(path)
+            assert csv.field_size_limit() == 12_345
+        finally:
+            csv.field_size_limit(before)
 
 
 class TestMeta:

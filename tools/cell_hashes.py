@@ -27,7 +27,9 @@ and the hash.  The hash covers U, y, phi, E, iterations, converged,
 max_orth_error, max_simplex_error, the violations and the trace rows
 without their wall time ms.  A cell that raises prints the exception
 instead.  BLAS is pinned to one thread, as in the benchmark; seed 0 takes
-about 20 s.
+about 20 s.  Identical hashes are promised only at a fixed BLAS thread
+count: a product's summation order can depend on the thread count, and U
+has been seen to differ between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
