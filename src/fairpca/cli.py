@@ -601,8 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _show_warning(message: Warning | str, *_: Any) -> None:
-    """Show a warning as the one stderr line 'warning: <message>'."""
-    print(f"warning: {message}", file=sys.stderr)
+    """Show a warning as the one stderr line 'warning: <message>', in one
+    write and flushed: compare's workers share stderr, and print's separate
+    write of the line end lets another worker's line fall in between."""
+    sys.stderr.write(f"warning: {message}\n")
+    sys.stderr.flush()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

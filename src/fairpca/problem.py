@@ -221,13 +221,20 @@ class GroupedDataset:
         return norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothnessConstants:
     """Constants certifying the smoothness of f(., y) and the y-Lipschitz
-    continuity of its Riemannian gradient."""
+    continuity of its Riemannian gradient.
+
+    tops holds each group's top eigenvalue t_i = ||C_i||_2 = ||X_i||_2^2,
+    shape (n,), read-only; L1 = 2 max_i t_i, and solve_arpgda steps with
+    2 sum_i y_i t_i at its current weights.  Equality goes by identity, as
+    tops is an array.
+    """
 
     L1: float
     L2: float
+    tops: np.ndarray
 
 
 def _check_weights_size(data: GroupedDataset, y: np.ndarray) -> np.ndarray:
@@ -341,15 +348,17 @@ def _ky_fan_sum(M: np.ndarray, r: int) -> float:
 
 
 def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
-    """Compute L1 = 2 max_i ||X_i X_i^T||_2 and
+    """Compute each group's top eigenvalue t_i = ||C_i||_2 = ||X_i||_2^2,
+    L1 = 2 max_i t_i and
 
         L2 = 2 sqrt(min(kyfan_r(sum_i C_i^2), max_i <C_i, X X^T>)),
 
     with C_i = X_i X_i^T, and L2 = 0 for a single group.
 
-    L1 bounds the smoothness of f(., y) through the polar retraction for any
-    simplex y; L2 bounds ||grad_U f(U, y) - grad_U f(U, y')|| / ||y - y'||
-    for simplex y, y'.
+    2 sum_i y_i t_i bounds the smoothness of f(., y) through the polar
+    retraction (see solve_arpgda), and L1, its largest value on the
+    simplex, bounds it for any simplex y; L2 bounds
+    ||grad_U f(U, y) - grad_U f(U, y')|| / ||y - y'|| for simplex y, y'.
 
     Proof sketch for the second term.  With delta = y - y', the gradient
     difference is P_T(-2 sum_i delta_i C_i U), where P_T, the tangent
@@ -365,9 +374,10 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
 
     The quantities follow data.evaluation_form.  In covariance form
     (n d <= N) they come from the cached stack of C_i in O(n d^3):
-    ||C_i||_2 from a stacked eigvalsh, sum_i C_i^2, and <C_i, sum_j C_j>.
+    the t_i from a stacked eigvalsh, sum_i C_i^2, and <C_i, sum_j C_j>.
     In sample form (n d > N) they come from X in O(N d^2): singleton groups
-    in one pass, any larger group through its Gram X_i^T X_i and an SVD.
+    in one pass, where t_i = ||x_i||^2, any larger group through its Gram
+    X_i^T X_i and an SVD.
 
     Raises NumericalError, naming the largest sample norm, when the bound
     overflows, which happens for data of norm near 1e38 or more; in
@@ -382,9 +392,9 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
         if data.evaluation_form == "covariance":
             C = data.covariances
             n, d, _ = C.shape
-            top = float(np.linalg.eigvalsh(C)[:, -1].max())
+            tops = np.linalg.eigvalsh(C)[:, -1]
             if n == 1:
-                return SmoothnessConstants(L1=2.0 * top, L2=0.0)
+                return _constants(tops, 0.0)
             # sum_i C_i C_i as one (d, n d) @ (n d, d) product
             M = C.transpose(1, 0, 2).reshape(d, n * d) @ C.reshape(n * d, d)
             row_sums = C.reshape(n, d * d) @ C.sum(axis=0).ravel()
@@ -392,18 +402,20 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
             X = data.X
             if data.num_groups == 1:
                 sigma = float(np.linalg.norm(X, 2))
-                return SmoothnessConstants(L1=2.0 * sigma * sigma, L2=0.0)
+                return _constants(np.array([sigma * sigma]), 0.0)
             sizes = data.sizes_array
             # Singleton groups in one pass: ||x x^T||_2 = ||x||^2 and
             # (x x^T)^2 = ||x||^2 x x^T.
-            Xs = X[:, np.repeat(sizes == 1, sizes)]
+            single = sizes == 1
+            Xs = X[:, np.repeat(single, sizes)]
             sq = np.einsum("ij,ij->j", Xs, Xs)
-            top = float(sq.max(initial=0.0))
+            tops = np.empty(data.num_groups)
+            tops[single] = sq
             M = (Xs * sq) @ Xs.T
-            for i in np.flatnonzero(sizes > 1):
+            for i in np.flatnonzero(~single):
                 Xi = X[:, data._slice(i)]
                 sigma = float(np.linalg.norm(Xi, 2))
-                top = max(top, sigma * sigma)
+                tops[i] = sigma * sigma
                 # (X_i X_i^T)^2 accumulated as X_i (X_i^T X_i) X_i^T
                 M += Xi @ ((Xi.T @ Xi) @ Xi.T)
             # sum_j K_ij = sum_{a in group i} x_a^T (X X^T) x_a
@@ -414,7 +426,13 @@ def smoothness_constants(data: GroupedDataset, r: int) -> SmoothnessConstants:
                 f"{float(data.sample_norms().max()):.3e}"
             )
     bound = min(_ky_fan_sum(M, r), float(row_sums.max()))
-    return SmoothnessConstants(L1=2.0 * top, L2=2.0 * float(np.sqrt(max(bound, 0.0))))
+    return _constants(tops, 2.0 * float(np.sqrt(max(bound, 0.0))))
+
+
+def _constants(tops: np.ndarray, L2: float) -> SmoothnessConstants:
+    # freezes the group tops and takes L1 = 2 max_i t_i from them
+    tops.setflags(write=False)
+    return SmoothnessConstants(L1=2.0 * float(tops.max()), L2=L2, tops=tops)
 
 
 def dist_to_subgradient(

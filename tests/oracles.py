@@ -182,7 +182,8 @@ def polar_retract_by_eigh(U, D):
 def arpgda_schedule_by_hand(epsilon, mu, rho, theta, L1, L2, k):
     """The paper's step-size rule at the 1-based step k: lambda = epsilon /
     (8 R^2) with R = 1 on the simplex, beta_k = mu k^-rho and
-    zeta_k = theta / (L1 + L2^2 / (lambda + beta_k + beta_{k+1}))."""
+    zeta_k = theta / (L1 + L2^2 / (lambda + beta_k + beta_{k+1})), with L1
+    the smoothness constant the step takes (step_smoothness_by_svd)."""
     lam = epsilon / 8.0
     beta_k = mu * k ** -rho
     beta_next = mu * (k + 1) ** -rho
@@ -234,17 +235,35 @@ def _group_blocks(X, group_sizes):
     return blocks
 
 
+def group_tops_by_svd(X, group_sizes):
+    """Each group's top eigenvalue ||X_i X_i^T||_2 = ||X_i||_2^2, from the
+    largest singular value of X_i."""
+    return np.array([float(np.linalg.svd(block, compute_uv=False)[0]) ** 2
+                     for block in _group_blocks(X, group_sizes)])
+
+
+def step_smoothness_by_svd(X, group_sizes, y, L1):
+    """The U-step's smoothness constant at the weights y:
+    min(L1, 2 sum_i y_i ||X_i||_2^2), one group at a time."""
+    return min(L1, 2.0 * float(np.dot(y, group_tops_by_svd(X, group_sizes))))
+
+
+def weighted_top_eigenvalue(X, group_sizes, y):
+    """lambda_max(sum_i y_i X_i X_i^T), the exact smoothness of f(., y)
+    over 2, from a dense eigvalsh of the weighted sum."""
+    A = sum(w * (block @ block.T) for w, block in zip(y, _group_blocks(X, group_sizes)))
+    return float(np.linalg.eigvalsh(A)[-1])
+
+
 def smoothness_constants_by_loops(X, group_sizes, r):
     """L1 = 2 max_i ||X_i||_2^2 and the Ky Fan bound
     2 sqrt(kyfan_r(sum_i (X_i X_i^T)^2)), one group at a time."""
     d = X.shape[0]
-    top = 0.0
     M = np.zeros((d, d))
     for block in _group_blocks(X, group_sizes):
-        sigma = np.linalg.svd(block, compute_uv=False)[0]
-        top = max(top, float(sigma) ** 2)
         C = block @ block.T
         M += C @ C
+    top = float(group_tops_by_svd(X, group_sizes).max())
     return 2.0 * top, 2.0 * math.sqrt(ky_fan_via_svd(M, r))
 
 

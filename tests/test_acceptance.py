@@ -240,12 +240,14 @@ def test_criterion_6_oracle_equivalences(capsys):
     params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, max_iters=1, seed=11)
     res = solve_arpgda(data, 1, params)
     constants = smoothness_constants(data, 1)
+    y_0 = uniform_weights(data.num_groups)
+    # the step's smoothness constant at its weights, from per-group SVDs
+    L1_1 = oracles.step_smoothness_by_svd(data.X, data.group_sizes, y_0, constants.L1)
     lam, beta_1, zeta_1 = oracles.arpgda_schedule_by_hand(
-        params.epsilon, params.mu, params.rho, params.theta,
-        constants.L1, constants.L2, 1)
+        params.epsilon, params.mu, params.rho, params.theta, L1_1, constants.L2, 1)
     U_hand, y_hand = oracles.arpgda_step_by_hand(
         data.X, data.group_sizes, random_stiefel(data.d, 1, params.seed),
-        uniform_weights(data.num_groups), lam=lam, beta_k=beta_1, zeta_k=zeta_1)
+        y_0, lam=lam, beta_k=beta_1, zeta_k=zeta_1)
     arpgda_diff = max(float(np.abs(res.U - U_hand).max()),
                       float(np.abs(res.y - y_hand).max()))
 

@@ -145,14 +145,19 @@ class TestParams:
 
 
 def constants_patch(monkeypatch, L1, L2):
-    """Make solve_arpgda use the given smoothness constants."""
-    monkeypatch.setattr(arpgda_module, "smoothness_constants",
-                        lambda data, r: SmoothnessConstants(L1=L1, L2=L2))
+    """Make solve_arpgda use the given smoothness constants, with the data's
+    own group tops: a patched L1 caps every step's L1(y_k)."""
+    monkeypatch.setattr(arpgda_module, "smoothness_constants", lambda data, r: SmoothnessConstants(
+        L1=L1, L2=L2, tops=smoothness_constants(data, r).tops))
 
 
 class TestSchedules:
     def test_fixed_values(self, monkeypatch):
-        # valid bounds for this data, so the two steps record no violation
+        # valid bounds for this data, so the two steps record no violation.
+        # The group tops are 0.1 and 0.2, so the patched L1 = 2.0 does not
+        # bind: L1(y_1) = 0.3 at uniform weights.  The zetas are those of
+        # two oracle steps, oracles.arpgda_step_by_hand with
+        # oracles.step_smoothness_by_svd, from the seeded start.
         constants_patch(monkeypatch, L1=2.0, L2=3.0)
         data = GroupedDataset(X=np.array([[0.3, -0.2], [0.1, 0.4]]), group_sizes=(1, 1))
         params = ARPGDAParams(epsilon=0.008, mu=7.0, rho=1.1, theta=1.5, max_iters=2)
@@ -161,18 +166,20 @@ class TestSchedules:
         assert first["lambda"] == second["lambda"] == pytest.approx(0.001, rel=1e-15)
         assert first["beta"] == pytest.approx(7.0, rel=1e-15)
         assert second["beta"] == pytest.approx(3.265615470378826, rel=1e-13)
-        assert first["zeta"] == pytest.approx(0.5214439028516656, rel=1e-13)
-        assert second["zeta"] == pytest.approx(0.40761016678740986, rel=1e-13)
+        assert first["zeta"] == pytest.approx(1.2748297007891334, rel=1e-13)
+        assert second["zeta"] == pytest.approx(0.7585050717494988, rel=1e-13)
 
     def test_monotonicity(self):
+        # beta decreases; zeta follows the weights, so it need not, and is
+        # the step-size rule at each step's weights
+        data = small_dataset(seed=3, d=5, sizes=(40, 40))
         params = ARPGDAParams(epsilon=1e-9, mu=50.0, rho=1.3, theta=1.2, max_iters=30)
-        res = solve_arpgda(small_dataset(seed=3, d=5, sizes=(40, 40)), 2, params)
+        res = solve_arpgda(data, 2, params)
         betas = [row["beta"] for row in res.trace[1:]]
         zetas = [row["zeta"] for row in res.trace[1:]]
         assert len(betas) == 30
         assert all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))
-        assert all(z1 > z2 for z1, z2 in zip(zetas, zetas[1:]))
-        assert all(z < params.theta / res.info["L1"] for z in zetas)
+        np.testing.assert_allclose(zetas, hand_steps(data, 2, params, 30)[2], rtol=1e-12)
 
     def test_zero_variance_data_rejected(self, monkeypatch):
         constants_patch(monkeypatch, L1=0.0, L2=0.0)
@@ -182,16 +189,20 @@ class TestSchedules:
 
 def hand_steps(data, r, params, k):
     """k ARPGDA steps by hand from the start solve_arpgda draws: a seeded
-    Stiefel point and uniform weights."""
+    Stiefel point and uniform weights.  Each step takes its smoothness
+    constant at its own weights from per-group SVDs.  Returns U, y and the
+    k step sizes."""
     constants = smoothness_constants(data, r)
     U, y = random_stiefel(data.d, r, params.seed), uniform_weights(data.num_groups)
+    zetas = []
     for step in range(1, k + 1):
+        L1_k = oracles.step_smoothness_by_svd(data.X, data.group_sizes, y, constants.L1)
         lam, beta_k, zeta_k = oracles.arpgda_schedule_by_hand(
-            params.epsilon, params.mu, params.rho, params.theta,
-            constants.L1, constants.L2, step)
+            params.epsilon, params.mu, params.rho, params.theta, L1_k, constants.L2, step)
         U, y = oracles.arpgda_step_by_hand(data.X, data.group_sizes, U, y,
                                            lam=lam, beta_k=beta_k, zeta_k=zeta_k)
-    return U, y
+        zetas.append(zeta_k)
+    return U, y, zetas
 
 
 def solve_steps(data, r, params, k):
@@ -210,7 +221,7 @@ class TestStep:
             group_sizes=(1, 1))
         params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
         res = solve_steps(data, 1, params, 1)
-        U_hand, y_hand = hand_steps(data, 1, params, 1)
+        U_hand, y_hand, _ = hand_steps(data, 1, params, 1)
         np.testing.assert_allclose(res.U, U_hand, atol=1e-12)
         np.testing.assert_allclose(res.y, y_hand, atol=1e-12)
 
@@ -221,7 +232,7 @@ class TestStep:
         params = ARPGDAParams(epsilon=0.05, mu=3.0, rho=1.2, theta=1.4, seed=11)
         for k in (1, 2):
             res = solve_steps(data, 2, params, k)
-            U_hand, y_hand = hand_steps(data, 2, params, k)
+            U_hand, y_hand, _ = hand_steps(data, 2, params, k)
             np.testing.assert_allclose(res.U, U_hand, atol=1e-12)
             np.testing.assert_allclose(res.y, y_hand, atol=1e-12)
 
@@ -230,7 +241,7 @@ class TestStep:
         params = ARPGDAParams(epsilon=0.05, mu=2.0, seed=4)
         for k in (1, 2):
             res = solve_steps(data, 2, params, k)
-            U_hand, y_hand = hand_steps(data, 2, params, k)
+            U_hand, y_hand, _ = hand_steps(data, 2, params, k)
             np.testing.assert_allclose(res.U, U_hand, atol=1e-11)
             np.testing.assert_allclose(res.y, y_hand, atol=1e-11)
 
@@ -241,7 +252,7 @@ class TestStep:
         assert data.evaluation_form == form
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, seed=1)
         res = solve_steps(data, 2, params, 12)
-        U_hand, y_hand = hand_steps(data, 2, params, 12)
+        U_hand, y_hand, _ = hand_steps(data, 2, params, 12)
         np.testing.assert_allclose(res.U, U_hand, atol=1e-10)
         np.testing.assert_allclose(res.y, y_hand, atol=1e-10)
 
@@ -471,10 +482,13 @@ class TestSolve:
         assert [t["ms"] for t in res.trace] == [1e3, 25e3, 25e3, 10e3]
         assert res.time_ms == 61e3
 
-    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
+    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample"),
+                                             ((1, 2, 1), "sample")])
     def test_trace_schedules_are_the_schedules(self, sizes, form):
-        # every step's row holds the paper's step-size rule at its k, exactly;
-        # the start's row has none
+        # every step's row holds the paper's step-size rule at its k: lambda
+        # and beta exactly, and zeta as the hand run's, whose smoothness
+        # constant is taken at its own weights (the trace holds no y); the
+        # start's row has none.  (1, 2, 1) takes the float dual step.
         data = small_dataset(seed=3, d=5, sizes=sizes)
         assert data.evaluation_form == form
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=40, seed=1)
@@ -483,9 +497,44 @@ class TestSolve:
         assert (res.trace[0]["lambda"], res.trace[0]["beta"], res.trace[0]["zeta"]) == (
             None, None, None)
         for rec in res.trace[1:]:
-            assert (rec["lambda"], rec["beta"], rec["zeta"]) == oracles.arpgda_schedule_by_hand(
+            assert (rec["lambda"], rec["beta"]) == oracles.arpgda_schedule_by_hand(
                 params.epsilon, params.mu, params.rho, params.theta,
-                res.info["L1"], res.info["L2"], rec["k"])
+                res.info["L1"], res.info["L2"], rec["k"])[:2]
+        np.testing.assert_allclose([rec["zeta"] for rec in res.trace[1:]],
+                                   hand_steps(data, 2, params, 40)[2], rtol=1e-12)
+
+    @pytest.mark.parametrize("data", [
+        small_dataset(seed=3, d=5, sizes=(40, 40)),
+        small_dataset(seed=3, d=5, sizes=(1,) * 8),
+        small_dataset(seed=3, d=5, sizes=(1, 2, 1)),
+        gen_synthetic_blocks(6, (30,) * 9, 1),
+    ], ids=["covariance", "singletons", "float-dual-step", "nine-blocks"])
+    def test_step_constant_never_exceeds_L1(self, data):
+        # L1(y_k) <= L1 at every step, so every zeta is at least the
+        # global rule's; with unequal group tops the local one is larger
+        params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=200, seed=2)
+        res = solve_arpgda(data, 2, params)
+        assert len(res.trace) == 201
+        for rec in res.trace[1:]:
+            zeta_global = oracles.arpgda_schedule_by_hand(
+                params.epsilon, params.mu, params.rho, params.theta,
+                res.info["L1"], res.info["L2"], rec["k"])[2]
+            assert rec["zeta"] > zeta_global
+
+    @pytest.mark.parametrize("shape, form", [((4, 30), "covariance"), ((6, 3), "sample")])
+    def test_one_group_steps_with_the_global_rule(self, shape, form):
+        # y = (1), so L1(y) = L1 and every zeta is the global rule's, bit
+        # for bit
+        data = GroupedDataset(X=np.random.default_rng(5).standard_normal(shape),
+                              group_sizes=(shape[1],))
+        assert data.evaluation_form == form
+        params = ARPGDAParams(epsilon=1e-12, mu=5.0, max_iters=50, seed=3)
+        res = solve_arpgda(data, 2, params)
+        assert res.iterations == 50
+        for rec in res.trace[1:]:
+            assert rec["zeta"] == oracles.arpgda_schedule_by_hand(
+                params.epsilon, params.mu, params.rho, params.theta,
+                res.info["L1"], res.info["L2"], rec["k"])[2]
 
     def test_cap_reached_reports_not_converged(self):
         data = small_dataset(seed=10)
@@ -512,7 +561,7 @@ class TestSolve:
         # The paper bounds the iterations to an epsilon-stationary point by
         # O(epsilon^-3).  On check 9's blocks instance at r = 2, with every
         # other parameter as recommended, epsilon from 1e-2 to 1e-4 took
-        # 152, 334, 893, 1 634 and 2 722 iterations: a log-log slope of 0.64.
+        # 135, 151, 264, 510 and 871 iterations: a log-log slope of 0.43.
         data = gen_synthetic_blocks(23, (750,) * 4, 0)
         params = recommended_params(data, 2)
         epsilons = np.logspace(-2, -4, 5)

@@ -27,7 +27,7 @@ from fairpca import (
     recommended_params,
     solve_arpgda,
 )
-from fairpca.cli import DEFAULT_C_GRID, main
+from fairpca.cli import DEFAULT_C_GRID, _show_warning, main
 
 
 def run(argv):
@@ -874,6 +874,22 @@ class TestStderr:
         assert len(expected) == 4 and all(cell["arpgda"]["violations"] for cell in cells)
         # workers finish in any order
         assert sorted(capfd.readouterr().err.splitlines()) == sorted(expected)
+
+    def test_warning_line_is_one_write(self, monkeypatch):
+        # compare's workers share stderr, so a line written in two parts can
+        # take another worker's line between them
+        calls = []
+
+        class Stderr:
+            def write(self, text):
+                calls.append(text)
+
+            def flush(self):
+                calls.append("flush")
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        _show_warning(RuntimeWarning("x"), RuntimeWarning, "file.py", 1)
+        assert calls == ["warning: x\n", "flush"]
 
     @pytest.mark.filterwarnings("default:groups emptied:UserWarning")
     def test_emptied_group_warning_is_one_line(self, tmp_path, capsys):

@@ -454,6 +454,8 @@ class TestSmoothnessConstants:
             consts = smoothness_constants(data, r)
             L1, kyfan = oracles.smoothness_constants_by_loops(X, sizes, r)
             assert consts.L1 == pytest.approx(L1, rel=1e-12)
+            np.testing.assert_allclose(consts.tops, oracles.group_tops_by_svd(X, sizes),
+                                       rtol=1e-12)
             assert consts.L2 == pytest.approx(
                 oracles.weight_lipschitz_bound(X, sizes, r), rel=1e-12)
             assert consts.L2 <= kyfan * (1 + 1e-12)
@@ -490,8 +492,37 @@ class TestSmoothnessConstants:
         consts = smoothness_constants(data, r)
         L1, _ = oracles.smoothness_constants_by_loops(X, sizes, r)
         assert consts.L1 == pytest.approx(L1, rel=1e-12)
+        np.testing.assert_allclose(consts.tops, oracles.group_tops_by_svd(X, sizes), rtol=1e-12)
+        assert consts.L1 == 2.0 * consts.tops.max()
+        assert not consts.tops.flags.writeable
         assert consts.L2 == pytest.approx(
             oracles.weight_lipschitz_bound(X, sizes, r), rel=1e-12)
+
+    @settings(max_examples=300)
+    @given(case=constants_cases(), alpha=st.sampled_from([0.05, 0.3, 1.0, 5.0]),
+           scale=st.floats(0.01, 3.0))
+    @example(case=(3, (10, 12, 9), 2, 1), alpha=0.05, scale=1.0)  # covariance form
+    @example(case=(5, (1, 1, 3), 2, 2), alpha=0.3, scale=2.0)     # sample form
+    @example(case=(4, (30,), 2, 0), alpha=1.0, scale=3.0)         # one group
+    def test_descent_inequality_holds_at_the_weights(self, case, alpha, scale):
+        # f(R_U(D), y) <= f(U, y) + <grad, D> + L/2 ||D||^2 with the step's
+        # constant L = 2 sum_i y_i t_i, and with the exact 2 lambda_max(A(y))
+        # below it, for Dirichlet weights y, sparse at small alpha
+        d, sizes, r, seed = case
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, sum(sizes))) * rng.uniform(0.5, 3.0, sum(sizes))
+        data = GroupedDataset(X=X, group_sizes=sizes)
+        consts = smoothness_constants(data, r)
+        U = random_stiefel(d, r, seed=seed)
+        y = rng.dirichlet(np.full(len(sizes), alpha))
+        D = scale * oracles.random_tangent(U, seed=seed + 1)
+        lhs = objective(data, oracles.polar_retraction_via_svd(U, D), y)
+        base = objective(data, U, y) + float(np.sum(riemannian_gradient(data, U, y) * D))
+        exact = 2.0 * oracles.weighted_top_eigenvalue(X, sizes, y)
+        local = 2.0 * float(y @ consts.tops)
+        assert exact <= local * (1 + 1e-12) and local <= consts.L1 * (1 + 1e-12)
+        assert lhs <= base + 0.5 * exact * float(np.sum(D * D)) + 1e-9
+        assert lhs <= base + 0.5 * local * float(np.sum(D * D)) + 1e-9
 
     def test_rejects_bad_rank(self):
         data = random_dataset(0, d=4)
