@@ -14,9 +14,12 @@ and couple the U-stepsize to both smoothness constants:
 
     zeta_k = theta / (L1(y_k) + L2^2 / (lambda_k + beta_k + beta_{k+1})),  theta in (0, 2),
 
-where L1(y_k) = min(L1, 2 sum_i y_{k,i} ||C_i||_2) bounds the smoothness
-of f(., y_k) at the step's own weights (proof sketch in solve_arpgda) and
-is at most the global L1 = 2 max_i ||C_i||_2.
+where L1(y_k) = min(L1, 2 sum_i y_{k,i} ||C_i||_2, 2 ||A(y_k)||_F), with
+A(y) = sum_i y_i C_i, bounds the smoothness of f(., y_k) at the step's own
+weights (proof sketch in solve_arpgda) and is at most the global
+L1 = 2 max_i ||C_i||_2.  The Frobenius term is 2 sqrt(y_k^T K y_k) with
+the group Gram K_ij = <C_i, C_j>, taken only where it can bind and costs
+no more than X.
 
 Runs stop once the stationarity measure E(U, y), tested before each step,
 is at most epsilon, or at the iteration cap.  solve_arpgda's loop is the
@@ -30,7 +33,6 @@ both solvers share: the start, the iterate guard, the trace cadence and the resu
 from __future__ import annotations
 
 import math
-import operator
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -39,7 +41,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .exceptions import DegenerateProblemError, NumericalError, check_count, check_rank
-from .problem import Evaluation, GroupedDataset, _check_weights_size, evaluate, smoothness_constants
+from .problem import (Evaluation, GroupedDataset, _check_weights_size, _step_gram, evaluate,
+                      smoothness_constants)
 from .simplex import (_project_floats, project_to_simplex, simplex_violation, uniform_weights,
                       validate_weights)
 from .stiefel import (TOL_ORTH, orthonormality_error, polar_retract, project_to_tangent,
@@ -63,6 +66,11 @@ DUAL_RADIUS = 1.0
 # 4.5 us on floats against 22.4 us at n = 4, and 77.5 against 25.5 us at
 # n = 200 (timeit, best of 5, one CPU).
 _FLOAT_DUAL_GROUPS = 8
+
+# Below this many entries np.add.reduce sums in order, one by one from 0.0,
+# as _dot_floats does (see the simplex module); a BLAS matvec or dot never
+# promises that order.
+_IN_ORDER_SUMS = 8
 
 # JSON schema for run reports produced by SolveResult.to_report (both solvers).
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
@@ -307,6 +315,15 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
     )
 
 
+def _dot_floats(a: list[float], b: list[float]) -> float:
+    # sum_i a_i b_i over Python floats with a plain loop, in order from 0.0;
+    # the built-in sum() compensates float sums since Python 3.12
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
 def _regularized_value(weighted: float, y: np.ndarray, lam: float) -> float:
     # f_k(U, y) = f(U, y) - (lam / 2) ||y||^2 with f(U, y) = -weighted,
     # weighted = y . values
@@ -367,10 +384,17 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     NumericalError, as the float path does.
 
     The U-step's smoothness constant is taken at the step's weights y_k:
-    L1(y_k) = min(L1, 2 sum_i y_{k,i} t_i), with t_i = ||C_i||_2 from
-    smoothness_constants, so each iteration costs one more dot of length n
-    (a Python sum on the float path).  With one group y = (1), and L1(y)
-    is L1 exactly.  Proof sketch that it certifies the step's descent.
+
+        L1(y_k) = min(L1, 2 sum_i y_{k,i} t_i, 2 sqrt(y_k^T K y_k)),
+
+    with t_i = ||C_i||_2 from smoothness_constants and the group Gram
+    K_ij = <C_i, C_j> from problem._step_gram, built once per solve.  Each
+    iteration costs one more dot of length n (a plain loop on the float
+    path) and, where K is kept, one n x n matvec.  K is skipped for one
+    group, where y = (1) and L1(y) is L1 exactly; when n^2 > N d, so that
+    neither K nor its matvec outgrows one pass over X; and when K >= t t^T
+    entrywise, where its term can never bind (below).  Proof sketch that
+    L1(y_k) certifies the step's descent.
     f(., y) = -tr(U^T A U) depends on y only through A = A(y) = sum_i y_i C_i,
     which is positive semidefinite; let a = lambda_max(A).  For U on the
     Stiefel manifold and D tangent at U (U^T D + D^T U = 0), the polar
@@ -389,8 +413,27 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
 
     the descent lemma with 2 lambda_max(A(y)).  lambda_max is subadditive
     on symmetric matrices (Weyl), so 2 a <= 2 sum_i y_i t_i <= 2 max_i t_i
-    = L1; the min with L1 only absorbs rounding in sum_i y_i.  Where the
-    paper's O(epsilon^-3) argument uses L1:
+    = L1; the min with L1 only absorbs rounding in sum_i y_i.  A is
+    positive semidefinite, so a^2 is at most the sum of its squared
+    eigenvalues, ||A||_F^2 = sum_ij y_i y_j <C_i, C_j> = y^T K y, and
+    2 a <= 2 sqrt(y^T K y) too.  The skip certificate: for y >= 0 and
+    K >= t t^T entrywise, y^T K y = sum_ij y_i y_j K_ij >= sum_ij y_i y_j
+    t_i t_j = (y^T t)^2, so the Frobenius term is never below the sum term
+    and dropping it changes no step beyond rounding.  Rounding: the terms
+    of sum_i y_i t_i and of y^T K y are non-negative (K_ij = <C_i, C_j> >= 0
+    for positive semidefinite C_i, C_j), so each computed bound is within
+    a relative m 2^-53 or so of the exact one, with m the length of the
+    longest sum behind it (n, and d for the t_i and sample-form K, d^2 for
+    covariance-form K).  Where the exact bound exceeds 2 a by more,
+    rounding cannot take it below.  They meet 2 a only where A has rank
+    one: at a vertex e_i with a rank-one group i, where ||A||_F =
+    lambda_max(A) = t_i = 2 y_i t_i / 2, or with all groups on one line.
+    There the computed constant may fall below 2 a by that relative
+    amount, an ulp or so on check 2's singletons, which shortens the
+    decrease check 4 asserts by as much of zeta_k ||grad||^2;
+    INEQUALITY_SLACK = 1e-8 absorbs it while that term is below
+    1e-8 / (m 2^-53), about 2e5 at m = 400.  Where the paper's
+    O(epsilon^-3) argument uses L1:
     - the sufficient decrease of step k descends f_k(., y_k), so it needs
       the descent lemma at y_k only, which L1(y_k) gives;
     - the rate turns the summed decrease, sum_k zeta_k ||grad_k||^2, into a
@@ -408,11 +451,16 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     mu, rho, theta = params.mu, params.rho, params.theta
     lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
     decrease = (2.0 - theta) / (2.0 * theta)
-    ev, y = run.ev, uniform_weights(data.num_groups)
+    n = data.num_groups
+    ev, y = run.ev, uniform_weights(n)
     tops = constants.tops
-    # y and the group tops t as Python floats on the float path, else None
-    y_floats = y.tolist() if data.num_groups < _FLOAT_DUAL_GROUPS else None
+    # the group Gram of the Frobenius term, None where the term cannot bind
+    K = _step_gram(data, tops)
+    # y, the group tops t and K's rows as Python floats on the float path,
+    # else None
+    y_floats = y.tolist() if n < _FLOAT_DUAL_GROUPS else None
     tops_floats = None if y_floats is None else tops.tolist()
+    K_rows = None if y_floats is None or K is None else K.tolist()
     # the Riemannian gradient of f(., y) at U certifies (U, y) in E, then
     # serves as the next descent direction
     grad, grad_norm, phi, weighted, gap, E = _stationarity(ev, y)
@@ -429,13 +477,20 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         k += 1
         beta_k = mu * k**-rho
         beta_next = mu * (k + 1) ** -rho
-        # L1(y_k) = min(L1, 2 sum_i y_i t_i), the smoothness of f(., y_k);
-        # a multiply and a reduce, not a BLAS dot, so that below 8 groups
-        # the sum is the float path's, in order
+        # L1(y_k) = min(L1, 2 sum_i y_i t_i, 2 sqrt(y^T K y)), the
+        # smoothness of f(., y_k); multiplies and reduces, not BLAS dots, so
+        # that below 8 groups the sums are the float path's, in order.  The
+        # Frobenius term comes last: a NaN there leaves the min as it was.
         if y_floats is None:
             L1_k = 2.0 * float(np.add.reduce(y * tops))
+            if K is not None:
+                Ky = K.dot(y) if n >= _IN_ORDER_SUMS else np.add.reduce(K * y, axis=1)
+                L1_k = min(L1_k, 2.0 * math.sqrt(np.add.reduce(y * Ky)))
         else:
-            L1_k = 2.0 * sum(map(operator.mul, y_floats, tops_floats))
+            L1_k = 2.0 * _dot_floats(y_floats, tops_floats)
+            if K_rows is not None:
+                Ky_floats = [_dot_floats(row, y_floats) for row in K_rows]
+                L1_k = min(L1_k, 2.0 * math.sqrt(_dot_floats(y_floats, Ky_floats)))
         zeta_k = theta / (min(L1, L1_k) + L2_sq / (lam + beta_k + beta_next))
         if not math.isfinite(grad_norm):
             raise NumericalError(f"non-finite gradient entering iteration {k}")

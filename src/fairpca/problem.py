@@ -228,8 +228,8 @@ class SmoothnessConstants:
 
     tops holds each group's top eigenvalue t_i = ||C_i||_2 = ||X_i||_2^2,
     shape (n,), read-only; L1 = 2 max_i t_i, and solve_arpgda steps with
-    2 sum_i y_i t_i at its current weights.  Equality goes by identity, as
-    tops is an array.
+    at most 2 sum_i y_i t_i at its current weights.  Equality goes by
+    identity, as tops is an array.
     """
 
     L1: float
@@ -433,6 +433,43 @@ def _constants(tops: np.ndarray, L2: float) -> SmoothnessConstants:
     # freezes the group tops and takes L1 = 2 max_i t_i from them
     tops.setflags(write=False)
     return SmoothnessConstants(L1=2.0 * float(tops.max()), L2=L2, tops=tops)
+
+
+def _step_gram(data: GroupedDataset, tops: np.ndarray) -> np.ndarray | None:
+    """The group Gram K_ij = <C_i, C_j> = ||X_i^T X_j||_F^2, shape (n, n),
+    for solve_arpgda's Frobenius bound ||A(y)||_F = sqrt(y^T K y); None
+    where that bound can never beat 2 sum_i y_i t_i, or costs more than X.
+
+    Internal: tops holds the group tops t_i of smoothness_constants.  None
+    for one group, where A(y) = C_1; before any work when n^2 > N d, so
+    that neither K nor its per-iteration matvec outgrows one pass over X;
+    and when K >= t t^T entrywise, since then y^T K y >= (y^T t)^2 for
+    every y >= 0.  Skipping never makes a step invalid, as the sum bound
+    holds alone; it only gives up a tighter one.  In covariance form K
+    comes from the cached stack as one product; singleton groups take
+    K = (X^T X)∘(X^T X), in O(N^2 d) <= O(N d^2) under the cost test;
+    larger groups in sample form take row i as the column sums of
+    (X_i^T X)∘(X_i^T X), summed by group.
+    """
+    n, N, d = data.num_groups, data.num_samples, data.d
+    if n == 1 or n * n > N * d:
+        return None
+    if data.evaluation_form == "covariance":
+        C = data.covariances.reshape(n, d * d)
+        K = C @ C.T
+    elif data._singletons:
+        G = data.X.T @ data.X
+        K = G * G
+    else:
+        X = data.X
+        K = np.empty((n, n))
+        for i in range(n):
+            H = X[:, data._slice(i)].T @ X
+            K[i] = np.add.reduceat(np.einsum("ij,ij->j", H, H), data.starts)
+    if (K >= np.multiply.outer(tops, tops)).all():
+        return None
+    K.setflags(write=False)
+    return K
 
 
 def dist_to_subgradient(

@@ -29,6 +29,7 @@ from fairpca import (
     uniform_weights,
 )
 from fairpca import arpgda as arpgda_module
+from fairpca.problem import _step_gram
 
 
 # The keys of a trace row, which are those of a report's trace rows.
@@ -155,8 +156,9 @@ class TestSchedules:
     def test_fixed_values(self, monkeypatch):
         # valid bounds for this data, so the two steps record no violation.
         # The group tops are 0.1 and 0.2, so the patched L1 = 2.0 does not
-        # bind: L1(y_1) = 0.3 at uniform weights.  The zetas are those of
-        # two oracle steps, oracles.arpgda_step_by_hand with
+        # bind, and at uniform weights the Frobenius term
+        # 2 sqrt(y^T K y) = 0.2254 binds below the sum term 0.3.  The zetas
+        # are those of two oracle steps, oracles.arpgda_step_by_hand with
         # oracles.step_smoothness_by_svd, from the seeded start.
         constants_patch(monkeypatch, L1=2.0, L2=3.0)
         data = GroupedDataset(X=np.array([[0.3, -0.2], [0.1, 0.4]]), group_sizes=(1, 1))
@@ -166,8 +168,8 @@ class TestSchedules:
         assert first["lambda"] == second["lambda"] == pytest.approx(0.001, rel=1e-15)
         assert first["beta"] == pytest.approx(7.0, rel=1e-15)
         assert second["beta"] == pytest.approx(3.265615470378826, rel=1e-13)
-        assert first["zeta"] == pytest.approx(1.2748297007891334, rel=1e-13)
-        assert second["zeta"] == pytest.approx(0.7585050717494988, rel=1e-13)
+        assert first["zeta"] == pytest.approx(1.3611413896723035, rel=1e-13)
+        assert second["zeta"] == pytest.approx(0.7885604996664641, rel=1e-13)
 
     def test_monotonicity(self):
         # beta decreases; zeta follows the weights, so it need not, and is
@@ -410,7 +412,10 @@ class TestSolve:
         gen_synthetic_blocks(4, (15, 10, 20, 25, 30, 12, 40), 1),
         small_dataset(seed=2, sizes=(2, 3, 2)),
         gen_synthetic_gaussian(6, 6, 3),
-    ], ids=["covariance_2", "covariance_7", "sample_3", "singletons_6"])
+        # the Frobenius term binds here: 278.7 against 405.3 for the sum
+        # term at uniform weights
+        gen_synthetic_blocks(300, (2,) * 4, 0),
+    ], ids=["covariance_2", "covariance_7", "sample_3", "singletons_6", "sample_frobenius_4"])
     def test_float_path_equals_numpy_path(self, monkeypatch, data):
         # the same run, byte for byte, with the float path switched off
         assert data.num_groups < arpgda_module._FLOAT_DUAL_GROUPS
@@ -535,6 +540,23 @@ class TestSolve:
             assert rec["zeta"] == oracles.arpgda_schedule_by_hand(
                 params.epsilon, params.mu, params.rho, params.theta,
                 res.info["L1"], res.info["L2"], rec["k"])[2]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_instance_skips_the_frobenius_term(self, seed):
+        # check 9's instance, blocks-compare's at seed 0: K >= t t^T
+        # entrywise, so the Gram is dropped and every step keeps the sum rule
+        data = gen_synthetic_blocks(23, (750,) * 4, seed)
+        assert _step_gram(data, smoothness_constants(data, 2).tops) is None
+
+    def test_wide_singletons_converge_at_recommended_params(self):
+        # d = 1 000 with 100 singleton groups at r = 2 hit the 1e5 cap with
+        # the sum rule alone (E = 1.26 against epsilon = 1.08); with the
+        # Frobenius term it converges in 17 003 iterations
+        data = gen_synthetic_gaussian(1000, 100, 0)
+        params = replace(recommended_params(data, 2), trace_stride=100_000)
+        res = solve_arpgda(data, 2, params)
+        assert res.converged and not res.violations
+        assert res.iterations < params.max_iters // 2
 
     def test_cap_reached_reports_not_converged(self):
         data = small_dataset(seed=10)

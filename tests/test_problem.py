@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,7 +22,7 @@ from fairpca import (
     uniform_weights,
 )
 from fairpca.arpgda import check_iterate
-from fairpca.problem import CovarianceEvaluation, SampleEvaluation, _ky_fan_sum
+from fairpca.problem import CovarianceEvaluation, SampleEvaluation, _ky_fan_sum, _step_gram
 from fairpca.stiefel import project_to_tangent
 
 
@@ -55,6 +55,17 @@ def constants_cases(draw):
     sizes = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=5)))
     r = draw(st.integers(1, d))
     return d, sizes, r, draw(st.integers(0, 2**31 - 1))
+
+
+@st.composite
+def gram_cases(draw):
+    """(d, group sizes, seed, alpha): groups of 1-12 samples on both sides
+    of n d <= N and of the cost test n^2 <= N d, with the concentration
+    alpha of Dirichlet weights, which are sparse at small alpha."""
+    d = draw(st.integers(1, 8))
+    sizes = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=7)))
+    alpha = draw(st.sampled_from([0.05, 0.3, 1.0, 5.0]))
+    return d, sizes, draw(st.integers(0, 2**31 - 1)), alpha
 
 
 def random_dataset(seed, d=None, sizes=None):
@@ -505,9 +516,11 @@ class TestSmoothnessConstants:
     @example(case=(5, (1, 1, 3), 2, 2), alpha=0.3, scale=2.0)     # sample form
     @example(case=(4, (30,), 2, 0), alpha=1.0, scale=3.0)         # one group
     def test_descent_inequality_holds_at_the_weights(self, case, alpha, scale):
-        # f(R_U(D), y) <= f(U, y) + <grad, D> + L/2 ||D||^2 with the step's
-        # constant L = 2 sum_i y_i t_i, and with the exact 2 lambda_max(A(y))
-        # below it, for Dirichlet weights y, sparse at small alpha
+        # f(R_U(D), y) <= f(U, y) + <grad, D> + L/2 ||D||^2 with each of the
+        # step's constants, L = 2 sum_i y_i t_i and the Frobenius
+        # L = 2 sqrt(y^T K y) of the dense group Gram, and with the exact
+        # 2 lambda_max(A(y)) below both, for Dirichlet weights y, sparse at
+        # small alpha; the examples take both evaluation forms
         d, sizes, r, seed = case
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((d, sum(sizes))) * rng.uniform(0.5, 3.0, sum(sizes))
@@ -520,9 +533,60 @@ class TestSmoothnessConstants:
         base = objective(data, U, y) + float(np.sum(riemannian_gradient(data, U, y) * D))
         exact = 2.0 * oracles.weighted_top_eigenvalue(X, sizes, y)
         local = 2.0 * float(y @ consts.tops)
+        frobenius = 2.0 * math.sqrt(float(y @ oracles.group_gram_dense(X, sizes) @ y))
         assert exact <= local * (1 + 1e-12) and local <= consts.L1 * (1 + 1e-12)
+        assert exact <= frobenius * (1 + 1e-12)
         assert lhs <= base + 0.5 * exact * float(np.sum(D * D)) + 1e-9
         assert lhs <= base + 0.5 * local * float(np.sum(D * D)) + 1e-9
+        assert lhs <= base + 0.5 * frobenius * float(np.sum(D * D)) + 1e-9
+
+    @settings(max_examples=200)
+    @given(case=gram_cases())
+    @example(case=(6, (1,) * 6, 0, 1.0))          # singletons: K is kept
+    @example(case=(4, (1,) * 5, 1, 0.3))          # n^2 = 25 > N d = 20: skipped
+    @example(case=(3, (10, 12, 9), 2, 1.0))       # covariance form
+    @example(case=(8, (2, 3, 2, 1), 3, 0.05))     # sample form, larger groups
+    @example(case=(5, (7,), 4, 1.0))              # one group: skipped
+    def test_step_gram_bounds_the_top_eigenvalue(self, case):
+        # sqrt(y^T K y) = ||A(y)||_F >= lambda_max(A(y)) for the dense
+        # Gram, and _step_gram returns that Gram or None only under one of
+        # its three skip rules
+        d, sizes, seed, alpha = case
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, sum(sizes))) * rng.uniform(0.5, 3.0, sum(sizes))
+        data = GroupedDataset(X=X, group_sizes=sizes)
+        n, N = len(sizes), sum(sizes)
+        dense = oracles.group_gram_dense(X, sizes)
+        tops = smoothness_constants(data, 1).tops
+        y = rng.dirichlet(np.full(n, alpha))
+        top = oracles.weighted_top_eigenvalue(X, sizes, y)
+        assert math.sqrt(float(y @ dense @ y)) >= top * (1 - 1e-12)
+        K = _step_gram(data, tops)
+        if K is None:
+            assert (n == 1 or n * n > N * d
+                    or (dense >= np.multiply.outer(tops, tops) * (1 - 1e-12)).all())
+        else:
+            assert n > 1 and n * n <= N * d and not K.flags.writeable
+            np.testing.assert_allclose(K, dense, rtol=1e-12, atol=1e-12 * dense.max())
+            assert math.sqrt(float(y @ K @ y)) >= top * (1 - 1e-12)
+
+    @settings(max_examples=100)
+    @given(d=st.integers(1, 5), sizes=st.lists(st.integers(0, 30), min_size=2, max_size=5),
+           seed=st.integers(0, 2**31 - 1), alpha=st.sampled_from([0.05, 0.3, 1.0, 5.0]))
+    @example(d=3, sizes=[20, 25, 30], seed=0, alpha=1.0)
+    def test_frobenius_term_never_beats_the_sum_under_the_certificate(self, d, sizes, seed,
+                                                                      alpha):
+        # isotropic groups of at least 4 d samples, where C_i is near a
+        # multiple of I and K >= t t^T is typical; wherever it holds,
+        # y^T K y >= (y^T t)^2 for simplex y, and _step_gram skips K
+        sizes = tuple(4 * d + s for s in sizes)
+        data = gen_synthetic_blocks(d, sizes, seed % 1000)
+        tops = smoothness_constants(data, 1).tops
+        dense = oracles.group_gram_dense(data.X, sizes)
+        assume((dense >= np.multiply.outer(tops, tops) * (1 + 1e-9)).all())
+        y = np.random.default_rng(seed).dirichlet(np.full(len(sizes), alpha))
+        assert math.sqrt(float(y @ dense @ y)) >= float(y @ tops) * (1 - 1e-12)
+        assert _step_gram(data, tops) is None
 
     def test_rejects_bad_rank(self):
         data = random_dataset(0, d=4)
