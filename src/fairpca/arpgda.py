@@ -18,8 +18,8 @@ where L1(y_k) = min(L1, 2 sum_i y_{k,i} ||C_i||_2, 2 ||A(y_k)||_F), with
 A(y) = sum_i y_i C_i, bounds the smoothness of f(., y_k) at the step's own
 weights (proof sketch in solve_arpgda) and is at most the global
 L1 = 2 max_i ||C_i||_2.  The Frobenius term is 2 sqrt(y_k^T K y_k) with
-the group Gram K_ij = <C_i, C_j>, taken only where it can bind and costs
-no more than X.
+the group Gram K_ij = <C_i, C_j>, taken for singleton groups only, where
+K holds no more numbers than X.
 
 Runs stop once the stationarity measure E(U, y), tested before each step,
 is at most epsilon, or at the iteration cap.  solve_arpgda's loop is the
@@ -57,20 +57,19 @@ INEQUALITY_SLACK = 1e-8
 # R = max ||y|| over the probability simplex, attained at its vertices.
 DUAL_RADIUS = 1.0
 
+# Below this many entries np.add.reduce sums in order, one by one from 0.0
+# (see the simplex module); from it on numpy sums pairwise, and a BLAS
+# matvec or dot never promises an order.
+_IN_ORDER_SUMS = 8
+
 # Below this many groups the dual step runs on Python floats: about 20 numpy
 # calls of a few flops each cost more in dispatch than the arithmetic, and
-# below 8 entries numpy sums in order, so _project_floats reproduces
-# project_to_simplex and simplex_violation byte for byte (see the simplex
-# module).  From 8 entries on numpy sums pairwise, so the float path would
-# round differently; it also loses at many groups.  A whole dual step took
-# 4.5 us on floats against 22.4 us at n = 4, and 77.5 against 25.5 us at
-# n = 200 (timeit, best of 5, one CPU).
-_FLOAT_DUAL_GROUPS = 8
-
-# Below this many entries np.add.reduce sums in order, one by one from 0.0,
-# as _dot_floats does (see the simplex module); a BLAS matvec or dot never
-# promises that order.
-_IN_ORDER_SUMS = 8
+# numpy sums in order there, so _project_floats reproduces
+# project_to_simplex and simplex_violation byte for byte.  From 8 entries on
+# the float path would round differently; it also loses at many groups.  A
+# whole dual step took 4.5 us on floats against 22.4 us at n = 4, and 77.5
+# against 25.5 us at n = 200 (timeit, best of 5, one CPU).
+_FLOAT_DUAL_GROUPS = _IN_ORDER_SUMS
 
 # JSON schema for run reports produced by SolveResult.to_report (both solvers).
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
@@ -390,11 +389,11 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     with t_i = ||C_i||_2 from smoothness_constants and the group Gram
     K_ij = <C_i, C_j> from problem._step_gram, built once per solve.  Each
     iteration costs one more dot of length n (a plain loop on the float
-    path) and, where K is kept, one n x n matvec.  K is skipped for one
-    group, where y = (1) and L1(y) is L1 exactly; when n^2 > N d, so that
-    neither K nor its matvec outgrows one pass over X; and when K >= t t^T
-    entrywise, where its term can never bind (below).  Proof sketch that
-    L1(y_k) certifies the step's descent.
+    path) and, where K is built, one n x n matvec.  K is built only for
+    more than one singleton group with n <= d, so that neither K nor its
+    matvec outgrows one pass over X; elsewhere the Frobenius term is left
+    out (below), and with one group y = (1) and L1(y) is L1 exactly.
+    Proof sketch that L1(y_k) certifies the step's descent.
     f(., y) = -tr(U^T A U) depends on y only through A = A(y) = sum_i y_i C_i,
     which is positive semidefinite; let a = lambda_max(A).  For U on the
     Stiefel manifold and D tangent at U (U^T D + D^T U = 0), the polar
@@ -416,18 +415,24 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     = L1; the min with L1 only absorbs rounding in sum_i y_i.  A is
     positive semidefinite, so a^2 is at most the sum of its squared
     eigenvalues, ||A||_F^2 = sum_ij y_i y_j <C_i, C_j> = y^T K y, and
-    2 a <= 2 sqrt(y^T K y) too.  The skip certificate: for y >= 0 and
-    K >= t t^T entrywise, y^T K y = sum_ij y_i y_j K_ij >= sum_ij y_i y_j
-    t_i t_j = (y^T t)^2, so the Frobenius term is never below the sum term
-    and dropping it changes no step beyond rounding.  Rounding: the terms
-    of sum_i y_i t_i and of y^T K y are non-negative (K_ij = <C_i, C_j> >= 0
-    for positive semidefinite C_i, C_j), so each computed bound is within
-    a relative m 2^-53 or so of the exact one, with m the length of the
-    longest sum behind it (n, and d for the t_i and sample-form K, d^2 for
-    covariance-form K).  Where the exact bound exceeds 2 a by more,
-    rounding cannot take it below.  They meet 2 a only where A has rank
-    one: at a vertex e_i with a rank-one group i, where ||A||_F =
-    lambda_max(A) = t_i = 2 y_i t_i / 2, or with all groups on one line.
+    2 a <= 2 sqrt(y^T K y) too.  Which term is smaller depends on the
+    groups.  For y >= 0 and K >= t t^T entrywise, y^T K y = sum_ij y_i y_j
+    K_ij >= sum_ij y_i y_j t_i t_j = (y^T t)^2, so the Frobenius term is
+    never below the sum term; that certificate held on check 9's block
+    instance at seeds 0-9, whose smallest K_ij / (t_i t_j) is 9.5.  On the
+    one measured instance with larger groups where the term did bind,
+    gen_synthetic_blocks(30, (2,) * 40, 0) at r = 2, it slowed the run from
+    1 896 to 25 624 iterations, so groups of more than one sample keep the
+    sum rule.  Singletons have K_ij = <x_i, x_j>^2 <= t_i t_j (Cauchy-
+    Schwarz), so there the Frobenius term is never above the sum term, and
+    on check 2's instances it is 10 times below it.  Rounding: the terms
+    of sum_i y_i t_i and of y^T K y are non-negative, so each computed
+    bound is within a relative m 2^-53 or so of the exact one, with m the
+    length of the longest sum behind it (n, and d for the t_i and K).
+    Where the exact bound exceeds 2 a by more, rounding cannot take it
+    below.  They meet 2 a only where A has rank one: at a vertex e_i, where
+    ||A||_F = lambda_max(A) = t_i = 2 y_i t_i / 2, or with all samples on
+    one line.
     There the computed constant may fall below 2 a by that relative
     amount, an ulp or so on check 2's singletons, which shortens the
     decrease check 4 asserts by as much of zeta_k ||grad||^2;
@@ -454,8 +459,8 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     n = data.num_groups
     ev, y = run.ev, uniform_weights(n)
     tops = constants.tops
-    # the group Gram of the Frobenius term, None where the term cannot bind
-    K = _step_gram(data, tops)
+    # the group Gram of the Frobenius term, None where it is left out
+    K = _step_gram(data)
     # y, the group tops t and K's rows as Python floats on the float path,
     # else None
     y_floats = y.tolist() if n < _FLOAT_DUAL_GROUPS else None
@@ -484,6 +489,9 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         if y_floats is None:
             L1_k = 2.0 * float(np.add.reduce(y * tops))
             if K is not None:
+                # the reduce arm runs only when a test switches the float
+                # path off below 8 groups, so that it sums in the float
+                # path's order
                 Ky = K.dot(y) if n >= _IN_ORDER_SUMS else np.add.reduce(K * y, axis=1)
                 L1_k = min(L1_k, 2.0 * math.sqrt(np.add.reduce(y * Ky)))
         else:

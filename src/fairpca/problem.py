@@ -435,39 +435,22 @@ def _constants(tops: np.ndarray, L2: float) -> SmoothnessConstants:
     return SmoothnessConstants(L1=2.0 * float(tops.max()), L2=L2, tops=tops)
 
 
-def _step_gram(data: GroupedDataset, tops: np.ndarray) -> np.ndarray | None:
-    """The group Gram K_ij = <C_i, C_j> = ||X_i^T X_j||_F^2, shape (n, n),
-    for solve_arpgda's Frobenius bound ||A(y)||_F = sqrt(y^T K y); None
-    where that bound can never beat 2 sum_i y_i t_i, or costs more than X.
+def _step_gram(data: GroupedDataset) -> np.ndarray | None:
+    """The group Gram K_ij = <C_i, C_j> = <x_i, x_j>^2 of singleton groups,
+    K = (X^T X)∘(X^T X), shape (n, n) and read-only, for solve_arpgda's
+    Frobenius bound ||A(y)||_F = sqrt(y^T K y); None for any other data.
 
-    Internal: tops holds the group tops t_i of smoothness_constants.  None
-    for one group, where A(y) = C_1; before any work when n^2 > N d, so
-    that neither K nor its per-iteration matvec outgrows one pass over X;
-    and when K >= t t^T entrywise, since then y^T K y >= (y^T t)^2 for
-    every y >= 0.  Skipping never makes a step invalid, as the sum bound
-    holds alone; it only gives up a tighter one.  In covariance form K
-    comes from the cached stack as one product; singleton groups take
-    K = (X^T X)∘(X^T X), in O(N^2 d) <= O(N d^2) under the cost test;
-    larger groups in sample form take row i as the column sums of
-    (X_i^T X)∘(X_i^T X), summed by group.
+    Internal.  None for one group, where A(y) = C_1; for groups of more
+    than one sample, where no measured instance gained from the bound (see
+    solve_arpgda); and when n^2 > N d, so that neither K nor its
+    per-iteration matvec outgrows one pass over X.  With N = n that keeps
+    n <= d, and K costs O(N^2 d) <= O(N d^2).
     """
-    n, N, d = data.num_groups, data.num_samples, data.d
-    if n == 1 or n * n > N * d:
+    n = data.num_groups
+    if n == 1 or not data._singletons or n * n > data.num_samples * data.d:
         return None
-    if data.evaluation_form == "covariance":
-        C = data.covariances.reshape(n, d * d)
-        K = C @ C.T
-    elif data._singletons:
-        G = data.X.T @ data.X
-        K = G * G
-    else:
-        X = data.X
-        K = np.empty((n, n))
-        for i in range(n):
-            H = X[:, data._slice(i)].T @ X
-            K[i] = np.add.reduceat(np.einsum("ij,ij->j", H, H), data.starts)
-    if (K >= np.multiply.outer(tops, tops)).all():
-        return None
+    G = data.X.T @ data.X
+    K = G * G
     K.setflags(write=False)
     return K
 

@@ -245,10 +245,11 @@ def group_tops_by_svd(X, group_sizes):
 def step_smoothness_by_svd(X, group_sizes, y, L1):
     """The U-step's smoothness constant at the weights y:
     min(L1, 2 sum_i y_i ||X_i||_2^2, 2 sqrt(y^T K y)), one group at a time,
-    with the Frobenius term, from the dense group Gram K, only where K holds
-    no more numbers than X (n^2 <= N d)."""
+    with the Frobenius term, from the dense group Gram K, only for more than
+    one singleton group where K holds no more numbers than X (n^2 <= N d)."""
     L1_y = min(L1, 2.0 * float(np.dot(y, group_tops_by_svd(X, group_sizes))))
-    if len(group_sizes) ** 2 > X.size:
+    n = len(group_sizes)
+    if n == 1 or any(size != 1 for size in group_sizes) or n * n > X.size:
         return L1_y
     K = group_gram_dense(X, group_sizes)
     return min(L1_y, 2.0 * math.sqrt(float(y @ K @ y)))

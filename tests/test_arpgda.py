@@ -411,11 +411,10 @@ class TestSolve:
         gen_synthetic_blocks(5, (20, 30), 0),
         gen_synthetic_blocks(4, (15, 10, 20, 25, 30, 12, 40), 1),
         small_dataset(seed=2, sizes=(2, 3, 2)),
+        # K is built (n^2 = N d = 36) and the Frobenius term binds: 8.20
+        # against 13.73 for the sum term at uniform weights
         gen_synthetic_gaussian(6, 6, 3),
-        # the Frobenius term binds here: 278.7 against 405.3 for the sum
-        # term at uniform weights
-        gen_synthetic_blocks(300, (2,) * 4, 0),
-    ], ids=["covariance_2", "covariance_7", "sample_3", "singletons_6", "sample_frobenius_4"])
+    ], ids=["covariance_2", "covariance_7", "sample_3", "singletons_6"])
     def test_float_path_equals_numpy_path(self, monkeypatch, data):
         # the same run, byte for byte, with the float path switched off
         assert data.num_groups < arpgda_module._FLOAT_DUAL_GROUPS
@@ -541,12 +540,16 @@ class TestSolve:
                 params.epsilon, params.mu, params.rho, params.theta,
                 res.info["L1"], res.info["L2"], rec["k"])[2]
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_block_instance_skips_the_frobenius_term(self, seed):
-        # check 9's instance, blocks-compare's at seed 0: K >= t t^T
-        # entrywise, so the Gram is dropped and every step keeps the sum rule
-        data = gen_synthetic_blocks(23, (750,) * 4, seed)
-        assert _step_gram(data, smoothness_constants(data, 2).tops) is None
+    def test_paired_groups_keep_the_sum_rule(self):
+        # d = 30 with 40 groups of 2 at r = 2 converges in 1 896 iterations
+        # with the sum rule; the Frobenius term, where it was taken for
+        # groups of two, slowed it to 25 624
+        data = gen_synthetic_blocks(30, (2,) * 40, 0)
+        assert _step_gram(data) is None
+        params = replace(recommended_params(data, 2), trace_stride=100_000)
+        res = solve_arpgda(data, 2, params)
+        assert res.converged and not res.violations
+        assert res.iterations < 4_000
 
     def test_wide_singletons_converge_at_recommended_params(self):
         # d = 1 000 with 100 singleton groups at r = 2 hit the 1e5 cap with

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -60,10 +60,14 @@ def constants_cases(draw):
 @st.composite
 def gram_cases(draw):
     """(d, group sizes, seed, alpha): groups of 1-12 samples on both sides
-    of n d <= N and of the cost test n^2 <= N d, with the concentration
-    alpha of Dirichlet weights, which are sparse at small alpha."""
+    of n d <= N, or only singletons on both sides of the cost test
+    n^2 <= N d, with the concentration alpha of Dirichlet weights, which
+    are sparse at small alpha."""
     d = draw(st.integers(1, 8))
-    sizes = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=7)))
+    if draw(st.booleans()):
+        sizes = (1,) * draw(st.integers(1, 10))
+    else:
+        sizes = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=7)))
     alpha = draw(st.sampled_from([0.05, 0.3, 1.0, 5.0]))
     return d, sizes, draw(st.integers(0, 2**31 - 1)), alpha
 
@@ -542,51 +546,46 @@ class TestSmoothnessConstants:
 
     @settings(max_examples=200)
     @given(case=gram_cases())
-    @example(case=(6, (1,) * 6, 0, 1.0))          # singletons: K is kept
-    @example(case=(4, (1,) * 5, 1, 0.3))          # n^2 = 25 > N d = 20: skipped
+    @example(case=(6, (1,) * 6, 0, 1.0))          # singletons, n^2 = N d: K is built
+    @example(case=(4, (1,) * 5, 1, 0.3))          # singletons, n^2 = 25 > N d = 20
     @example(case=(3, (10, 12, 9), 2, 1.0))       # covariance form
     @example(case=(8, (2, 3, 2, 1), 3, 0.05))     # sample form, larger groups
-    @example(case=(5, (7,), 4, 1.0))              # one group: skipped
+    @example(case=(5, (7,), 4, 1.0))              # one group
     def test_step_gram_bounds_the_top_eigenvalue(self, case):
         # sqrt(y^T K y) = ||A(y)||_F >= lambda_max(A(y)) for the dense
-        # Gram, and _step_gram returns that Gram or None only under one of
-        # its three skip rules
+        # Gram of any groups, and _step_gram returns that Gram exactly for
+        # more than one singleton group with n^2 <= N d, else None
         d, sizes, seed, alpha = case
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((d, sum(sizes))) * rng.uniform(0.5, 3.0, sum(sizes))
         data = GroupedDataset(X=X, group_sizes=sizes)
         n, N = len(sizes), sum(sizes)
         dense = oracles.group_gram_dense(X, sizes)
-        tops = smoothness_constants(data, 1).tops
         y = rng.dirichlet(np.full(n, alpha))
         top = oracles.weighted_top_eigenvalue(X, sizes, y)
         assert math.sqrt(float(y @ dense @ y)) >= top * (1 - 1e-12)
-        K = _step_gram(data, tops)
-        if K is None:
-            assert (n == 1 or n * n > N * d
-                    or (dense >= np.multiply.outer(tops, tops) * (1 - 1e-12)).all())
+        K = _step_gram(data)
+        if n == 1 or N > n or n * n > N * d:
+            assert K is None
         else:
-            assert n > 1 and n * n <= N * d and not K.flags.writeable
+            assert not K.flags.writeable
             np.testing.assert_allclose(K, dense, rtol=1e-12, atol=1e-12 * dense.max())
             assert math.sqrt(float(y @ K @ y)) >= top * (1 - 1e-12)
 
     @settings(max_examples=100)
-    @given(d=st.integers(1, 5), sizes=st.lists(st.integers(0, 30), min_size=2, max_size=5),
-           seed=st.integers(0, 2**31 - 1), alpha=st.sampled_from([0.05, 0.3, 1.0, 5.0]))
-    @example(d=3, sizes=[20, 25, 30], seed=0, alpha=1.0)
-    def test_frobenius_term_never_beats_the_sum_under_the_certificate(self, d, sizes, seed,
-                                                                      alpha):
-        # isotropic groups of at least 4 d samples, where C_i is near a
-        # multiple of I and K >= t t^T is typical; wherever it holds,
-        # y^T K y >= (y^T t)^2 for simplex y, and _step_gram skips K
-        sizes = tuple(4 * d + s for s in sizes)
-        data = gen_synthetic_blocks(d, sizes, seed % 1000)
-        tops = smoothness_constants(data, 1).tops
-        dense = oracles.group_gram_dense(data.X, sizes)
-        assume((dense >= np.multiply.outer(tops, tops) * (1 + 1e-9)).all())
-        y = np.random.default_rng(seed).dirichlet(np.full(len(sizes), alpha))
-        assert math.sqrt(float(y @ dense @ y)) >= float(y @ tops) * (1 - 1e-12)
-        assert _step_gram(data, tops) is None
+    @given(d=st.integers(1, 8), n=st.integers(2, 8), seed=st.integers(0, 2**31 - 1),
+           alpha=st.sampled_from([0.05, 0.3, 1.0, 5.0]))
+    @example(d=6, n=6, seed=3, alpha=1.0)
+    def test_frobenius_term_never_exceeds_the_sum_for_singletons(self, d, n, seed, alpha):
+        # K_ij = <x_i, x_j>^2 <= t_i t_j by Cauchy-Schwarz, so for simplex y
+        # y^T K y <= (y^T t)^2: where _step_gram builds K, its term is the
+        # smaller one
+        X = np.random.default_rng(seed).standard_normal((d, n))
+        sizes = (1,) * n
+        tops = oracles.group_tops_by_svd(X, sizes)
+        y = np.random.default_rng(seed + 1).dirichlet(np.full(n, alpha))
+        frobenius = math.sqrt(float(y @ oracles.group_gram_dense(X, sizes) @ y))
+        assert frobenius <= float(y @ tops) * (1 + 1e-12)
 
     def test_rejects_bad_rank(self):
         data = random_dataset(0, d=4)
