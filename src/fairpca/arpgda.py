@@ -14,12 +14,13 @@ and couple the U-stepsize to both smoothness constants:
 
     zeta_k = theta / (L1(y_k) + L2^2 / (lambda_k + beta_k + beta_{k+1})),  theta in (0, 2),
 
-where L1(y_k) = min(L1, 2 sum_i y_{k,i} ||C_i||_2, 2 ||A(y_k)||_F), with
-A(y) = sum_i y_i C_i, bounds the smoothness of f(., y_k) at the step's own
-weights (proof sketch in solve_arpgda) and is at most the global
-L1 = 2 max_i ||C_i||_2.  The Frobenius term is 2 sqrt(y_k^T K y_k) with
-the group Gram K_ij = <C_i, C_j>, taken for singleton groups only, where
-K holds no more numbers than X.
+where L1(y_k) bounds the smoothness of f(., y_k) at the step's own weights
+(proof sketch in solve_arpgda) and is at most the global
+L1 = 2 max_i ||C_i||_2.  It takes one term per regime: for more than one
+singleton group with n^2 <= N d, L1(y_k) = min(L1, 2 ||A(y_k)||_F) with
+A(y) = sum_i y_i C_i and ||A(y)||_F = sqrt(y^T K y) through the group Gram
+K_ij = <C_i, C_j>, which then holds no more numbers than X; for all other
+data, L1(y_k) = min(L1, 2 sum_i y_{k,i} ||C_i||_2).
 
 Runs stop once the stationarity measure E(U, y), tested before each step,
 is at most epsilon, or at the iteration cap.  solve_arpgda's loop is the
@@ -57,19 +58,15 @@ INEQUALITY_SLACK = 1e-8
 # R = max ||y|| over the probability simplex, attained at its vertices.
 DUAL_RADIUS = 1.0
 
-# Below this many entries np.add.reduce sums in order, one by one from 0.0
-# (see the simplex module); from it on numpy sums pairwise, and a BLAS
-# matvec or dot never promises an order.
-_IN_ORDER_SUMS = 8
-
 # Below this many groups the dual step runs on Python floats: about 20 numpy
-# calls of a few flops each cost more in dispatch than the arithmetic, and
-# numpy sums in order there, so _project_floats reproduces
-# project_to_simplex and simplex_violation byte for byte.  From 8 entries on
-# the float path would round differently; it also loses at many groups.  A
+# calls of a few flops each cost more in dispatch than the arithmetic.
+# Below 8 entries np.add.reduce sums in order, one by one from 0.0 (see the
+# simplex module), so _project_floats reproduces project_to_simplex and
+# simplex_violation byte for byte; from 8 on numpy sums pairwise, and the
+# float path would round differently.  It also loses at many groups.  A
 # whole dual step took 4.5 us on floats against 22.4 us at n = 4, and 77.5
 # against 25.5 us at n = 200 (timeit, best of 5, one CPU).
-_FLOAT_DUAL_GROUPS = _IN_ORDER_SUMS
+_FLOAT_DUAL_GROUPS = 8
 
 # JSON schema for run reports produced by SolveResult.to_report (both solvers).
 _NULLABLE_NUMBER = {"type": ["number", "null"]}
@@ -382,17 +379,19 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     threshold; when the largest one is -inf it raises the 2^53
     NumericalError, as the float path does.
 
-    The U-step's smoothness constant is taken at the step's weights y_k:
+    The U-step's smoothness constant is taken at the step's weights y_k,
+    with one term per regime:
 
-        L1(y_k) = min(L1, 2 sum_i y_{k,i} t_i, 2 sqrt(y_k^T K y_k)),
+        L1(y_k) = min(L1, 2 sqrt(y_k^T K y_k))   where K is built,
+        L1(y_k) = min(L1, 2 sum_i y_{k,i} t_i)   everywhere else,
 
     with t_i = ||C_i||_2 from smoothness_constants and the group Gram
-    K_ij = <C_i, C_j> from problem._step_gram, built once per solve.  Each
-    iteration costs one more dot of length n (a plain loop on the float
-    path) and, where K is built, one n x n matvec.  K is built only for
-    more than one singleton group with n <= d, so that neither K nor its
-    matvec outgrows one pass over X; elsewhere the Frobenius term is left
-    out (below), and with one group y = (1) and L1(y) is L1 exactly.
+    K_ij = <C_i, C_j> from problem._step_gram, built once per solve.  K is
+    built only for more than one singleton group with n^2 <= N d, that is
+    n <= d, so that neither K nor its matvec outgrows one pass over X.  Each
+    iteration costs one n x n matvec where K is built, else one dot of
+    length n (a plain loop on the float path).  With one group y = (1) and
+    L1(y) is L1 exactly.
     Proof sketch that L1(y_k) certifies the step's descent.
     f(., y) = -tr(U^T A U) depends on y only through A = A(y) = sum_i y_i C_i,
     which is positive semidefinite; let a = lambda_max(A).  For U on the
@@ -412,30 +411,26 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
 
     the descent lemma with 2 lambda_max(A(y)).  lambda_max is subadditive
     on symmetric matrices (Weyl), so 2 a <= 2 sum_i y_i t_i <= 2 max_i t_i
-    = L1; the min with L1 only absorbs rounding in sum_i y_i.  A is
-    positive semidefinite, so a^2 is at most the sum of its squared
-    eigenvalues, ||A||_F^2 = sum_ij y_i y_j <C_i, C_j> = y^T K y, and
-    2 a <= 2 sqrt(y^T K y) too.  Which term is smaller depends on the
-    groups.  For y >= 0 and K >= t t^T entrywise, y^T K y = sum_ij y_i y_j
-    K_ij >= sum_ij y_i y_j t_i t_j = (y^T t)^2, so the Frobenius term is
-    never below the sum term; that certificate held on check 9's block
-    instance at seeds 0-9, whose smallest K_ij / (t_i t_j) is 9.5.  On the
-    one measured instance with larger groups where the term did bind,
-    gen_synthetic_blocks(30, (2,) * 40, 0) at r = 2, it slowed the run from
-    1 896 to 25 624 iterations, so groups of more than one sample keep the
-    sum rule.  Singletons have K_ij = <x_i, x_j>^2 <= t_i t_j (Cauchy-
-    Schwarz), so there the Frobenius term is never above the sum term, and
-    on check 2's instances it is 10 times below it.  Rounding: the terms
-    of sum_i y_i t_i and of y^T K y are non-negative, so each computed
-    bound is within a relative m 2^-53 or so of the exact one, with m the
-    length of the longest sum behind it (n, and d for the t_i and K).
-    Where the exact bound exceeds 2 a by more, rounding cannot take it
-    below.  They meet 2 a only where A has rank one: at a vertex e_i, where
-    ||A||_F = lambda_max(A) = t_i = 2 y_i t_i / 2, or with all samples on
-    one line.
-    There the computed constant may fall below 2 a by that relative
-    amount, an ulp or so on check 2's singletons, which shortens the
-    decrease check 4 asserts by as much of zeta_k ||grad||^2;
+    = L1.  A is positive semidefinite, so a^2 is at most the sum of its
+    squared eigenvalues, ||A||_F^2 = sum_ij y_i y_j <C_i, C_j> = y^T K y,
+    and 2 a <= 2 sqrt(y^T K y) too.  The min with L1 only absorbs rounding
+    in sum_i y_i, and a NaN term.  Singletons have K_ij = <x_i, x_j>^2 <=
+    t_i t_j (Cauchy-Schwarz), so for y >= 0, y^T K y <= (y^T t)^2: there
+    the Frobenius term is never above the sum term, which it replaces, and
+    on check 2's instances it is 10 times below it.  Groups of more than
+    one sample keep the sum rule: on gen_synthetic_blocks(30, (2,) * 40, 0)
+    at r = 2, the one measured instance with larger groups where the
+    Frobenius term was the smaller, taking it slowed the run from 1 896 to
+    25 624 iterations.
+    Rounding: the terms of sum_i y_i t_i and of y^T K y are non-negative,
+    so each computed bound is within a relative m 2^-53 or so of the exact
+    one, with m the length of the longest sum behind it (n, and d for the
+    t_i and K).  Where the exact bound exceeds 2 a by more, rounding cannot
+    take it below.  They meet 2 a only where A has rank one: at a vertex
+    e_i, where ||A||_F = lambda_max(A) = t_i = 2 y_i t_i / 2, or with all
+    samples on one line.  There the computed constant may fall below 2 a
+    by that relative amount, an ulp or so on check 2's singletons, which
+    shortens the decrease check 4 asserts by as much of zeta_k ||grad||^2;
     INEQUALITY_SLACK = 1e-8 absorbs it while that term is below
     1e-8 / (m 2^-53), about 2e5 at m = 400.  Where the paper's
     O(epsilon^-3) argument uses L1:
@@ -459,13 +454,11 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     n = data.num_groups
     ev, y = run.ev, uniform_weights(n)
     tops = constants.tops
-    # the group Gram of the Frobenius term, None where it is left out
+    # the group Gram of the Frobenius term, None where the sum term serves
     K = _step_gram(data)
-    # y, the group tops t and K's rows as Python floats on the float path,
-    # else None
+    # y and the group tops t as Python floats on the float path, else None
     y_floats = y.tolist() if n < _FLOAT_DUAL_GROUPS else None
     tops_floats = None if y_floats is None else tops.tolist()
-    K_rows = None if y_floats is None or K is None else K.tolist()
     # the Riemannian gradient of f(., y) at U certifies (U, y) in E, then
     # serves as the next descent direction
     grad, grad_norm, phi, weighted, gap, E = _stationarity(ev, y)
@@ -482,23 +475,16 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         k += 1
         beta_k = mu * k**-rho
         beta_next = mu * (k + 1) ** -rho
-        # L1(y_k) = min(L1, 2 sum_i y_i t_i, 2 sqrt(y^T K y)), the
-        # smoothness of f(., y_k); multiplies and reduces, not BLAS dots, so
-        # that below 8 groups the sums are the float path's, in order.  The
-        # Frobenius term comes last: a NaN there leaves the min as it was.
-        if y_floats is None:
+        # L1(y_k), the smoothness of f(., y_k): 2 sqrt(y^T K y) where K is
+        # built, else 2 sum_i y_i t_i, by a multiply and reduce, not a BLAS
+        # dot, so that below 8 groups it is the float path's in-order sum.
+        # L1 comes first in the min: a NaN term leaves L1.
+        if K is not None:
+            L1_k = 2.0 * math.sqrt(np.add.reduce(y * K.dot(y)))
+        elif y_floats is None:
             L1_k = 2.0 * float(np.add.reduce(y * tops))
-            if K is not None:
-                # the reduce arm runs only when a test switches the float
-                # path off below 8 groups, so that it sums in the float
-                # path's order
-                Ky = K.dot(y) if n >= _IN_ORDER_SUMS else np.add.reduce(K * y, axis=1)
-                L1_k = min(L1_k, 2.0 * math.sqrt(np.add.reduce(y * Ky)))
         else:
             L1_k = 2.0 * _dot_floats(y_floats, tops_floats)
-            if K_rows is not None:
-                Ky_floats = [_dot_floats(row, y_floats) for row in K_rows]
-                L1_k = min(L1_k, 2.0 * math.sqrt(_dot_floats(y_floats, Ky_floats)))
         zeta_k = theta / (min(L1, L1_k) + L2_sq / (lam + beta_k + beta_next))
         if not math.isfinite(grad_norm):
             raise NumericalError(f"non-finite gradient entering iteration {k}")

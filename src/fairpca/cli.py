@@ -439,9 +439,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     _make_dir(out_dir)
-    if args.jobs > 1:
+    # the pool starts all its workers at once under fork, so no more than
+    # there are cells
+    jobs = min(args.jobs, len(specs))
+    if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_init_compare_worker, initargs=(dataset,)
+            max_workers=jobs, initializer=_init_compare_worker, initargs=(dataset,)
         ) as pool:
             cells = list(pool.map(_run_worker_cell, specs))
     else:

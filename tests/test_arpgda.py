@@ -247,11 +247,17 @@ class TestStep:
             np.testing.assert_allclose(res.U, U_hand, atol=1e-11)
             np.testing.assert_allclose(res.y, y_hand, atol=1e-11)
 
-    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample")])
-    def test_solver_matches_hand_steps(self, sizes, form):
-        # settings under which the solve records no violation
-        data = small_dataset(seed=3, d=5, sizes=sizes)
+    @pytest.mark.parametrize("d, sizes, form", [
+        (5, (40, 40), "covariance"),
+        (5, (1,) * 8, "sample"),
+        (8, (1,) * 8, "sample"),
+    ], ids=["sizes0-covariance", "sizes1-sample", "singletons-d8"])
+    def test_solver_matches_hand_steps(self, d, sizes, form):
+        # settings under which the solve records no violation; at d = 8 the
+        # eight singletons take the Frobenius term on the numpy dual step
+        data = small_dataset(seed=3, d=d, sizes=sizes)
         assert data.evaluation_form == form
+        assert (_step_gram(data) is not None) == (d == 8)
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, seed=1)
         res = solve_steps(data, 2, params, 12)
         U_hand, y_hand, _ = hand_steps(data, 2, params, 12)
@@ -411,8 +417,8 @@ class TestSolve:
         gen_synthetic_blocks(5, (20, 30), 0),
         gen_synthetic_blocks(4, (15, 10, 20, 25, 30, 12, 40), 1),
         small_dataset(seed=2, sizes=(2, 3, 2)),
-        # K is built (n^2 = N d = 36) and the Frobenius term binds: 8.20
-        # against 13.73 for the sum term at uniform weights
+        # K is built (n^2 = N d = 36), so both paths take the Frobenius
+        # term: 8.20 at uniform weights, where the sum term would be 13.73
         gen_synthetic_gaussian(6, 6, 3),
     ], ids=["covariance_2", "covariance_7", "sample_3", "singletons_6"])
     def test_float_path_equals_numpy_path(self, monkeypatch, data):
@@ -486,15 +492,21 @@ class TestSolve:
         assert [t["ms"] for t in res.trace] == [1e3, 25e3, 25e3, 10e3]
         assert res.time_ms == 61e3
 
-    @pytest.mark.parametrize("sizes, form", [((40, 40), "covariance"), ((1,) * 8, "sample"),
-                                             ((1, 2, 1), "sample")])
-    def test_trace_schedules_are_the_schedules(self, sizes, form):
+    @pytest.mark.parametrize("d, sizes, form", [
+        (5, (40, 40), "covariance"),
+        (5, (1,) * 8, "sample"),
+        (5, (1, 2, 1), "sample"),
+        (8, (1,) * 8, "sample"),
+    ], ids=["sizes0-covariance", "sizes1-sample", "sizes2-sample", "singletons-d8"])
+    def test_trace_schedules_are_the_schedules(self, d, sizes, form):
         # every step's row holds the paper's step-size rule at its k: lambda
         # and beta exactly, and zeta as the hand run's, whose smoothness
         # constant is taken at its own weights (the trace holds no y); the
-        # start's row has none.  (1, 2, 1) takes the float dual step.
-        data = small_dataset(seed=3, d=5, sizes=sizes)
+        # start's row has none.  (1, 2, 1) takes the float dual step, and
+        # eight singletons at d = 8 the Frobenius term on the numpy one.
+        data = small_dataset(seed=3, d=d, sizes=sizes)
         assert data.evaluation_form == form
+        assert (_step_gram(data) is not None) == (d == 8)
         params = ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=40, seed=1)
         res = solve_arpgda(data, 2, params)
         assert [rec["k"] for rec in res.trace] == list(range(41))
@@ -512,7 +524,9 @@ class TestSolve:
         small_dataset(seed=3, d=5, sizes=(1,) * 8),
         small_dataset(seed=3, d=5, sizes=(1, 2, 1)),
         gen_synthetic_blocks(6, (30,) * 9, 1),
-    ], ids=["covariance", "singletons", "float-dual-step", "nine-blocks"])
+        # K is built (n^2 = N d = 64): the Frobenius term on the numpy path
+        small_dataset(seed=3, d=8, sizes=(1,) * 8),
+    ], ids=["covariance", "singletons", "float-dual-step", "nine-blocks", "singletons-d8"])
     def test_step_constant_never_exceeds_L1(self, data):
         # L1(y_k) <= L1 at every step, so every zeta is at least the
         # global rule's; with unequal group tops the local one is larger

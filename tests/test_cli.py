@@ -561,6 +561,35 @@ class TestCompare:
         assert summary["rsg_max_iters"] == 50
         assert summary["arpgda_params"]["2"]["max_iters"] == 100_000
 
+    @pytest.mark.parametrize("seeds, workers", [(1, []), (2, [2]), (3, [3])])
+    def test_jobs_never_exceed_the_cells(self, tmp_path, monkeypatch, seeds, workers):
+        # under fork the pool starts all its workers at once; a fake pool
+        # records its size and runs the cells in-process, and one cell
+        # runs with no pool at all
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("fairpca.cli.ProcessPoolExecutor", Pool)
+        out = tmp_path / "out"
+        assert run(["compare", "--gen", "gaussian:d=6,n=6,seed=1", "--r", "1",
+                    "--seeds", seeds, "--algs", "arpgda", "--jobs", 64, "--out", out]) == 0
+        assert sizes == workers
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert [cell["seed"] for cell in summary["cells"]] == list(range(seeds))
+
     @pytest.mark.parametrize("jobs, source", [(0, "flag"), (-2, "flag"), (0, "config")])
     def test_rejects_jobs_below_one(self, tmp_path, capsys, jobs, source):
         if source == "flag":
