@@ -311,13 +311,20 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
     )
 
 
-def _dot_floats(a: list[float], b: list[float]) -> float:
-    # sum_i a_i b_i over Python floats with a plain loop, in order from 0.0;
-    # the built-in sum() compensates float sums since Python 3.12
-    total = 0.0
-    for u, v in zip(a, b):
-        total += u * v
-    return total
+def _ascend(y: np.ndarray, values: np.ndarray, lam: float,
+            lam_beta: float) -> tuple[np.ndarray, float]:
+    # the dual step P(y + (-values - lam y) / lam_beta), with the negation
+    # moved out, which IEEE rounding makes exact, and the drift
+    # |sum(y_next) - 1| of simplex_violation; its other half, the negative
+    # part, is 0.0 after any projection, whose last step is a maximum with
+    # 0.  Below _FLOAT_DUAL_GROUPS groups the same operations run entry by
+    # entry on Python floats.
+    if y.size < _FLOAT_DUAL_GROUPS:
+        y_next, drift = _project_floats(
+            [v - (f + lam * v) / lam_beta for v, f in zip(y.tolist(), values.tolist())])
+        return np.array(y_next), drift
+    y_next = project_to_simplex(y - (values + lam * y) / lam_beta)
+    return y_next, abs(float(np.add.reduce(y_next)) - 1.0)
 
 
 def _regularized_value(weighted: float, y: np.ndarray, lam: float) -> float:
@@ -377,7 +384,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     simplex projection on the ascent, whose entries overflow to -inf.  The
     projection maps such an entry to 0, as it does any entry far below its
     threshold; when the largest one is -inf it raises the 2^53
-    NumericalError, as the float path does.
+    NumericalError, as the float arm of the dual step does.
 
     The U-step's smoothness constant is taken at the step's weights y_k,
     with one term per regime:
@@ -389,9 +396,9 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     K_ij = <C_i, C_j> from problem._step_gram, built once per solve.  K is
     built only for more than one singleton group with n^2 <= N d, that is
     n <= d, so that neither K nor its matvec outgrows one pass over X.  Each
-    iteration costs one n x n matvec where K is built, else one dot of
-    length n (a plain loop on the float path).  With one group y = (1) and
-    L1(y) is L1 exactly.
+    iteration costs one n x n matvec where K is built, else one multiply and
+    reduce of length n.  With one group y = (1) and L1(y) is L1 exactly.
+    info["step_bound"] names the term: "frobenius" or "sum".
     Proof sketch that L1(y_k) certifies the step's descent.
     f(., y) = -tr(U^T A U) depends on y only through A = A(y) = sum_i y_i C_i,
     which is positive semidefinite; let a = lambda_max(A).  For U on the
@@ -451,14 +458,10 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     mu, rho, theta = params.mu, params.rho, params.theta
     lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
     decrease = (2.0 - theta) / (2.0 * theta)
-    n = data.num_groups
-    ev, y = run.ev, uniform_weights(n)
+    ev, y = run.ev, uniform_weights(data.num_groups)
     tops = constants.tops
     # the group Gram of the Frobenius term, None where the sum term serves
     K = _step_gram(data)
-    # y and the group tops t as Python floats on the float path, else None
-    y_floats = y.tolist() if n < _FLOAT_DUAL_GROUPS else None
-    tops_floats = None if y_floats is None else tops.tolist()
     # the Riemannian gradient of f(., y) at U certifies (U, y) in E, then
     # serves as the next descent direction
     grad, grad_norm, phi, weighted, gap, E = _stationarity(ev, y)
@@ -477,34 +480,21 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         beta_next = mu * (k + 1) ** -rho
         # L1(y_k), the smoothness of f(., y_k): 2 sqrt(y^T K y) where K is
         # built, else 2 sum_i y_i t_i, by a multiply and reduce, not a BLAS
-        # dot, so that below 8 groups it is the float path's in-order sum.
-        # L1 comes first in the min: a NaN term leaves L1.
+        # dot, which may fuse multiply and add and sum in another order and
+        # so move every run of the sum regime.  L1 comes first in the min:
+        # a NaN term leaves L1.
         if K is not None:
             L1_k = 2.0 * math.sqrt(np.add.reduce(y * K.dot(y)))
-        elif y_floats is None:
-            L1_k = 2.0 * float(np.add.reduce(y * tops))
         else:
-            L1_k = 2.0 * _dot_floats(y_floats, tops_floats)
+            L1_k = 2.0 * float(np.add.reduce(y * tops))
         zeta_k = theta / (min(L1, L1_k) + L2_sq / (lam + beta_k + beta_next))
         if not math.isfinite(grad_norm):
             raise NumericalError(f"non-finite gradient entering iteration {k}")
         # U_{k+1} passes check_iterate before the ascent step reads its values
         ev = run.step(polar_retract(ev.U, -zeta_k * grad), k)
-        values = ev.values
-        # grad_y f(U_{k+1}, y_k) = -values, independent of y; the ascent
-        # y + (-values - lam y) / (lam + beta_k), with the negation moved
-        # out, which IEEE rounding makes exact
-        if y_floats is None:
-            y_next = project_to_simplex(y - (values + lam * y) / (lam + beta_k))
-            max_simplex = max(max_simplex, *simplex_violation(y_next))
-        else:
-            # the same operations entry by entry; the projection's negative
-            # part is 0.0, which max_simplex >= 0.0 absorbs
-            lam_beta = lam + beta_k
-            y_floats, drift = _project_floats(
-                [v - (f + lam * v) / lam_beta for v, f in zip(y_floats, values.tolist())])
-            max_simplex = max(max_simplex, drift)
-            y_next = np.array(y_floats)
+        # grad_y f(U_{k+1}, y_k) = -values, independent of y
+        y_next, drift = _ascend(y, ev.values, lam, lam + beta_k)
+        max_simplex = max(max_simplex, drift)
         prev_grad_norm = grad_norm
         grad, grad_norm, phi, weighted, gap, E = _stationarity(ev, y_next)
 
@@ -536,4 +526,5 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
             stacklevel=2,
         )
     return run.result("arpgda", y, phi, E, k, E <= params.epsilon, violations,
-                      L1=L1, L2=constants.L2, max_simplex_error=max_simplex)
+                      L1=L1, L2=constants.L2, max_simplex_error=max_simplex,
+                      step_bound="sum" if K is None else "frobenius")

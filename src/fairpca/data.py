@@ -119,9 +119,15 @@ def gen_synthetic_blocks(
     )
 
 
-def _text_lines(handle: Iterable[str], path) -> Iterator[str]:
-    """The lines of handle, with a failure to decode them as a DataError."""
+def _text_lines(handle: Iterator[str], path) -> Iterator[str]:
+    """The lines of handle, the first without a leading byte-order mark,
+    U+FEFF, which spreadsheets' "CSV UTF-8" exports start with, and with a
+    failure to decode them as a DataError.  The mark goes before the csv
+    module reads the header, so a quoted first name is unquoted as usual."""
     try:
+        for line in handle:
+            yield line.removeprefix("\ufeff")
+            break
         yield from handle
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode as text: {exc}") from None

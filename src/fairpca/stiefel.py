@@ -173,7 +173,8 @@ def load_point(path) -> np.ndarray:
         with warnings.catch_warnings():
             # an empty file is rejected below, by its shape
             warnings.simplefilter("ignore", UserWarning)
-            U = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+            # utf-8-sig skips a byte-order mark, which "CSV UTF-8" exports start with
+            U = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, encoding="utf-8-sig")
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     d, r = U.shape

@@ -5,10 +5,13 @@ import json
 import re
 import warnings
 from dataclasses import asdict, replace
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fairpca import (
@@ -429,6 +432,18 @@ class TestSolve:
         monkeypatch.setattr(arpgda_module, "_FLOAT_DUAL_GROUPS", 1)
         assert run_bytes(floats) == run_bytes(solve_arpgda(data, 2, params))
 
+    @pytest.mark.parametrize("data, bound", [
+        (gen_synthetic_gaussian(8, 8, 0), "frobenius"),
+        (gen_synthetic_gaussian(4, 8, 0), "sum"),  # n^2 = 64 > N d = 32
+        (gen_synthetic_blocks(4, (5, 5), 0), "sum"),
+        (gen_synthetic_gaussian(3, 1, 0), "sum"),
+    ], ids=["singletons", "wide_singletons", "blocks", "one_group"])
+    def test_info_names_the_step_bound(self, data, bound):
+        res = solve_arpgda(data, 2 if data.d > 1 else 1,
+                           ARPGDAParams(epsilon=1e-9, mu=5.0, max_iters=2))
+        assert res.info["step_bound"] == bound
+        assert (_step_gram(data) is not None) == (bound == "frobenius")
+
     def test_overflowing_dual_step_raises_numerical_error(self):
         # at this scale the dual step's entries pass 2^53 within a few
         # iterations, past the digits the simplex projection needs
@@ -608,3 +623,33 @@ class TestSolve:
         assert all(res.converged and not res.violations for res in runs)
         slope = np.polyfit(np.log(1.0 / epsilons), np.log([res.iterations for res in runs]), 1)[0]
         assert slope <= 3.0
+
+
+def ascend_outcome(y, values, lam, lam_beta):
+    """arpgda._ascend's step as bytes and drift, or its NumericalError text,
+    with overflow warnings off, as in the solve."""
+    try:
+        with np.errstate(over="ignore"):
+            y_next, drift = arpgda_module._ascend(y, values, lam, lam_beta)
+    except NumericalError as exc:
+        return str(exc)
+    return y_next.tobytes(), drift
+
+
+@settings(max_examples=500)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**31 - 1), vertex=st.booleans(),
+       exponent=st.floats(-300.0, 20.0), ties=st.booleans(), lam=st.floats(1e-310, 1.0),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+def test_ascend_float_arm_equals_numpy_arm(n, seed, vertex, exponent, ties, lam, beta):
+    # the dual step's two arms give the same bytes and drift, or the same
+    # NumericalError where the ascent overflows or passes 2^53; the group
+    # values are non-negative, as the solve's are
+    rng = np.random.default_rng(seed)
+    y = np.eye(n)[rng.integers(n)] if vertex else rng.dirichlet(np.ones(n))
+    values = rng.random(n)
+    if ties:  # repeated values, as for groups that fare alike
+        values = np.round(values, 1)
+    values *= 10.0 ** exponent
+    floats = ascend_outcome(y, values, lam, lam + beta)
+    with mock.patch.object(arpgda_module, "_FLOAT_DUAL_GROUPS", 1):
+        assert ascend_outcome(y, values, lam, lam + beta) == floats

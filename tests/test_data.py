@@ -415,6 +415,30 @@ class TestCsvNumpyPass:
         assert fast == slow == ("error", f"{path}: no data rows")
         assert loop_runs == 1
 
+    @pytest.mark.parametrize("text, loop_runs", [
+        ("group,a,b\ng1,1.0,2.0\ng2,3.0,4.5\n", 0),
+        ("group,a,b\ng1,1_0,2.0\ng2,3.0,4.5\n", 1),  # 1_0 forces the csv loop
+        ('"group","a","b"\ng1,1.0,2.0\ng2,3.0,4.5\n', 0),
+    ], ids=["numpy_pass", "csv_loop", "quoted_header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, loop_runs):
+        # spreadsheets export "CSV UTF-8" with a byte-order mark first
+        plain, marked = tmp_path / "plain" / "data.csv", tmp_path / "marked" / "data.csv"
+        for path, raw in ((plain, text.encode()), (marked, b"\xef\xbb\xbf" + text.encode())):
+            path.parent.mkdir()
+            path.write_bytes(raw)
+        fast, slow, runs = _load_both_ways(marked)
+        assert fast == slow == _outcome(plain)
+        assert fast[0] == "data"
+        assert runs == loop_runs
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_byte_order_mark_through_a_pipe(self, tmp_path):
+        data, loop_runs = _load_through_a_pipe(tmp_path / "pipe.csv",
+                                               "\ufeffgroup,a,b\ng1,1.0,2.0\ng2,3.0,4.5\n")
+        assert data.labels == ("g1", "g2")
+        np.testing.assert_array_equal(data.X, [[1.0, 3.0], [2.0, 4.5]])
+        assert loop_runs == 1
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_unseekable_input_goes_through_the_csv_loop(self, tmp_path):
         data, loop_runs = _load_through_a_pipe(tmp_path / "pipe.csv", "x,group\n1,a\n2,b\n")

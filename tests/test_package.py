@@ -3,6 +3,7 @@ take, the README's examples and the independence of the test oracles."""
 
 import argparse
 import ast
+import importlib
 import re
 import shlex
 import types
@@ -43,6 +44,17 @@ def test_all_lists_every_public_name():
 def test_readme_names_every_public_name():
     text = README.read_text()
     assert [name for name in fairpca.__all__ if not re.search(rf"\b{name}\b", text)] == []
+
+
+def test_readme_cites_only_names_its_modules_have():
+    # data. is left out: README names a dataset data, as in data.labels
+    cited = set(re.findall(
+        r"`(stiefel|simplex|problem|arpgda|baselines|exceptions|cli)\.([A-Za-z_]\w*)",
+        README.read_text()))
+    assert cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"fairpca.{module}"), name)]
+    assert missing == []
 
 
 def test_every_flag_has_help():

@@ -197,6 +197,17 @@ def test_save_and_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(load_point(path), U)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    # spreadsheets export "CSV UTF-8" with a byte-order mark first
+    text = point_csv_text(random_stiefel(5, 2, seed=3))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_point(marked).tobytes() == load_point(plain).tobytes()
+    marked.write_bytes(b"\xef\xbb\xbf0.6,0.8\n0.8,-0.6\n")
+    np.testing.assert_array_equal(load_point(marked), [[0.6, 0.8], [0.8, -0.6]])
+
+
 def test_load_single_column_keeps_two_dims(tmp_path):
     U = random_stiefel(6, 1, seed=4)
     path = tmp_path / "point.csv"
