@@ -283,8 +283,10 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
     trace_stride keep their defaults; dataclasses.replace sets others.
 
     Raises NumericalError, naming the largest sample norm, when the
-    singleton epsilon overflows, which happens for norms past about 1.3e154;
-    no warning comes first.
+    singleton epsilon overflows, which happens for norms past about 1.3e154,
+    or when that norm is positive but lambda = epsilon / 8 underflows to 0,
+    for norms below about 1.6e-160; no warning comes first.  All-zero data
+    raises DegenerateProblemError.
     """
     check_rank("r", r, data.d)
     n = data.num_groups
@@ -296,6 +298,10 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
             raise NumericalError(
                 f"cannot pick epsilon: the data's largest sample norm, {top:.3e}, "
                 "overflows when squared")
+        if top > 0.0 and epsilon / (8.0 * DUAL_RADIUS**2) == 0.0:
+            raise NumericalError(
+                f"cannot pick epsilon: the data's largest sample norm, {top:.3e}, "
+                "is so small that lambda = epsilon / 8 underflows to 0")
         rho, theta, mu_scale = 1.1, 1.5, 30.0
     else:
         epsilon = 1e-3

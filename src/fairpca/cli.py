@@ -57,42 +57,42 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for data
-    errors, so usage problems are rethrown and mapped to exit 1."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._reading: list[str] = []  # the @FILEs being expanded, outermost first
+    errors, so usage problems are rethrown and mapped to exit 1.  Each
+    parse, a subcommand's too, first expands its @FILEs."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
-    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
-        """One @FILE line is one argument, stripped; a blank line is none."""
-        arg = arg_line.strip()
-        return [arg] if arg else []
+    def parse_known_args(self, args: Sequence[str] | None = None,  # type: ignore[override]
+                         namespace: argparse.Namespace | None = None) -> Any:
+        return super().parse_known_args(
+            _expand_args(sys.argv[1:] if args is None else args), namespace)
 
-    def _read_args_from_files(self, arg_strings: list[str]) -> list[str]:
-        """argparse's @FILE expansion, which also calls this on each file's
-        lines, handed one file at a time: a file that is already being read,
-        directly or through another, and one that does not decode as text
-        are usage errors that name the file, not a RecursionError or a bare
-        codec message."""
-        expanded: list[str] = []
-        for arg in arg_strings:
-            if not arg.startswith("@"):
-                expanded.append(arg)
-                continue
-            name, path = arg[1:], os.path.realpath(arg[1:])
-            if path in self._reading:
-                self.error(f"{name}: the @FILE reads itself, directly or through another file")
-            self._reading.append(path)
-            try:
-                expanded += super()._read_args_from_files([arg])
-            except UnicodeDecodeError as exc:
-                self.error(f"{name}: cannot decode as text: {exc}")
-            finally:
-                self._reading.pop()
-        return expanded
+
+def _expand_args(args: Sequence[str], reading: tuple[str, ...] = ()) -> list[str]:
+    """args with each @FILE replaced by FILE's stripped non-blank lines, one
+    argument a line, expanded in turn; reading holds the real paths of the
+    files being read, outermost first.  FILE is read in the locale encoding
+    with strict errors on every Python, as argparse read it before 3.12.  A
+    file that cannot be read or decoded, or that reads itself, directly or
+    through another, is a usage error that names it."""
+    expanded: list[str] = []
+    for arg in args:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
+        name, path = arg[1:], os.path.realpath(arg[1:])
+        if path in reading:
+            raise _UsageError(f"{name}: the @FILE reads itself, directly or through another file")
+        try:
+            with open(name) as handle:
+                lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{name}: cannot decode as text: {exc}") from None
+        except OSError as exc:
+            raise _UsageError(str(exc)) from None
+        expanded += _expand_args([a for a in map(str.strip, lines) if a], (*reading, path))
+    return expanded
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +537,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fairpca", description=__doc__.split("\n\n")[0],
-                     fromfile_prefix_chars="@",
                      epilog="@FILE anywhere stands for FILE's lines, one argument a line.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -36,38 +36,29 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .exceptions import DataError, DimensionError, check_count
-from .problem import GroupedDataset
+from .problem import GroupedDataset, _column_norms
 
 
-# The provenance and preprocessing keys of a dataset_meta dict, with the
-# values they take when describe is not given them.
-_META_DEFAULTS: dict[str, Any] = {
-    "generator": None,
-    "seed": None,
-    "source": None,
-    "normalized": False,
-    "centered": False,
-    "standardized": False,
-    "min_norm_threshold": 0.0,
-}
-
-
-def describe(data: GroupedDataset, **fields: Any) -> dict[str, Any]:
+def describe(data: GroupedDataset, *, generator: str | None = None, seed: int | None = None,
+             source: str | None = None, normalized: bool = False, centered: bool = False,
+             standardized: bool = False, min_norm_threshold: float = 0.0) -> dict[str, Any]:
     """The dataset_meta dict that reports and meta files carry: the shape of
-    data, consistent with it by construction, plus the provenance and
-    preprocessing fields (generator, seed, source, normalized, centered,
-    standardized, min_norm_threshold); fields not given take their defaults."""
-    unknown = sorted(set(fields) - set(_META_DEFAULTS))
-    if unknown:
-        raise TypeError(f"describe() got unknown field(s) {', '.join(unknown)}")
+    data, consistent with it by construction, then the provenance fields
+    generator, seed and source, and the preprocessing fields normalized,
+    centered, standardized and min_norm_threshold, each as given."""
     return {
         "name": data.name,
         "d": data.d,
         "num_samples": data.num_samples,
         "num_groups": data.num_groups,
         "group_sizes": list(data.group_sizes),
-        **_META_DEFAULTS,
-        **fields,
+        "generator": generator,
+        "seed": seed,
+        "source": source,
+        "normalized": normalized,
+        "centered": centered,
+        "standardized": standardized,
+        "min_norm_threshold": min_norm_threshold,
     }
 
 
@@ -286,7 +277,9 @@ def preprocess(
     sample's entries, per-sample scaling to unit norm.  Groups left empty are
     removed with a warning; dropping everything raises DataError.  A
     min_norm_threshold that is NaN or negative raises ValueError.  Re-running
-    with the same settings is the identity.
+    with the same settings is the identity.  Norms, means and stds that
+    overflow are taken from rescaled data, so huge samples are transformed
+    as unit-scale ones are, not zeroed, and without a warning.
     """
     if not min_norm_threshold >= 0.0:
         raise ValueError(f"min_norm_threshold must be non-negative, got {min_norm_threshold!r}")
@@ -306,14 +299,23 @@ def preprocess(
     # data.X already is, and is left uncopied when no sample is dropped
     X = data.X if keep.all() else np.ascontiguousarray(data.X[:, keep])
     if standardize_features:
-        mean = X.mean(axis=1, keepdims=True)
-        std = X.std(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            mean = X.mean(axis=1, keepdims=True)
+            std = X.std(axis=1, keepdims=True)
+        big = ~(np.isfinite(mean) & np.isfinite(std))[:, 0]
+        if big.any():
+            # standardization does not depend on scale: a feature whose
+            # mean or std overflows is taken divided by its largest entry
+            X = X.copy()
+            X[big] /= np.abs(X[big]).max(axis=1, keepdims=True)
+            mean[big] = X[big].mean(axis=1, keepdims=True)
+            std[big] = X[big].std(axis=1, keepdims=True)
         std[std == 0.0] = 1.0
         X = (X - mean) / std
     if center:
         X = X - X.mean(axis=0, keepdims=True)
     if normalize:
-        norms = np.linalg.norm(X, axis=0, keepdims=True)
+        norms = _column_norms(X)
         norms[norms == 0.0] = 1.0
         X = X / norms
     return GroupedDataset(X, sizes, labels=labels, name=data.name)

@@ -208,17 +208,23 @@ class GroupedDataset:
         return C
 
     def sample_norms(self) -> np.ndarray:
-        """The Euclidean norm of each sample, shape (N,).  A norm past about
-        1.3e154, whose sum of squares overflows, is recomputed from the
-        sample scaled by its largest entry, so no warning is raised."""
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.X, axis=0)
-        big = np.isinf(norms)
-        if big.any():
-            Xb = self.X[:, big]
-            top = np.abs(Xb).max(axis=0)
-            norms[big] = top * np.linalg.norm(Xb / top, axis=0)
-        return norms
+        """The Euclidean norm of each sample, shape (N,), finite and without
+        a warning for any finite data (see _column_norms)."""
+        return _column_norms(self.X)
+
+
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column of X.  A norm past about 1.3e154,
+    whose sum of squares overflows, is recomputed from the column scaled by
+    its largest entry, so no warning is raised."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+    big = np.isinf(norms)
+    if big.any():
+        Xb = X[:, big]
+        top = np.abs(Xb).max(axis=0)
+        norms[big] = top * np.linalg.norm(Xb / top, axis=0)
+    return norms
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,15 +67,27 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
     so y = z - (z - 1) lies in [1/2, 3/2]; then y - 1 is exact by Sterbenz's
     lemma and the sum correction y - (y - 1) gives exactly 1.
 
+    Only the entries above z_(1) - 1 enter the sums, which keeps them from
+    overflowing: summed in full, entries near -1e308 reach -inf, so that
+    tau is -inf and z - tau NaN or +inf.  No entry cut can be in the support,
+    since y_(1) = z_(1) - tau <= 1 gives tau >= z_(1) - 1; and none passes
+    the threshold test, since z_(j) <= z_(1) - 1 gives
+    sum_{i<=j} z_(i) - 1 >= z_(1) - 1 + (j - 1) z_(j) >= j z_(j).  In
+    exact arithmetic the cut thus changes no result; in floating point it
+    could only where rounding lets such an entry pass at a tie
+    (tools/cell_hashes.py prints the same bytes with and without it).
+    Every kept entry lies within 1 of z_(1), so no kept sum overflows.
+
     For two or more entries with largest |z| >= 2^53, z_(1) - 1 can round to
-    z_(1), so no index passes the threshold test: the step that produced z
-    has lost every digit below 1, and NumericalError says so.
+    z_(1), so no entry is kept and no index passes the threshold test: the
+    step that produced z has lost every digit below 1, and NumericalError
+    says so.
 
     The threshold test is written s > q rather than s - q > 0: for doubles,
     with gradual underflow, fl(a - b) is zero only when a = b and otherwise
     has the sign of a - b (an overflow to +-inf included), so the two agree
     bit for bit.  tau is a Python float quotient, the same IEEE division.
-    The pass makes 14 C-level numpy calls, since at a few entries their
+    The pass makes 15 C-level numpy calls, since at a few entries their
     dispatch, not the arithmetic, sets its cost (below 8 entries ARPGDA
     takes _project_floats instead).  It calls none of the
     Python-level wrappers np.sort, np.flatnonzero and ndarray.sum, which add
@@ -95,12 +107,14 @@ def project_to_simplex(z: np.ndarray) -> np.ndarray:
         return np.ones(1)
     s = z.copy()
     s.sort()
-    s = s[::-1]
+    # the m largest entries are those above z_(1) - 1
+    m = n - s.searchsorted(s.item(-1) - 1.0, "right")
+    s = s[::-1][:m]
     shifted = np.add.accumulate(s)
     shifted -= _ONE
     # index 0 qualifies while |z_(1)| < 2^53, as z_(1) - (z_(1) - 1) >= 1/2
     try:
-        last = (s > shifted / _ranks(n)).nonzero()[0].item(-1)
+        last = (s > shifted / _ranks(n)[:m]).nonzero()[0].item(-1)
     except IndexError:
         raise NumericalError(
             f"simplex projection lost precision: largest |z| is {np.abs(z).max():.3e} >= 2^53"
@@ -120,15 +134,18 @@ def _project_floats(z: list[float]) -> tuple[list[float], float]:
     of simplex_violation, byte for byte, for a list of 1 to 7 floats (see
     the module docstring); the other half of simplex_violation, the
     negative part, is 0.0 for any projection, whose last step is a maximum
-    with 0.  The same sort, threshold test, tau, residual and 2^53
-    NumericalError as project_to_simplex, and [1.0] for one entry.
+    with 0.  The same sort, cut at z_(1) - 1, threshold test, tau, residual
+    and 2^53 NumericalError as project_to_simplex, and [1.0] for one entry.
 
     Internal: z is not checked; callers pass finite floats.
     """
     if len(z) == 1:
         return [1.0], 0.0
     total, tau = 0.0, None
-    for m, v in enumerate(sorted(z, reverse=True), 1):
+    s = sorted(z, reverse=True)
+    for m, v in enumerate(s, 1):
+        if not v > s[0] - 1.0:
+            break
         total += v
         q = (total - 1.0) / m
         if v > q:

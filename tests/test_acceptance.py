@@ -7,7 +7,8 @@ Each check prints one always-visible line of the form
 so the verdicts are readable straight from the pytest output.  One heavy
 fixture, forty compare_cell runs at d = n = 200, is module-scoped and shared
 by checks 2, 3, 4, and 8, so any one of them runs every solve; the module
-takes about four minutes with one BLAS thread (226-242 s on 2 cores).
+takes about three minutes with one BLAS thread (191 s on 2 shared cores, of
+which the shared fixture took 138 s and check 9 took 51 s).
 
 Checks 5, 6, and 7 certify the mathematics against independent oracles.
 Checks 1, 2, and 9 exercise the solver's convergence contract on three

@@ -10,7 +10,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -137,6 +137,18 @@ class TestParams:
         data = GroupedDataset(gen_synthetic_gaussian(4, 4, 0).X * 1e160, (1,) * 4)
         message = ("cannot pick epsilon: the data's largest sample norm, 2.491e+160, "
                    "overflows when squared")
+        with pytest.raises(NumericalError, match=re.escape(message) + "$"):
+            recommended_params(data, 1)
+
+    @pytest.mark.parametrize("scale", [5e-161, 1.6e-161])
+    def test_recommended_epsilon_underflow_is_a_numerical_error(self, scale):
+        # past about 1.6e-160 the singleton lambda = epsilon / 8 is 0; at
+        # these norms (1.25e-160 and 3.99e-161) ARPGDAParams once rejected
+        # epsilon, and then all samples were said to have zero norm
+        data = GroupedDataset(gen_synthetic_gaussian(4, 4, 0).X * scale, (1,) * 4)
+        top = float(data.sample_norms().max())
+        message = (f"cannot pick epsilon: the data's largest sample norm, {top:.3e}, "
+                   "is so small that lambda = epsilon / 8 underflows to 0")
         with pytest.raises(NumericalError, match=re.escape(message) + "$"):
             recommended_params(data, 1)
 
@@ -452,6 +464,20 @@ class TestSolve:
         with pytest.raises(NumericalError, match=r"simplex projection lost precision"):
             solve_arpgda(data, 2, recommended_params(data, 2))
 
+    @pytest.mark.parametrize("groups", [4, 8], ids=["floats", "numpy"])
+    def test_ascent_near_the_largest_double_raises_not_converges(self, groups):
+        # finite ascent entries near -1e308 once summed to -inf in the
+        # projection: 4 groups returned y = 0 with converged = True, and 8
+        # a NaN gradient
+        X = 0.2 * np.random.default_rng(1).standard_normal((5, 40))
+        data = GroupedDataset(X, (40 // groups,) * groups)
+        params = ARPGDAParams(epsilon=8.9e-308, mu=0.0, max_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"simplex projection lost precision: "
+                                                     r"largest \|z\| is \S+e\+307 >= 2\^53$"):
+                solve_arpgda(data, 2, params)
+
     @pytest.mark.parametrize("sizes", [(30,) * 8, (30,) * 3], ids=["numpy", "floats"])
     def test_overflowing_ascent_raises_numerical_error_without_a_warning(self, sizes):
         # lambda near the least double makes (values + lambda y) / lambda
@@ -637,6 +663,9 @@ def ascend_outcome(y, values, lam, lam_beta):
 
 
 @settings(max_examples=500)
+# ascents near -7e307 and -1e308, whose partial sums once overflowed
+@example(n=4, seed=0, vertex=False, exponent=0.0, ties=False, lam=1.1125e-308, beta=0.0)
+@example(n=7, seed=2097151, vertex=False, exponent=0.0, ties=False, lam=1e-310, beta=0.0)
 @given(n=st.integers(1, 7), seed=st.integers(0, 2**31 - 1), vertex=st.booleans(),
        exponent=st.floats(-300.0, 20.0), ties=st.booleans(), lam=st.floats(1e-310, 1.0),
        beta=st.one_of(st.just(0.0), st.floats(0.0, 1e6)))

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, files, reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -316,6 +317,15 @@ class TestSolve:
                     "--out", tmp_path / "runs"]) == 3
         assert ("numerical failure: the smoothness constants overflow: the data's "
                 "largest sample norm is" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", ["--normalize", "--standardize"])
+    def test_huge_samples_preprocess_and_solve(self, tmp_path, capsys, flag):
+        # squares of 1e200 overflow; the transforms once gave all-zero data
+        X = 1e200 * np.random.default_rng(0).standard_normal((3, 4))
+        (tmp_path / "huge.csv").write_text(dataset_csv_text(GroupedDataset(X, (2, 2))))
+        assert run(["solve", "arpgda", "--data", tmp_path / "huge.csv", flag, "--r", 1,
+                    "--out", tmp_path / "run.json"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_input_csv_is_not_mutated(self, tmp_path):
         csv_path = tmp_path / "d.csv"
@@ -854,6 +864,32 @@ class TestTopLevel:
         params = report["params"]
         assert (params["epsilon"], params["max_iters"], params["trace_stride"]) == (0.5, 7, 3)
 
+    def test_args_file_decodes_strictly_under_any_argparse_reader(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # Python 3.12's argparse reads an @FILE with errors="surrogateescape",
+        # so a reader that relied on its decode error passed b"a\xff" on as
+        # the argument "a\udcff"; this stands in 3.12's reader on any Python
+        def read_args_from_files(parser, arg_strings):
+            expanded = []
+            for arg in arg_strings:
+                if not arg or arg[0] not in parser.fromfile_prefix_chars:
+                    expanded.append(arg)
+                    continue
+                try:
+                    with open(arg[1:], errors="surrogateescape") as handle:
+                        lines = [a for line in handle.read().splitlines()
+                                 for a in parser.convert_arg_line_to_args(line)]
+                    expanded += read_args_from_files(parser, lines)
+                except OSError as err:
+                    parser.error(str(err))
+            return expanded
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_read_args_from_files",
+                            read_args_from_files)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bytes.args").write_bytes(b"a\xff")
+        assert run([*self.SOLVE, "--gen", "gaussian:d=4,n=4", "@bytes.args"]) == 1
+        assert capsys.readouterr().err.startswith("error: bytes.args: cannot decode as text")
 
     @pytest.mark.parametrize("content, line", [
         (b"@loop.args\n", "error: loop.args: the @FILE reads itself, directly or through "

@@ -498,6 +498,17 @@ class TestPreprocess:
         np.testing.assert_allclose(out.X.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.X.std(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("flag", ["normalize", "standardize_features"])
+    def test_huge_samples_transform_as_unit_scale_ones(self, flag):
+        # at 2^600 the squares overflow; the scale is a power of 2, so only
+        # the rescaled norms, means and stds round differently
+        X = np.random.default_rng(0).standard_normal((3, 4))
+        unit = preprocess(GroupedDataset(X, (2, 2)), **{flag: True}).X
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = preprocess(GroupedDataset(2.0**600 * X, (2, 2)), **{flag: True}).X
+        np.testing.assert_allclose(huge, unit, rtol=0.0, atol=4 * np.finfo(float).eps)
+
     def test_norm_threshold_drops_samples(self):
         X = np.array([[1.0, 1e-9, 2.0], [0.0, 0.0, 1.0]])
         data = GroupedDataset(X=X, group_sizes=(2, 1))

@@ -28,6 +28,7 @@ from fairpca import (
     solve_rsg,
     uniform_weights,
 )
+from fairpca import cli
 from fairpca.cli import build_parser
 
 TESTS = Path(__file__).resolve().parent
@@ -68,6 +69,14 @@ def test_every_flag_has_help():
 
     missing = [(prog, action.dest) for prog, action in actions(build_parser()) if not action.help]
     assert missing == []
+
+
+def test_parser_overrides_no_private_argparse_method():
+    # a private method can change between Python versions, as argparse's
+    # @FILE reader did in 3.12
+    overridden = [name for name in vars(cli._Parser)
+                  if re.fullmatch(r"_[^_]\w*", name) and hasattr(argparse.ArgumentParser, name)]
+    assert overridden == []
 
 
 # Every public function or constructor that takes a count, as (label, call

@@ -1,6 +1,7 @@
 """Simplex projection against brute force, plus feasibility helpers."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -157,10 +158,33 @@ def test_float_kernel_equals_numpy_projection_exactly(n, seed, exponent, ties, n
     assert_float_kernel_agrees(z)
 
 
+@settings(max_examples=500)
+@given(z=st.lists(st.floats(-1.7e308, 1.7e308), min_size=1, max_size=12),
+       ties=st.booleans())
+def test_finite_z_projects_onto_the_simplex_or_raises(z, ties):
+    # the partial sums once overflowed to -inf for entries near -1e308,
+    # which gave NaN weights or all-zero ones
+    if ties:  # each entry twice, huge ones included
+        z = z + z
+    z = np.array(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            y = project_to_simplex(z)
+        except NumericalError as exc:
+            assert "lost precision" in str(exc)
+            assert np.abs(z).max() >= 2.0**53
+        else:
+            validate_weights(y)
+        if z.size < 8:
+            assert_float_kernel_agrees(z)
+
+
 @pytest.mark.parametrize("z", [
     [1.0, -0.0], [-0.0, -0.0], [0.5, 0.5, -0.0], [-0.0, 0.0, 1.0, -0.0], [-7.3],
     [2.0**53 - 1.0, 0.0], [2.0**53, -0.0], [-1e17, -2e17], [1e17, 3e16, -4.0],
-    [5e-324, -5e-324, 0.0], [0.1] * 7,
+    [5e-324, -5e-324, 0.0], [0.1] * 7, [-7e307, -7e307, -7e307, 0.5],
+    [-1.7e308] * 7,
 ])
 def test_float_kernel_equals_numpy_projection_on_edge_cases(z):
     # signed zeros in and out, the 2^53 limit, subnormals, ties at n = 7
