@@ -55,9 +55,6 @@ if TYPE_CHECKING:
 # Numerical slack granted when asserting the per-iteration inequalities.
 INEQUALITY_SLACK = 1e-8
 
-# R = max ||y|| over the probability simplex, attained at its vertices.
-DUAL_RADIUS = 1.0
-
 # Below this many groups the dual step runs on Python floats: about 20 numpy
 # calls of a few flops each cost more in dispatch than the arithmetic.
 # Below 8 entries np.add.reduce sums in order, one by one from 0.0 (see the
@@ -141,7 +138,7 @@ class ARPGDAParams:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         # the solver's lambda; at 0 with mu = 0 the U-stepsize divides by 0
-        if self.epsilon / (8.0 * DUAL_RADIUS**2) == 0.0:
+        if self.epsilon / 8.0 == 0.0:
             raise ValueError(
                 f"epsilon must be large enough that lambda = epsilon / 8 is positive, "
                 f"got {self.epsilon!r}")
@@ -298,7 +295,7 @@ def recommended_params(data: GroupedDataset, r: int, *, seed: int = 0) -> ARPGDA
             raise NumericalError(
                 f"cannot pick epsilon: the data's largest sample norm, {top:.3e}, "
                 "overflows when squared")
-        if top > 0.0 and epsilon / (8.0 * DUAL_RADIUS**2) == 0.0:
+        if top > 0.0 and epsilon / 8.0 == 0.0:
             raise NumericalError(
                 f"cannot pick epsilon: the data's largest sample norm, {top:.3e}, "
                 "is so small that lambda = epsilon / 8 underflows to 0")
@@ -462,7 +459,7 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
     if L1 <= 0.0:
         raise DegenerateProblemError("all groups have zero variance; the objective is constant")
     mu, rho, theta = params.mu, params.rho, params.theta
-    lam = params.epsilon / (8.0 * DUAL_RADIUS**2)
+    lam = params.epsilon / 8.0
     decrease = (2.0 - theta) / (2.0 * theta)
     ev, y = run.ev, uniform_weights(data.num_groups)
     tops = constants.tops
@@ -512,14 +509,14 @@ def solve_arpgda(data: GroupedDataset, r: int, params: ARPGDAParams) -> SolveRes
         y = y_next
         rhs = (
             -decrease * zeta_k * prev_grad_norm**2
-            + 0.5 * (4.0 * beta_k) * DUAL_RADIUS
+            + 0.5 * (4.0 * beta_k)
             - 0.5 * (beta_k * step_sq_prev - beta_next * step_sq)
         )
         if lhs > rhs + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "sufficient_decrease", "lhs": lhs, "rhs": rhs})
         # ascent gap at the new iterate, bounded by the parameters of the
         # step that produced its weights; recorded at k, as its trace row is
-        bound = 4.0 * DUAL_RADIUS**2 * (lam + beta_k)
+        bound = 4.0 * (lam + beta_k)
         if gap > bound + INEQUALITY_SLACK:
             violations.append({"k": k, "kind": "ascent_gap", "lhs": gap, "rhs": bound})
         run.row(k, phi, E, grad_norm, gap, lam, beta_k, zeta_k, stop=E <= params.epsilon)

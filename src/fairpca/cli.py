@@ -49,6 +49,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# Without --min-norm-threshold, samples below this share of the largest
+# sample norm are dropped; a norm past the largest double counts as it.
+_NORM_THRESHOLD_SHARE = 1e-6
+
 
 class _UsageError(Exception):
     """A usage or configuration error (exit 1).  Not a ValueError, so that
@@ -181,7 +185,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
         "--min-norm-threshold",
         type=float,
         default=None,
-        help="drop samples with norm below this (default: 1e-6 of the largest norm)",
+        help=f"drop samples with norm below this (default: {_NORM_THRESHOLD_SHARE:g} of the "
+        "largest norm, or of the largest double where a norm passes it)",
     )
 
 
@@ -249,7 +254,8 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[GroupedDataset, dict[str
         dataset, provenance = _dataset_from_gen_spec(args.gen)
     threshold = args.min_norm_threshold
     if threshold is None:
-        threshold = 1e-6 * float(dataset.sample_norms().max())
+        top = float(dataset.sample_norms().max())
+        threshold = _NORM_THRESHOLD_SHARE * min(top, sys.float_info.max)
     dataset = data_mod.preprocess(
         dataset,
         normalize=args.normalize,

@@ -35,8 +35,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError, check_count
-from .problem import GroupedDataset, _column_norms
+from .exceptions import DataError, DimensionError, NumericalError, check_count
+from .problem import GroupedDataset, _scaled
 
 
 def describe(data: GroupedDataset, *, generator: str | None = None, seed: int | None = None,
@@ -277,9 +277,15 @@ def preprocess(
     sample's entries, per-sample scaling to unit norm.  Groups left empty are
     removed with a warning; dropping everything raises DataError.  A
     min_norm_threshold that is NaN or negative raises ValueError.  Re-running
-    with the same settings is the identity.  Norms, means and stds that
-    overflow are taken from rescaled data, so huge samples are transformed
-    as unit-scale ones are, not zeroed, and without a warning.
+    with the same settings is the identity.
+
+    All three transforms follow one rule, that of sample_norms: a feature
+    (for its std) or a sample (for its mean and norm) whose largest entry in
+    size is nonzero and outside [2^-480, 2^480] is measured divided by that
+    entry, so huge and tiny data are transformed as unit-scale data are,
+    within rounding, and without a warning.  Wherever every slice is in
+    range the results are those of the plain numpy reductions.  Centering
+    whose differences pass the largest double raises NumericalError.
     """
     if not min_norm_threshold >= 0.0:
         raise ValueError(f"min_norm_threshold must be non-negative, got {min_norm_threshold!r}")
@@ -299,23 +305,18 @@ def preprocess(
     # data.X already is, and is left uncopied when no sample is dropped
     X = data.X if keep.all() else np.ascontiguousarray(data.X[:, keep])
     if standardize_features:
-        with np.errstate(over="ignore"):
-            mean = X.mean(axis=1, keepdims=True)
-            std = X.std(axis=1, keepdims=True)
-        big = ~(np.isfinite(mean) & np.isfinite(std))[:, 0]
-        if big.any():
-            # standardization does not depend on scale: a feature whose
-            # mean or std overflows is taken divided by its largest entry
-            X = X.copy()
-            X[big] /= np.abs(X[big]).max(axis=1, keepdims=True)
-            mean[big] = X[big].mean(axis=1, keepdims=True)
-            std[big] = X[big].std(axis=1, keepdims=True)
+        X, std, _ = _scaled(np.std, X, 1)
         std[std == 0.0] = 1.0
-        X = (X - mean) / std
+        X = (X - X.mean(axis=1, keepdims=True)) / std
     if center:
-        X = X - X.mean(axis=0, keepdims=True)
+        _, mean, scale = _scaled(np.mean, X, 0)
+        with np.errstate(over="ignore"):
+            X = X - mean * scale
+        if not np.isfinite(X).all():
+            raise NumericalError("centering overflows: a sample's entries lie too far "
+                                 "apart for their differences from its mean to be doubles")
     if normalize:
-        norms = _column_norms(X)
+        X, norms, _ = _scaled(np.linalg.norm, X, 0)
         norms[norms == 0.0] = 1.0
         X = X / norms
     return GroupedDataset(X, sizes, labels=labels, name=data.name)

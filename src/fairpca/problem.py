@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -208,23 +209,47 @@ class GroupedDataset:
         return C
 
     def sample_norms(self) -> np.ndarray:
-        """The Euclidean norm of each sample, shape (N,), finite and without
-        a warning for any finite data (see _column_norms)."""
-        return _column_norms(self.X)
+        """The Euclidean norm of each sample, shape (N,), without a warning.
+
+        A sample whose largest entry in size lies in [2^-480, 2^480] keeps
+        np.linalg.norm's bits; any other is measured divided by that entry
+        (see _scaled), so its norm keeps full precision, and is inf only
+        where the norm itself passes the largest double.
+        """
+        _, norms, scale = _scaled(np.linalg.norm, self.X, 0)
+        with np.errstate(over="ignore"):
+            return (norms * scale)[0]
 
 
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each column of X.  A norm past about 1.3e154,
-    whose sum of squares overflows, is recomputed from the column scaled by
-    its largest entry, so no warning is raised."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=0)
-    big = np.isinf(norms)
-    if big.any():
-        Xb = X[:, big]
-        top = np.abs(Xb).max(axis=0)
-        norms[big] = top * np.linalg.norm(Xb / top, axis=0)
-    return norms
+# A slice whose largest entry in size, top, lies in [2^-480, 2^480] is
+# measured as it is.  Proof sketch: its squares are at most 2^960, so a sum
+# of up to 2^60 of them stays below 2^1020, finite, and the largest, top^2,
+# is at least 2^-960, a normal double, so squares that fall below the normal
+# doubles change a norm's sum by less than 2^-62 of itself.  A mean sums
+# entries of at most 2^480, and a std squares deviations from the mean of
+# at most 2^481 in size, so neither overflows either; a std falls below the
+# normal doubles only where it is under 2^-31 of top.
+_LOW, _HIGH = 2.0**-480, 2.0**480
+
+
+def _scaled(stat: Callable[..., np.ndarray], X: np.ndarray,
+            axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one rule that keeps a statistic of X's slices in the range of
+    doubles: returns (X', stat(X', axis=axis, keepdims=True), scale).
+
+    X' is X with each slice along axis (a sample for axis 0, a feature for
+    axis 1) whose largest entry in size, top, is nonzero and outside
+    [_LOW, _HIGH] divided by top; scale holds top for those slices and 1.0
+    for the others, so a statistic that scales with its slice, a norm or a
+    mean, is stat(X') * scale.  X' is X itself, uncopied, when every slice
+    is in range.
+    """
+    top = np.maximum(X.max(axis=axis, keepdims=True), -X.min(axis=axis, keepdims=True))
+    out = (top > 0.0) & ((top < _LOW) | (top > _HIGH))
+    scale = np.where(out, top, 1.0)
+    if out.any():
+        X = X / scale
+    return X, stat(X, axis=axis, keepdims=True), scale
 
 
 @dataclass(frozen=True, eq=False)

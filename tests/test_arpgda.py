@@ -140,11 +140,12 @@ class TestParams:
         with pytest.raises(NumericalError, match=re.escape(message) + "$"):
             recommended_params(data, 1)
 
-    @pytest.mark.parametrize("scale", [5e-161, 1.6e-161])
+    @pytest.mark.parametrize("scale", [5e-161, 1.6e-161, 1e-165])
     def test_recommended_epsilon_underflow_is_a_numerical_error(self, scale):
         # past about 1.6e-160 the singleton lambda = epsilon / 8 is 0; at
         # these norms (1.25e-160 and 3.99e-161) ARPGDAParams once rejected
-        # epsilon, and then all samples were said to have zero norm
+        # epsilon, and then all samples were said to have zero norm; at
+        # 2.491e-165 the norms' squares once underflowed to 0
         data = GroupedDataset(gen_synthetic_gaussian(4, 4, 0).X * scale, (1,) * 4)
         top = float(data.sample_norms().max())
         message = (f"cannot pick epsilon: the data's largest sample norm, {top:.3e}, "

@@ -327,6 +327,29 @@ class TestSolve:
                     "--out", tmp_path / "run.json"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_norm_past_the_largest_double_keeps_every_sample(self, tmp_path, capsys):
+        # the second sample's norm is inf; the default threshold once became
+        # inf too and dropped every other sample
+        X = np.array([[1e308, 1.2e308, -1e308, 0.5e308], [1e308, -1.3e308, 1e308, 0.2e308],
+                      [1e308] * 4])
+        (tmp_path / "huge.csv").write_text(dataset_csv_text(GroupedDataset(X, (2, 2))))
+        assert run(["solve", "arpgda", "--data", tmp_path / "huge.csv", "--normalize", "--r", 1,
+                    "--out", tmp_path / "run.json"]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((tmp_path / "run.json").read_text())["dataset_meta"]
+        assert meta["num_samples"] == 4
+        assert meta["min_norm_threshold"] == 1e-6 * sys.float_info.max
+
+    def test_centering_overflow_exits_3(self, tmp_path, capsys):
+        X = np.array([[1.7e308], [-1.7e308], [1.7e308]])
+        (tmp_path / "wide.csv").write_text(dataset_csv_text(GroupedDataset(X, (1,))))
+        assert run(["solve", "arpgda", "--data", tmp_path / "wide.csv", "--center", "--r", 1,
+                    "--out", tmp_path / "run.json"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: centering overflows: a sample's entries lie too far apart "
+            "for their differences from its mean to be doubles"]
+        assert not (tmp_path / "run.json").exists()
+
     def test_input_csv_is_not_mutated(self, tmp_path):
         csv_path = tmp_path / "d.csv"
         assert run(["gen", "gaussian:d=5,n=6,seed=3", "--out", csv_path]) == 0

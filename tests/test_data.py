@@ -20,6 +20,7 @@ from fairpca import (
     DataError,
     DimensionError,
     GroupedDataset,
+    NumericalError,
     dataset_csv_text,
     describe,
     gen_synthetic_blocks,
@@ -508,6 +509,62 @@ class TestPreprocess:
             warnings.simplefilter("error")
             huge = preprocess(GroupedDataset(2.0**600 * X, (2, 2)), **{flag: True}).X
         np.testing.assert_allclose(huge, unit, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+    def test_samples_near_the_largest_double(self):
+        # every entry is finite, but the second sample's norm and the entry
+        # sums of the other three pass the largest double
+        X = np.array([[1e308, 1.2e308, -1e308, 0.5e308], [1e308, -1.3e308, 1e308, 0.2e308],
+                      [1e308] * 4])
+        data = GroupedDataset(X, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = data.sample_norms()
+            normalized = preprocess(data, normalize=True)
+            centered = preprocess(data, center=True)
+        root3 = 1e308 * np.sqrt(3.0)
+        np.testing.assert_array_equal(
+            norms, [root3, np.inf, root3, 1e308 * np.linalg.norm(X[:, 3] / 1e308)])
+        assert normalized.group_sizes == (2, 2)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(np.linalg.norm(normalized.X, axis=0), 1.0, rtol=4 * eps)
+        assert np.isfinite(centered.X).all()
+        np.testing.assert_allclose((centered.X / 1e308).mean(axis=0), 0.0, atol=4 * eps)
+
+    def test_centering_past_the_largest_double_is_a_numerical_error(self):
+        # the mean is finite, but the first entry less it is not
+        data = GroupedDataset(np.array([[1.7e308], [-1.7e308], [1.7e308]]), (1,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^centering overflows"):
+                preprocess(data, center=True)
+
+    # Scaling by 2^k moves entries in [2^-20, 1) in size across the range
+    # rule's bounds but keeps them normal doubles.  Norms and normalizing
+    # are well conditioned; centering and standardizing cancel, so their
+    # error is bounded relative to the largest entry, over the std for a
+    # standardized feature.
+    @given(k=st.integers(-1000, 1020), d=st.integers(1, 4), n=st.integers(2, 6),
+           seed=st.integers(0, 2**31 - 1))
+    @example(k=-1000, d=4, n=6, seed=0)
+    @example(k=1020, d=4, n=6, seed=0)
+    def test_powers_of_two_scale_the_transforms(self, k, d, n, seed):
+        X = np.random.default_rng(seed).uniform(-1.0, 1.0, (d, n))
+        X[np.abs(X) < 2.0**-20] = 0.5
+        flags = ("normalize", "center", "standardize_features")
+        unit, scaled = GroupedDataset(X, (n,)), GroupedDataset(np.ldexp(X, k), (n,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = scaled.sample_norms()
+            out = {flag: preprocess(scaled, **{flag: True}).X for flag in flags}
+        expected = {flag: preprocess(unit, **{flag: True}).X for flag in flags}
+        tol = 4 * np.finfo(float).eps
+        np.testing.assert_allclose(np.ldexp(norms, -k), unit.sample_norms(), rtol=tol, atol=0.0)
+        np.testing.assert_allclose(out["normalize"], expected["normalize"], rtol=0.0, atol=tol)
+        error = np.abs(np.ldexp(out["center"], -k) - expected["center"])
+        assert (error <= tol * np.abs(X).max(axis=0)).all()
+        error = np.abs(out["standardize_features"] - expected["standardize_features"])
+        assert (error <= tol * np.abs(X).max(axis=1, keepdims=True)
+                / X.std(axis=1, keepdims=True)).all()
 
     def test_norm_threshold_drops_samples(self):
         X = np.array([[1.0, 1e-9, 2.0], [0.0, 0.0, 1.0]])

@@ -29,6 +29,7 @@ from fairpca import (
     uniform_weights,
 )
 from fairpca import cli
+from fairpca.baselines import DEFAULT_C_GRID
 from fairpca.cli import build_parser
 
 TESTS = Path(__file__).resolve().parent
@@ -56,6 +57,18 @@ def test_readme_cites_only_names_its_modules_have():
     missing = [f"{module}.{name}" for module, name in sorted(cited)
                if not hasattr(importlib.import_module(f"fairpca.{module}"), name)]
     assert missing == []
+
+
+def test_benchmark_copies_match_the_cli():
+    # perfbench/cells.py keeps its own copies of the CLI's RSG step-size grid
+    # and norm-threshold share; they are read without importing it
+    tree = ast.parse((TESTS.parent / "perfbench" / "cells.py").read_text())
+    copies = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in ("C_GRID", "NORM_THRESHOLD_SHARE")}
+    assert copies == {"C_GRID": DEFAULT_C_GRID,
+                      "NORM_THRESHOLD_SHARE": cli._NORM_THRESHOLD_SHARE}
 
 
 def test_every_flag_has_help():

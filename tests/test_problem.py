@@ -95,11 +95,12 @@ class TestGroupedDataset:
 
     def test_sample_norms_past_the_square_overflow(self):
         # a sum of squares past the largest double is rescaled, without a
-        # warning; a norm that does not overflow keeps np.linalg.norm's bits
+        # warning; a norm in range keeps np.linalg.norm's bits, and one whose
+        # square underflows (np.linalg.norm gives 0.0) is rescaled too
         X = np.array([[3e200, 0.1, 1e-300], [4e200, 0.2, 0.0]])
         norms = GroupedDataset(X, (1, 2)).sample_norms()
         np.testing.assert_allclose(norms[0], 5e200, rtol=1e-15)
-        assert norms[1:].tobytes() == np.linalg.norm(X[:, 1:], axis=0).tobytes()
+        assert norms[1:].tobytes() == np.array([np.linalg.norm(X[:, 1]), 1e-300]).tobytes()
 
     @pytest.mark.parametrize("i", [-1, 2])
     def test_group_index_out_of_range_rejected(self, i):
